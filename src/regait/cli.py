@@ -4,9 +4,7 @@ outputs and a manifest per run.
 Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O failure.
 Every run writes exactly one manifest.json into the output directory; all
 randomness flows from the manifest seed, and numeric outputs are written with
-%.17g so identical runs produce identical bytes. The REGAIT_THREADS
-environment variable caps worker parallelism (this implementation evaluates
-ensembles serially, which satisfies any cap >= 1).
+%.17g so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -28,9 +26,10 @@ from .crawler import (N_JOINTS, STATE_DIM, TEMPLATE_FORMS, CrawlerParams,
                       playback_baseline, recover, reference_gait,
                       shape_features, template_encoding_map)
 from .ctslip import (FREE_PARAM_BOUNDS, FREE_PARAM_STEPS, BuehlerClock,
-                     CTSlipParams, SimConfig, build_reference, energy_outputs,
-                     make_ensemble, nominal_ic, recover_parameters,
-                     recovery_cost, simulate_hybrid)
+                     CTSlipParams, SimConfig, build_reference,
+                     count_completing, energy_outputs, make_ensemble,
+                     nominal_ic, recover_parameters, recovery_cost,
+                     simulate_hybrid)
 from .encoding import learn_constraints, learned_to_json, record_eta
 from .integrate import IntegrationError
 from .manipulator import point_mass_toy, rescaled_constraint, run_force_matching
@@ -51,17 +50,6 @@ class UsageError(Exception):
 
 class IOFailure(Exception):
     """Unreadable/unwritable or unparseable file; maps to exit code 4."""
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("REGAIT_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"REGAIT_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise UsageError(f"REGAIT_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def _ensure_out(path: str) -> str:
@@ -313,11 +301,8 @@ def cmd_ctslip(args) -> int:
     _write_json(os.path.join(out, "recovered_params.json"),
                 _params_dict(recovered))
     final_cost = min(trace.best_so_far)
-    counts = {}
-    for label, p in (("damaged", damaged), ("recovered", recovered)):
-        counts[label] = sum(
-            1 for ic in ensemble
-            if simulate_hybrid(p, ic, args.T, cfg).strides >= args.strides)
+    counts = {label: count_completing(p, ensemble, args.strides, args.T, cfg)
+              for label, p in (("damaged", damaged), ("recovered", recovered))}
     metrics = {
         "initial_cost": initial_cost,
         "final_cost": final_cost,
@@ -542,7 +527,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _thread_cap()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +30,6 @@ import numpy as np
 from .optimize import CostTrace, NMConfig, nelder_mead
 from .signals import (FourierSeries, PhaseEstimator, estimate_phases,
                       eval_fourier, fit_fourier)
-from .trajectory import Trajectory
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,16 +59,24 @@ class BuehlerClock:
     def command(self, t: float, chi0: float, leg: int,
                 ) -> tuple[float, float, bool]:
         """Commanded angle, its time derivative, and the descending flag."""
-        chi = chi0 + TWO_PI * self.frequency * t + (math.pi if leg else 0.0)
-        s = (chi / TWO_PI) % 1.0
-        if s < self.duty_factor:
-            psi = self.sweep_angle * (1.0 - 2.0 * s / self.duty_factor)
-            rate = -2.0 * self.sweep_angle / self.duty_factor * self.frequency
-            return psi, rate, True
-        q = (s - self.duty_factor) / (1.0 - self.duty_factor)
-        psi = -self.sweep_angle + 2.0 * self.sweep_angle * q
-        rate = 2.0 * self.sweep_angle / (1.0 - self.duty_factor) * self.frequency
-        return psi, rate, False
+        return self.signal(chi0, leg)(t)
+
+    def signal(self, chi0: float, leg: int) -> Callable:
+        """``command`` of one leg at a fixed clock phase, as a function of
+        time alone, with the clock constants evaluated once."""
+        duty, sweep, f = self.duty_factor, self.sweep_angle, self.frequency
+        omega, offset = TWO_PI * f, (math.pi if leg else 0.0)
+        down_rate = -2.0 * sweep / duty * f
+        up_rate = 2.0 * sweep / (1.0 - duty) * f
+
+        def at(t):
+            s = ((chi0 + omega * t + offset) / TWO_PI) % 1.0
+            if s < duty:
+                return sweep * (1.0 - 2.0 * s / duty), down_rate, True
+            q = (s - duty) / (1.0 - duty)
+            return -sweep + 2.0 * sweep * q, up_rate, False
+
+        return at
 
 
 @dataclass(frozen=True)
@@ -126,22 +134,32 @@ def hill_force(params: CTSlipParams, zeta: float, zeta_dot: float) -> float:
             - params.mu * zeta_dot)
 
 
+def _stance_law(params: CTSlipParams, chi0: float, leg: int) -> Callable:
+    """``stance_dynamics`` of one leg at a fixed clock phase."""
+    clock = params.clock.signal(chi0, leg)
+    t_s, kp, kd, g = params.t_s, params.kp, params.kd, params.gravity
+    cos, sin = math.cos, math.sin
+
+    def accel(t, zeta, psi, zeta_dot, psi_dot):
+        if zeta <= 0.0:
+            raise CrashSignal(f"leg collapsed (zeta={zeta}) at t={t}")
+        psi_c, psi_c_dot, _ = clock(t)
+        tau = t_s * (kp * (psi_c - psi) + kd * (psi_c_dot - psi_dot))
+        zeta_dd = (zeta * psi_dot * psi_dot
+                   + hill_force(params, zeta, zeta_dot) - g * cos(psi))
+        psi_dd = (tau + g * zeta * sin(psi)
+                  - 2.0 * zeta * zeta_dot * psi_dot) / (zeta * zeta)
+        return zeta_dd, psi_dd
+
+    return accel
+
+
 def stance_dynamics(params: CTSlipParams, zeta: float, psi: float,
                     zeta_dot: float, psi_dot: float, t: float,
                     chi0: float = 0.0, leg: int = 0) -> tuple[float, float]:
     """Radial/angular accelerations of the stance Lagrangian plus the
     non-conservative Hill terms and the clock-tracking hip torque."""
-    if zeta <= 0.0:
-        raise CrashSignal(f"leg collapsed (zeta={zeta}) at t={t}")
-    psi_c, psi_c_dot, _ = params.clock.command(t, chi0, leg)
-    tau = params.t_s * (params.kp * (psi_c - psi)
-                        + params.kd * (psi_c_dot - psi_dot))
-    force = hill_force(params, zeta, zeta_dot)
-    zeta_dd = (zeta * psi_dot * psi_dot + force
-               - params.gravity * math.cos(psi))
-    psi_dd = (tau + params.gravity * zeta * math.sin(psi)
-              - 2.0 * zeta * zeta_dot * psi_dot) / (zeta * zeta)
-    return zeta_dd, psi_dd
+    return _stance_law(params, chi0, leg)(t, zeta, psi, zeta_dot, psi_dot)
 
 
 @dataclass(frozen=True)
@@ -183,102 +201,103 @@ class SimResult:
     def strides(self) -> int:
         return sum(1 for e in self.events if e.kind == "liftoff")
 
-    def trajectory(self) -> Trajectory:
-        return Trajectory(t=self.t.copy(), x=self.com.copy())
 
-
-def _rk4(f: Callable, t: float, u: list[float], h: float) -> list[float]:
-    k1 = f(t, u)
-    u2 = [u[i] + 0.5 * h * k1[i] for i in range(4)]
-    k2 = f(t + 0.5 * h, u2)
-    u3 = [u[i] + 0.5 * h * k2[i] for i in range(4)]
-    k3 = f(t + 0.5 * h, u3)
-    u4 = [u[i] + h * k3[i] for i in range(4)]
-    k4 = f(t + h, u4)
-    s = h / 6.0
-    return [u[i] + s * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-            for i in range(4)]
-
-
-def _flight_field(params: CTSlipParams) -> Callable:
-    g = params.gravity
-
-    def f(t, u):
-        return [u[2], u[3], 0.0, -g]
-
-    return f
-
-
-def _stance_field(params: CTSlipParams, chi0: float, leg: int) -> Callable:
-    def f(t, u):
-        zdd, pdd = stance_dynamics(params, u[0], u[1], u[2], u[3], t,
-                                   chi0=chi0, leg=leg)
-        return [u[2], u[3], zdd, pdd]
-
-    return f
-
-
-def _touchdown_map(params: CTSlipParams, t: float, u: list[float],
-                   chi0: float, leg: int) -> tuple[list[float], tuple]:
-    x, y, xd, yd = u
-    psi_c, _, _ = params.clock.command(t, chi0, leg)
-    foot_x = x + params.L * math.sin(psi_c)
-    dx, dy = x - foot_x, y
+def _leg_state(com: Sequence[float], foot: tuple) -> tuple:
+    """Stance state (zeta, psi, zeta_dot, psi_dot) of a COM state."""
+    x, y, xd, yd = com
+    dx, dy = x - foot[0], y - foot[1]
     zeta = math.hypot(dx, dy)
     psi = math.atan2(-dx, dy)
     sp, cp = math.sin(psi), math.cos(psi)
-    zd = -xd * sp + yd * cp
-    pd = (-xd * cp - yd * sp) / zeta
-    return [zeta, psi, zd, pd], (foot_x, 0.0)
+    return zeta, psi, -xd * sp + yd * cp, (-xd * cp - yd * sp) / zeta
 
 
-def _liftoff_map(u: list[float], foot: tuple) -> list[float]:
+def _touchdown_map(params: CTSlipParams, t: float, u: Sequence[float],
+                   chi0: float, leg: int) -> tuple[tuple, tuple]:
+    psi_c, _, _ = params.clock.command(t, chi0, leg)
+    foot = (u[0] + params.L * math.sin(psi_c), 0.0)
+    return _leg_state(u, foot), foot
+
+
+def _liftoff_map(u: Sequence[float], foot: tuple) -> tuple:
     zeta, psi, zd, pd = u
     sp, cp = math.sin(psi), math.cos(psi)
-    x = foot[0] - zeta * sp
-    y = zeta * cp
-    xd = -zd * sp - zeta * pd * cp
-    yd = zd * cp - zeta * pd * sp
-    return [x, y, xd, yd]
+    return (foot[0] - zeta * sp, zeta * cp, -zd * sp - zeta * pd * cp,
+            zd * cp - zeta * pd * sp)
 
 
-def _guards(params: CTSlipParams, mode: Mode, chi0: float):
-    """(kind, leg, value, armed) tuples; an event fires when value crosses
-    from > 0 to <= 0 inside a step (and the armed predicate holds, if any)."""
-    if mode is Mode.FLIGHT:
-        out = [("crash", None, lambda t, u: u[1], None)]
-        for leg in (0, 1):
-            def value(t, u, leg=leg):
-                psi_c, _, _ = params.clock.command(t, chi0, leg)
-                return u[1] - params.L * math.cos(psi_c)
+def _modes(params: CTSlipParams, chi0: float) -> dict:
+    """Mode -> (RK4 step(t, u, h), guards, guard values), built once per run.
 
-            def armed(t, u, leg=leg):
-                psi_c, _, desc = params.clock.command(t, chi0, leg)
-                return (desc and psi_c <= params.clock.touchdown_angle + 1e-12
-                        and u[3] < 0.0)
+    A guard is (kind, leg, value, armed); an event fires when value crosses
+    from > 0 to <= 0 inside a step (and the armed predicate holds, if any).
+    """
+    L, ng = params.L, -params.gravity
+    ng_sum = ng + 2.0 * ng + 2.0 * ng + ng
+    armed_below = params.clock.touchdown_angle + 1e-12
+    floor = 1e-3 * L
+    cos = math.cos
 
-            out.append(("touchdown", leg, value, armed))
-        return out
-    return [
-        ("crash", None, lambda t, u: u[0] * math.cos(u[1]), None),
-        ("crash", None, lambda t, u: u[0] - 1e-3 * params.L, None),
-        ("liftoff", None, lambda t, u: params.L - u[0], None),
-    ]
+    def flight(t, u, h):
+        # stage positions are dead; += 0.0 maps -0.0 to 0.0 as the stages do
+        x, y, xd, yd = u
+        xd += 0.0
+        yd_mid, yd_end, s = yd + 0.5 * h * ng, yd + h * ng, h / 6.0
+        return (x + s * (xd + 2.0 * xd + 2.0 * xd + xd),
+                y + s * (yd + 2.0 * yd_mid + 2.0 * yd_mid + yd_end),
+                xd, yd + s * ng_sum)
+
+    def stance(leg):
+        accel = _stance_law(params, chi0, leg)
+
+        def step(t, u, h):
+            z, p, zd, pd = u
+            hh = 0.5 * h
+            a1, b1 = accel(t, z, p, zd, pd)
+            zd2, pd2 = zd + hh * a1, pd + hh * b1
+            a2, b2 = accel(t + hh, z + hh * zd, p + hh * pd, zd2, pd2)
+            zd3, pd3 = zd + hh * a2, pd + hh * b2
+            a3, b3 = accel(t + hh, z + hh * zd2, p + hh * pd2, zd3, pd3)
+            zd4, pd4 = zd + h * a3, pd + h * b3
+            a4, b4 = accel(t + h, z + h * zd3, p + h * pd3, zd4, pd4)
+            s = h / 6.0
+            return (z + s * (zd + 2.0 * zd2 + 2.0 * zd3 + zd4),
+                    p + s * (pd + 2.0 * pd2 + 2.0 * pd3 + pd4),
+                    zd + s * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                    pd + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
+
+        return step
+
+    def touchdown(leg):
+        clock = params.clock.signal(chi0, leg)
+
+        def armed(t, u):
+            psi_c, _, desc = clock(t)
+            return desc and psi_c <= armed_below and u[3] < 0.0
+
+        return ("touchdown", leg, lambda t, u: u[1] - L * cos(clock(t)[0]),
+                armed)
+
+    airborne = (("crash", None, lambda t, u: u[1], None),
+                touchdown(0), touchdown(1))
+    landed = (("crash", None, lambda t, u: u[0] * cos(u[1]), None),
+              ("crash", None, lambda t, u: u[0] - floor, None),
+              ("liftoff", None, lambda t, u: L - u[0], None))
+    values = [g[2] for g in landed]
+    return {Mode.FLIGHT: (flight, airborne, [g[2] for g in airborne]),
+            Mode.STANCE_LEFT: (stance(0), landed, values),
+            Mode.STANCE_RIGHT: (stance(1), landed, values)}
 
 
-def _first_event(field, guards, ta, ua, tb, ub, cfg):
+def _first_event(step, guards, ta, ua, va, tb, ub, vb, tol):
     hits = []
-    for kind, leg, value, armed in guards:
-        va, vb = value(ta, ua), value(tb, ub)
-        if not (va > 0.0 >= vb):
+    for (kind, leg, value, armed), a, b in zip(guards, va, vb):
+        if not (a > 0.0 >= b) or (armed is not None and not armed(tb, ub)):
             continue
-        if armed is not None and not armed(tb, ub):
-            continue
-        lo, hi = ta, tb
-        u_hi = ub
-        while hi - lo > cfg.bisect_tol:
+        lo, hi, u_hi = ta, tb, ub
+        while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            um = _rk4(field, ta, ua, mid - ta)
+            um = step(ta, ua, mid - ta)
             if value(mid, um) > 0.0:
                 lo = mid
             else:
@@ -289,7 +308,7 @@ def _first_event(field, guards, ta, ua, tb, ub, cfg):
     hits.sort(key=lambda h: (h[0], h[1]))
     best_t = hits[0][0]
     for h in hits:
-        if h[0] - best_t <= cfg.bisect_tol and h[2] == "crash":
+        if h[0] - best_t <= tol and h[2] == "crash":
             return h
     return hits[0]
 
@@ -302,88 +321,85 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
     substeps from the pre-step state, the transition is applied, and the
     remainder of the step is integrated in the new mode, so samples stay on
     the uniform grid. The run stops at the first crash (absorbing mode).
+    Guards are tested only at step ends, so a guard that crosses zero and
+    back inside one step (a grazing touchdown) fires no event.
     """
     cfg = cfg if cfg is not None else SimConfig()
-    dt = cfg.dt
+    dt, tol = cfg.dt, cfg.bisect_tol
     nsteps = int(round(T / dt))
     if abs(nsteps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError("span must be an integer number of steps")
     chi0 = ic.clock_phase
     mode = ic.mode
     if mode is Mode.FLIGHT:
-        u, foot = list(ic.com), None
+        u, foot = tuple(ic.com), None
     elif mode in (Mode.STANCE_LEFT, Mode.STANCE_RIGHT):
         if ic.foot is None:
             raise ValueError("stance initial condition requires a foot anchor")
-        x, y, xd, yd = ic.com
         foot = (float(ic.foot[0]), float(ic.foot[1]))
-        dx, dy = x - foot[0], y - foot[1]
-        zeta = math.hypot(dx, dy)
-        if zeta > params.L * (1.0 + 1e-9):
+        u = _leg_state(ic.com, foot)
+        if u[0] > params.L * (1.0 + 1e-9):
             raise ValueError("stance initial condition: leg longer than L")
-        psi = math.atan2(-dx, dy)
-        sp, cp = math.sin(psi), math.cos(psi)
-        u = [zeta, psi, -xd * sp + yd * cp, (-xd * cp - yd * sp) / zeta]
     else:
         raise ValueError("initial condition must be flight or stance")
 
-    times = [0.0]
-    samples = [_sample(params, mode, u, foot)]
-    events: list[Event] = []
-    crashed = False
-    legs = {Mode.STANCE_LEFT: 0, Mode.STANCE_RIGHT: 1}
+    modes = _modes(params, chi0)
+    step, guards, (v0, v1, v2) = modes[mode]
+    flight_tail = (params.L, math.nan, Mode.FLIGHT.value)
+    stance_value = mode.value
+    samples = [u + flight_tail if foot is None
+               else _liftoff_map(u, foot) + (u[0], u[1], stance_value)]
+    events, crashed = [], False
+    va = None  # guard values at (ta, u), carried over from the last step end
 
     for k in range(nsteps):
         ta, tb = k * dt, (k + 1) * dt
         for _ in range(cfg.max_events_per_step):
-            if mode is Mode.CRASHED:
+            if crashed:
                 break
-            leg = legs.get(mode, 0)
-            fld = (_flight_field(params) if mode is Mode.FLIGHT
-                   else _stance_field(params, chi0, leg))
+            if va is None:
+                va = (v0(ta, u), v1(ta, u), v2(ta, u))
             try:
-                u_end = _rk4(fld, ta, u, tb - ta)
-                hit = _first_event(fld, _guards(params, mode, chi0),
-                                   ta, u, tb, u_end, cfg)
+                u_end = step(ta, u, tb - ta)
+                vb = (v0(tb, u_end), v1(tb, u_end), v2(tb, u_end))
+                hit = (_first_event(step, guards, ta, u, va, tb, u_end, vb,
+                                    tol)
+                       if (va[0] > 0.0 >= vb[0] or va[1] > 0.0 >= vb[1]
+                           or va[2] > 0.0 >= vb[2]) else None)
             except CrashSignal:
                 hit = (ta, 0, "crash", None, u)
             if hit is None:
-                u = u_end
+                u, va = u_end, vb
                 break
             t_ev, _, kind, ev_leg, u_ev = hit
             events.append(Event(kind=kind, time=t_ev, leg=ev_leg))
             if kind == "crash":
-                mode, u = Mode.CRASHED, u_ev
+                crashed = True
             elif kind == "touchdown":
                 u, foot = _touchdown_map(params, t_ev, u_ev, chi0, ev_leg)
                 mode = Mode.STANCE_LEFT if ev_leg == 0 else Mode.STANCE_RIGHT
+                stance_value = mode.value
             else:  # liftoff
-                u = _liftoff_map(u_ev, foot)
-                mode, foot = Mode.FLIGHT, None
-            ta = t_ev
-            if tb - ta <= cfg.bisect_tol:
+                u, foot, mode = _liftoff_map(u_ev, foot), None, Mode.FLIGHT
+            step, guards, (v0, v1, v2) = modes[mode]
+            ta, va = t_ev, None
+            if tb - ta <= tol:
                 break
         else:
             raise RuntimeError(
                 f"event location failed: more than {cfg.max_events_per_step} "
                 f"events inside [{ta}, {tb}]")
-        if mode is Mode.CRASHED:
-            crashed = True
+        if crashed:
             break
-        times.append(tb)
-        samples.append(_sample(params, mode, u, foot))
+        samples.append(u + flight_tail if foot is None
+                       else _liftoff_map(u, foot) + (u[0], u[1], stance_value))
 
-    arr = np.asarray(samples)
-    return SimResult(params=params, t=np.asarray(times), com=arr[:, :4],
-                     zeta=arr[:, 4], psi=arr[:, 5], mode=arr[:, 6].astype(int),
-                     events=events, crashed=crashed)
-
-
-def _sample(params, mode, u, foot):
-    if mode is Mode.FLIGHT:
-        return [u[0], u[1], u[2], u[3], params.L, math.nan, mode.value]
-    com = _liftoff_map(u, foot)
-    return [com[0], com[1], com[2], com[3], u[0], u[1], mode.value]
+    arr = np.fromiter(chain.from_iterable(samples), float,
+                      7 * len(samples)).reshape(-1, 7)
+    return SimResult(params=params, t=np.arange(len(samples)) * dt,
+                     com=arr[:, :4], zeta=arr[:, 4], psi=arr[:, 5],
+                     mode=arr[:, 6].astype(int), events=events,
+                     crashed=crashed)
 
 
 def energy_outputs(params: CTSlipParams, result: SimResult,

@@ -184,13 +184,6 @@ class TestManipulatorCommand:
 
 
 class TestHarness:
-    def test_thread_cap_must_be_integer(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REGAIT_THREADS", "zero")
-        code = main(["rank", "--n", "3", "--k", "1", "--trials", "10",
-                     "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "REGAIT_THREADS" in capsys.readouterr().err
-
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip()

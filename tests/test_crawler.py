@@ -275,6 +275,14 @@ class TestRecovery:
         assert rms_r < 1e-6
         assert rms_a < 1e-6
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known limitation: under jam 3 the 7x6 joint-rate system of the "
+        "recovery field turns near-singular at t ~ 0.019 s and the template "
+        "r trace drifts to RMS 4.8e-4"))
+    def test_jam3_template_traces_reproduced(self, cparams, gait):
+        rec = recover(cparams, gait, jam=3)
+        assert np.sqrt(np.mean((rec.r - gait.r[::2]) ** 2)) < 1e-6
+
     def test_feet_and_jam_enforced(self, cparams, recovered):
         X = recovered.trajectory.x
         assert foot_residual_series(cparams, X).max() < 1e-9
