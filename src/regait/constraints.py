@@ -205,35 +205,37 @@ def solve_velocity(stack: ConstraintStack, t: float, x,
 
     Fully determined stacks yield the unique solution of the active square
     system. With fewer than n active rows the minimum-norm solution is
-    returned and flagged. If the solution leaves Physical rows outside the
-    active set violated, the stack is over-constrained and a
-    RankDeficiencyError carrying the RankReport is raised.
+    returned and flagged. If the solution leaves Physical rows violated, the
+    stack is over-constrained and a RankDeficiencyError carrying the
+    RankReport is raised.
     """
     omega, gamma, classes = evaluate_with_classes(stack, t, x)
     n = stack.ambient_dim
     active = select_active_rows(stack, t, x, tol)
-    if not active:
-        return SolveResult(velocity=np.zeros(n), active_rows=[],
-                           condition_number=0.0, underdetermined=True,
-                           warnings=["no active rows"])
-    sub = omega[active]
-    rhs = gamma[active]
-    svals = np.linalg.svd(sub, compute_uv=False)
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    v, *_ = np.linalg.lstsq(sub, rhs, rcond=tol)
     warnings = []
-    if cond > 1.0 / tol:
-        warnings.append(f"ill-conditioned active system: cond={cond:.3e}")
+    if active:
+        cond = _condition(omega[active])
+        v, *_ = np.linalg.lstsq(omega[active], gamma[active], rcond=tol)
+        if cond > 1.0 / tol:
+            warnings.append(f"ill-conditioned active system: cond={cond:.3e}")
+    else:
+        cond, v = 0.0, np.zeros(n)
+        warnings.append("no active rows")
 
     # Physical rows must hold whether or not they made the active cut; a
     # violated inactive Physical row means the physics itself is inconsistent.
+    # It depends on active Physical rows only, so rows of lower priority never
+    # enter the tolerance.
     phys = [i for i, c in enumerate(classes) if c == Priority.PHYSICAL]
     if phys:
+        kept = [i for i in active if classes[i] == Priority.PHYSICAL]
+        cond_phys = _condition(omega[kept]) if kept else 1.0
         scale = max(1.0, float(np.abs(gamma[phys]).max()))
-        err = np.abs(omega[phys] @ v - gamma[phys]).max()
-        if err > 1e3 * tol * scale * max(1.0, cond):
+        size = np.abs(omega[phys]) @ np.abs(v) + scale
+        err = np.abs(omega[phys] @ v - gamma[phys])
+        if np.any(err > 1e3 * tol * max(1.0, cond_phys) * size):
             raise RankDeficiencyError(
-                f"over-constrained Physical rows: residual {err:.3e}",
+                f"over-constrained Physical rows: residual {err.max():.3e}",
                 rank_report(stack, t, x, tol))
 
     return SolveResult(velocity=v, active_rows=active, condition_number=cond,
@@ -250,11 +252,7 @@ def rank_report(stack: ConstraintStack, t: float, x,
         ranks[cls] = (int(np.linalg.matrix_rank(omega[rows], tol * _scale(omega[rows])))
                       if rows else 0)
     active = select_active_rows(stack, t, x, tol)
-    if active:
-        svals = np.linalg.svd(omega[active], compute_uv=False)
-        cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    else:
-        cond = 0.0
+    cond = _condition(omega[active]) if active else 0.0
     return RankReport(
         rank_physical=ranks[Priority.PHYSICAL],
         rank_designed=ranks[Priority.DESIGNED],
@@ -263,6 +261,11 @@ def rank_report(stack: ConstraintStack, t: float, x,
         damage_condition_holds=completion_check(
             stack.ambient_dim, ranks[Priority.PHYSICAL],
             ranks[Priority.DESIGNED], ranks[Priority.LEARNED]))
+
+
+def _condition(matrix: np.ndarray) -> float:
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    return float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
 
 
 def _scale(matrix: np.ndarray) -> float:

@@ -62,30 +62,42 @@ class TemplateOutput:
 
 
 def _arm(h: complex, angles: np.ndarray) -> tuple[complex, np.ndarray]:
-    """Endpoint of a three-link unit chain and the tail sums s_j.
+    """Endpoint of a three-link unit chain and the tail sums s_j (last axis).
 
     d endpoint / d angle_j = i * s_j where s_j sums the links from j outward.
     """
-    links = np.exp(1j * np.cumsum(angles))
-    tails = np.cumsum(links[::-1])[::-1]
-    return h + links.sum(), tails
+    links = np.exp(1j * np.cumsum(angles, axis=-1))
+    tails = np.cumsum(links[..., ::-1], axis=-1)[..., ::-1]
+    return h + links.sum(axis=-1), tails
+
+
+def _kinematics(params: CrawlerParams, state: np.ndarray) -> tuple:
+    """(rot, p1, s1, p2, s2): body rotation e^{i theta0}, both arm endpoints
+    in the body frame and their tail sums, from one pass over the arms.
+    ``state`` is one state or an (N, 9) block of them."""
+    rot = np.exp(1j * state[..., 2])
+    p1, s1 = _arm(params.h1, state[..., 3:6])
+    p2, s2 = _arm(params.h2, state[..., 6:9])
+    return rot, p1, s1, p2, s2
 
 
 def limb_endpoints(params: CrawlerParams, state) -> tuple[complex, complex]:
+    """World positions of both feet, for one state or an (N, 9) block."""
     state = np.asarray(state, dtype=float)
-    z = state[0] + 1j * state[1]
-    rot = np.exp(1j * state[2])
-    p1, _ = _arm(params.h1, state[3:6])
-    p2, _ = _arm(params.h2, state[6:9])
+    rot, p1, _, p2, _ = _kinematics(params, state)
+    z = state[..., 0] + 1j * state[..., 1]
     return z + rot * p1, z + rot * p2
 
 
-def _limb_rows(params: CrawlerParams, state) -> tuple[np.ndarray, np.ndarray]:
-    """Complex gradient rows of (f1, f2) w.r.t. the nine state coordinates."""
-    state = np.asarray(state, dtype=float)
-    rot = np.exp(1j * state[2])
-    p1, s1 = _arm(params.h1, state[3:6])
-    p2, s2 = _arm(params.h2, state[6:9])
+def _feet(params: CrawlerParams, state, kin=None,
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Residual and (4, 9) velocity rows of (Re f1, Im f1, Re f2, Im f2) from
+    one kinematics record (computed from the state unless given)."""
+    if kin is None:
+        kin = _kinematics(params, state)
+    rot, p1, s1, p2, s2 = kin
+    z = state[0] + 1j * state[1]
+    d1, d2 = z + rot * p1 - params.l1, z + rot * p2 - params.l2
     J1 = np.zeros(STATE_DIM, dtype=complex)
     J2 = np.zeros(STATE_DIM, dtype=complex)
     J1[0] = J2[0] = 1.0
@@ -94,61 +106,66 @@ def _limb_rows(params: CrawlerParams, state) -> tuple[np.ndarray, np.ndarray]:
     J2[2] = 1j * rot * p2
     J1[3:6] = 1j * rot * s1
     J2[6:9] = 1j * rot * s2
-    return J1, J2
+    return (np.array([d1.real, d1.imag, d2.real, d2.imag]),
+            np.array([J1.real, J1.imag, J2.real, J2.imag]))
 
 
 def foot_matrix(params: CrawlerParams, state) -> np.ndarray:
     """(4, 9) velocity rows of (Re f1, Im f1, Re f2, Im f2)."""
-    J1, J2 = _limb_rows(params, state)
-    return np.array([J1.real, J1.imag, J2.real, J2.imag])
+    return _feet(params, np.asarray(state, dtype=float))[1]
 
 
 def foot_residual(params: CrawlerParams, state) -> np.ndarray:
-    f1, f2 = limb_endpoints(params, state)
-    d1, d2 = f1 - params.l1, f2 - params.l2
-    return np.array([d1.real, d1.imag, d2.real, d2.imag])
+    return _feet(params, np.asarray(state, dtype=float))[0]
 
 
 def physical_constraints(params: CrawlerParams, state,
                          ) -> tuple[list[ConstraintRow], np.ndarray]:
     """Four pinned-foot rows (gamma = 0) plus the holonomic residual."""
-    rows = [ConstraintRow(coefficients=row)
-            for row in foot_matrix(params, state)]
-    return rows, foot_residual(params, state)
+    res, rows = _feet(params, np.asarray(state, dtype=float))
+    return [ConstraintRow(coefficients=row) for row in rows], res
 
 
-def _midpoint(params: CrawlerParams, state) -> tuple[complex, np.ndarray]:
-    p1, s1 = _arm(params.h1, state[3:6])
-    p2, s2 = _arm(params.h2, state[6:9])
-    return 0.5 * (p1 + p2), 0.5j * np.concatenate([s1, s2])
+def _midpoint(kin, tol: float = 1e-12) -> tuple[complex, float, np.ndarray]:
+    """Body-frame foot midpoint w, its radius r (the template's r) and the
+    joint-angle gradient of w."""
+    _, p1, s1, p2, s2 = kin
+    w = 0.5 * (p1 + p2)
+    r = abs(w)
+    if r < tol:
+        raise ValueError("template undefined: limb midpoint at the body origin")
+    return w, r, 0.5j * np.concatenate([s1, s2])
+
+
+def _shape_jacobian(w, r, dw) -> np.ndarray:
+    prod = np.conj(w) * dw
+    return np.vstack([prod.real / r, prod.imag / r**2])
 
 
 def template_map(params: CrawlerParams, state, tol: float = 1e-12,
                  ) -> TemplateOutput:
-    state = np.asarray(state, dtype=float)
-    w, _ = _midpoint(params, state)
-    r = abs(w)
-    if r < tol:
-        raise ValueError("template undefined: limb midpoint at the body origin")
+    w, r, _ = _midpoint(_kinematics(params, np.asarray(state, dtype=float)),
+                        tol)
     return TemplateOutput(r=float(r), alpha=float(np.angle(w)))
 
 
 def shape_jacobian(params: CrawlerParams, state) -> np.ndarray:
     """(2, 6) Jacobian of (r, alpha) w.r.t. the joint angles."""
-    w, dw = _midpoint(params, np.asarray(state, dtype=float))
-    r = abs(w)
-    if r < 1e-12:
-        raise ValueError("template undefined: limb midpoint at the body origin")
-    prod = np.conj(w) * dw
-    return np.vstack([prod.real / r, prod.imag / r**2])
+    return _shape_jacobian(
+        *_midpoint(_kinematics(params, np.asarray(state, dtype=float))))
+
+
+def _pullback(jac_shape: np.ndarray) -> np.ndarray:
+    """(5, 9) Jacobian of (x, y, theta0, r, alpha) given that of (r, alpha)."""
+    out = np.zeros((5, STATE_DIM))
+    out[:3, :3] = np.eye(3)
+    out[3:, 3:] = jac_shape
+    return out
 
 
 def template_jacobian(params: CrawlerParams, state) -> np.ndarray:
     """(5, 9) Jacobian of (x, y, theta0, r, alpha) w.r.t. the state."""
-    out = np.zeros((5, STATE_DIM))
-    out[:3, :3] = np.eye(3)
-    out[3:, 3:] = shape_jacobian(params, state)
-    return out
+    return _pullback(shape_jacobian(params, state))
 
 
 def template_encoding_map(params: CrawlerParams) -> EncodingMap:
@@ -157,9 +174,7 @@ def template_encoding_map(params: CrawlerParams) -> EncodingMap:
         return np.array([out.r, out.alpha])
 
     def jacobian(state):
-        J = np.zeros((2, STATE_DIM))
-        J[:, 3:] = shape_jacobian(params, state)
-        return J
+        return template_jacobian(params, state)[3:]
 
     return EncodingMap(outputs=outputs, jacobian=jacobian)
 
@@ -172,34 +187,34 @@ def shape_features(x) -> np.ndarray:
 @dataclass(frozen=True)
 class DesignedRows:
     """The five gait rows in template coordinates (xd, yd, theta0d, rd,
-    alphad) together with their pullbacks to the nine-dimensional state."""
+    alphad), pulled back to the nine-dimensional state, and their values."""
 
-    template_rows: np.ndarray  # (5, 5)
     gamma: np.ndarray          # (5,)
     rows: np.ndarray           # (5, 9)
-    omega_g: np.ndarray        # (3, 3) pose block of rows 1, 2, 5
-    omega_ra: np.ndarray       # (3, 2) (rd, alphad) block of rows 1, 2, 5
 
 
-def design_constraints(params: CrawlerParams, state,
-                       rates: Sequence[float] = (0.0, 0.0)) -> DesignedRows:
-    state = np.asarray(state, dtype=float)
-    out = template_map(params, state)
-    r = out.r
-    beta = state[2] + out.alpha
+def _template_rows(state, w, r) -> np.ndarray:
+    """(5, 5) designed rows in template coordinates at a state whose
+    body-frame foot midpoint is w, of radius r."""
+    r = float(r)
+    beta = state[2] + float(np.angle(w))
     cb, sb = np.cos(beta), np.sin(beta)
-    tmpl = np.array([
+    return np.array([
         [1.0, 0.0, -r * sb, cb, -r * sb],
         [0.0, 1.0, r * cb, sb, r * cb],
         [0.0, 0.0, 0.0, 0.0, 1.0],
         [0.0, 0.0, 0.0, 1.0, 0.0],
         [1.0, 0.0, -1.0, 0.0, 0.0],
     ])
+
+
+def design_constraints(params: CrawlerParams, state,
+                       rates: Sequence[float] = (0.0, 0.0)) -> DesignedRows:
+    state = np.asarray(state, dtype=float)
+    w, r, dw = _midpoint(_kinematics(params, state))
     gamma = np.array([0.0, 0.0, float(rates[1]), float(rates[0]), 0.0])
-    rows = tmpl @ template_jacobian(params, state)
-    keep = [0, 1, 4]
-    return DesignedRows(template_rows=tmpl, gamma=gamma, rows=rows,
-                        omega_g=tmpl[keep, :3], omega_ra=tmpl[keep, 3:])
+    rows = _template_rows(state, w, r) @ _pullback(_shape_jacobian(w, r, dw))
+    return DesignedRows(gamma=gamma, rows=rows)
 
 
 _IK_GUESSES = (
@@ -224,12 +239,11 @@ def initial_configuration(params: CrawlerParams,
         theta = np.array(guess, dtype=float)
         for _ in range(max_iters):
             state = np.concatenate([np.zeros(G_DIM), theta])
-            res = foot_residual(params, state)
+            res, J = _feet(params, state)
             err = np.linalg.norm(res, ord=np.inf)
             if err < tol:
                 return state
-            J = foot_matrix(params, state)[:, G_DIM:]
-            full = np.linalg.pinv(J, rcond=1e-10) @ res
+            full = np.linalg.pinv(J[:, G_DIM:], rcond=1e-10) @ res
             scale, base = 1.0, np.linalg.norm(res)
             while scale > 1e-4:
                 cand = theta - scale * full
@@ -262,9 +276,12 @@ class GaitProfile:
         return np.asarray(self.amplitudes) * np.sin(ph + np.asarray(self.phases))
 
 
+# designed row 5 (x locked to theta0) pulled back to the state: constant
+_X_THETA0_ROW = np.array([1.0, 0.0, -1.0] + [0.0] * N_JOINTS)
+
+
 def _null_basis(params: CrawlerParams, state) -> np.ndarray:
-    M = np.vstack([foot_matrix(params, state),
-                   design_constraints(params, state).rows[4]])
+    M = np.vstack([foot_matrix(params, state), _X_THETA0_ROW])
     _, svals, vt = np.linalg.svd(M)
     if svals[-1] < 1e-10 * svals[0]:
         raise IntegrationError("gait constraint rows lost rank")
@@ -291,7 +308,8 @@ class ReferenceGait:
     ``t``/``x``/``v`` are sampled at dt/2 so that Runge-Kutta stage times of
     any dt-grid integration over the same span land exactly on stored samples;
     ``rates_at`` then never interpolates. ``v`` holds the exact field velocity
-    at each stored state; (r, alpha) and their rates are evaluated from it.
+    at each stored state (the integrator's RK4 first stage there); (r, alpha)
+    and their rates are evaluated from it.
     """
 
     params: CrawlerParams
@@ -324,13 +342,6 @@ class ReferenceGait:
         return self.x[0].copy()
 
 
-def _foot_projection(params: CrawlerParams) -> Callable:
-    def c(state):
-        return foot_residual(params, state), foot_matrix(params, state)
-
-    return c
-
-
 def reference_gait(params: CrawlerParams, period: float = 1.0,
                    dt: float = 1e-3, profile: GaitProfile | None = None,
                    x0: np.ndarray | None = None) -> ReferenceGait:
@@ -342,22 +353,17 @@ def reference_gait(params: CrawlerParams, period: float = 1.0,
         x0 = np.asarray(x0, dtype=float)
     field = _gait_field(params, profile, period, _null_basis(params, x0))
     cfg = ProjectedIntegratorConfig(dt=0.5 * dt, projection_tol=1e-11)
-    traj = integrate_projected(field, _foot_projection(params), 0.0, x0,
-                               period, cfg)
+    traj, v = integrate_projected(field, lambda s: _feet(params, s), 0.0, x0,
+                                  period, cfg)
     n = len(traj)
-    v = np.empty((n, STATE_DIM))
-    r = np.empty(n)
-    alpha = np.empty(n)
-    rdot = np.empty(n)
-    alphadot = np.empty(n)
+    r, alpha, rates = np.empty(n), np.empty(n), np.empty((n, 2))
     for k in range(n):
-        v[k] = field(traj.t[k], traj.x[k])
-        out = template_map(params, traj.x[k])
-        r[k], alpha[k] = out.r, out.alpha
-        rdot[k], alphadot[k] = shape_jacobian(params, traj.x[k]) @ v[k, G_DIM:]
+        w, r[k], dw = _midpoint(_kinematics(params, traj.x[k]))
+        alpha[k] = np.angle(w)
+        rates[k] = _shape_jacobian(w, r[k], dw) @ v[k, G_DIM:]
     return ReferenceGait(params=params, period=period, dt=dt, t=traj.t,
-                         x=traj.x, v=v, r=r, alpha=alpha, rdot=rdot,
-                         alphadot=alphadot)
+                         x=traj.x, v=v, r=r, alpha=alpha, rdot=rates[:, 0],
+                         alphadot=rates[:, 1])
 
 
 def apply_jam(joint_index: int) -> ConstraintRow:
@@ -409,22 +415,24 @@ def recovery_field(params: CrawlerParams, reference: ReferenceGait,
 
     Pose rate comes from the invertible 3x3 pose block of template rows 1, 2,
     5; joint rates are the minimum-norm solution of the stacked foot rows,
-    template-rate rows, and the jam row.
+    template-rate rows, and the jam row. The arms are evaluated once per call.
     """
     e_jam = np.zeros(N_JOINTS)
     e_jam[jam - 1] = 1.0
 
     def field(t, state):
         rates = np.asarray(reference.rates_at(t))
-        des = design_constraints(params, state, rates=rates)
-        svals = np.linalg.svd(des.omega_g, compute_uv=False)
+        kin = _kinematics(params, state)
+        w, r, dw = _midpoint(kin)
+        tmpl = _template_rows(state, w, r)
+        omega_g, omega_ra = tmpl[[0, 1, 4], :3], tmpl[[0, 1, 4], 3:]
+        svals = np.linalg.svd(omega_g, compute_uv=False)
         if svals[-1] < 1e-10 * svals[0]:
             raise IntegrationError(
                 f"pose block of the template rows lost rank at t={t}")
-        gd = np.linalg.solve(des.omega_g, -des.omega_ra @ rates)
-        A = foot_matrix(params, state)
-        stacked = np.vstack([A[:, G_DIM:], shape_jacobian(params, state),
-                             e_jam])
+        gd = np.linalg.solve(omega_g, -omega_ra @ rates)
+        A = _feet(params, state, kin)[1]
+        stacked = np.vstack([A[:, G_DIM:], _shape_jacobian(w, r, dw), e_jam])
         rhs = np.concatenate([-A[:, :G_DIM] @ gd, rates, [0.0]])
         theta_dot = np.linalg.pinv(stacked, rcond=1e-10) @ rhs
         return np.concatenate([gd, theta_dot])
@@ -453,8 +461,9 @@ def recover(params: CrawlerParams, reference: ReferenceGait, jam: int,
             cfg: ProjectedIntegratorConfig | None = None) -> RecoveryResult:
     """Integrate the recovery law from the reference initial condition.
 
-    With jam=0 there is nothing to recover: the reference itself realizes the
-    behavior, and it is returned unchanged.
+    Designed residuals use the field velocity the integrator returns at each
+    sample (its RK4 first stage). With jam=0 there is nothing to recover: the
+    reference itself realizes the behavior and is returned unchanged.
     """
     if not jam:
         full = reference.full_grid()
@@ -474,13 +483,12 @@ def recover(params: CrawlerParams, reference: ReferenceGait, jam: int,
     jam_grad[0, G_DIM - 1 + jam] = 1.0
 
     def c(state):
-        res = np.concatenate([foot_residual(params, state),
-                              [state[G_DIM - 1 + jam] - locked]])
-        return res, np.vstack([foot_matrix(params, state), jam_grad])
+        res, rows = _feet(params, state)
+        return (np.concatenate([res, [state[G_DIM - 1 + jam] - locked]]),
+                np.vstack([rows, jam_grad]))
 
     field = recovery_field(params, reference, jam)
-    traj = integrate_projected(field, c, 0.0, x0, reference.period, cfg)
-    v = np.array([field(traj.t[k], traj.x[k]) for k in range(len(traj))])
+    traj, v = integrate_projected(field, c, 0.0, x0, reference.period, cfg)
     rr, aa = template_traces(params, traj.x)
     return RecoveryResult(trajectory=traj, r=rr, alpha=aa, jam=jam,
                           designed_residual=_designed_residuals(
@@ -491,15 +499,16 @@ def _pose_refit_rollout(params: CrawlerParams, thetas: np.ndarray,
                         g0: np.ndarray, max_iters: int = 60,
                         tol: float = 1e-12) -> np.ndarray:
     """Least-squares pose fit per sample: Gauss-Newton on the foot residual
-    over (x, y, theta0) with the previous pose as the initial guess."""
+    over (x, y, theta0) with the previous pose as the initial guess. The
+    joint angles are fixed within a sample, so its arms are evaluated once."""
     out = np.empty((len(thetas), STATE_DIM))
     g = np.array(g0, dtype=float)
     for k in range(len(thetas)):
         state = np.concatenate([g, thetas[k]])
+        arms = _kinematics(params, state)[1:]
         for _ in range(max_iters):
-            res = foot_residual(params, state)
-            J = foot_matrix(params, state)[:, :G_DIM]
-            delta = np.linalg.lstsq(J, res, rcond=None)[0]
+            res, J = _feet(params, state, (np.exp(1j * state[2]), *arms))
+            delta = np.linalg.lstsq(J[:, :G_DIM], res, rcond=None)[0]
             state[:G_DIM] -= delta
             if not np.all(np.isfinite(state[:G_DIM])) or \
                     np.linalg.norm(state[:G_DIM]) > 1e6:
@@ -561,22 +570,15 @@ def gait_perturbation_provider(params: CrawlerParams,
 
 def template_traces(params: CrawlerParams, X) -> tuple[np.ndarray, np.ndarray]:
     """Batched (r, alpha) over an (N, 9) block of states."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    p1 = params.h1 + np.exp(1j * np.cumsum(X[:, 3:6], axis=1)).sum(axis=1)
-    p2 = params.h2 + np.exp(1j * np.cumsum(X[:, 6:9], axis=1)).sum(axis=1)
+    _, p1, _, p2, _ = _kinematics(params, np.atleast_2d(np.asarray(X, float)))
     w = 0.5 * (p1 + p2)
     return np.abs(w), np.angle(w)
 
 
 def foot_residual_series(params: CrawlerParams, X) -> np.ndarray:
     """Per-sample max foot distance from its anchor over (N, 9) states."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    z = X[:, 0] + 1j * X[:, 1]
-    rot = np.exp(1j * X[:, 2])
-    p1 = params.h1 + np.exp(1j * np.cumsum(X[:, 3:6], axis=1)).sum(axis=1)
-    p2 = params.h2 + np.exp(1j * np.cumsum(X[:, 6:9], axis=1)).sum(axis=1)
-    return np.maximum(np.abs(z + rot * p1 - params.l1),
-                      np.abs(z + rot * p2 - params.l2))
+    f1, f2 = limb_endpoints(params, np.atleast_2d(X))
+    return np.maximum(np.abs(f1 - params.l1), np.abs(f2 - params.l2))
 
 
 def angle_difference(a, b) -> np.ndarray:

@@ -355,8 +355,6 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
     for k in range(nsteps):
         ta, tb = k * dt, (k + 1) * dt
         for _ in range(cfg.max_events_per_step):
-            if crashed:
-                break
             if va is None:
                 va = (v0(ta, u), v1(ta, u), v2(ta, u))
             try:
@@ -375,7 +373,8 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
             events.append(Event(kind=kind, time=t_ev, leg=ev_leg))
             if kind == "crash":
                 crashed = True
-            elif kind == "touchdown":
+                break
+            if kind == "touchdown":
                 u, foot = _touchdown_map(params, t_ev, u_ev, chi0, ev_leg)
                 mode = Mode.STANCE_LEFT if ev_leg == 0 else Mode.STANCE_RIGHT
                 stance_value = mode.value

@@ -1,13 +1,12 @@
 """Fixed-step integration with Newton projection onto holonomic manifolds.
 
-The integration loop alternates one explicit step with a Newton projection
-that restores the holonomic constraints before the sample is stored, so
-constraint error cannot compound with integration time.
+The integration loop alternates one classical RK4 step with a Newton
+projection that restores the holonomic constraints before the sample is
+stored, so constraint error cannot compound with integration time.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,17 +15,11 @@ import numpy as np
 from .trajectory import Trajectory
 
 
-class Method(enum.Enum):
-    RK4 = "rk4"
-    EULER = "euler"
-
-
 @dataclass(frozen=True)
 class ProjectedIntegratorConfig:
     dt: float = 1e-3
     projection_tol: float = 1e-10
     max_newton_iters: int = 50
-    method: Method = Method.RK4
 
     def __post_init__(self):
         if self.dt <= 0 or self.projection_tol <= 0 or self.max_newton_iters < 1:
@@ -37,19 +30,15 @@ class IntegrationError(RuntimeError):
     """Non-finite state or failed projection; message carries t and state."""
 
 
-def step(f: Callable[[float, np.ndarray], np.ndarray], t: float, x,
+def step(f: Callable[[float, np.ndarray], np.ndarray], t: float, x, k1,
          cfg: ProjectedIntegratorConfig) -> np.ndarray:
-    """One explicit step of cfg.method from (t, x)."""
+    """One RK4 step from (t, x) whose first stage k1 = f(t, x) is given."""
     x = np.asarray(x, dtype=float)
     h = cfg.dt
-    if cfg.method is Method.EULER:
-        out = x + h * np.asarray(f(t, x), dtype=float)
-    else:
-        k1 = np.asarray(f(t, x), dtype=float)
-        k2 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(f(t + h, x + h * k3), dtype=float)
-        out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k1), dtype=float)
+    k3 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k2), dtype=float)
+    k4 = np.asarray(f(t + h, x + h * k3), dtype=float)
+    out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
         raise IntegrationError(f"non-finite state after step at t={t}: {out}")
     return out
@@ -83,10 +72,13 @@ def project(c: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], x,
 
 
 def integrate_projected(f, c, t0: float, x0, t1: float,
-                        cfg: ProjectedIntegratorConfig) -> Trajectory:
+                        cfg: ProjectedIntegratorConfig,
+                        ) -> tuple[Trajectory, np.ndarray]:
     """Alternate step/project from a feasible x0; every sample is feasible.
 
-    ``c`` may be None for plain unconstrained integration.
+    Returns the trajectory and the field velocity f(t_k, x_k) at every sample:
+    the RK4 first stage of the step leaving it (one extra evaluation at the
+    last sample). ``c`` may be None for plain unconstrained integration.
     """
     x = np.asarray(x0, dtype=float)
     if c is not None:
@@ -98,16 +90,20 @@ def integrate_projected(f, c, t0: float, x0, t1: float,
     if abs(t0 + nsteps * cfg.dt - t1) > 1e-9 * max(1.0, abs(t1)):
         raise ValueError("span must be an integer number of steps")
     ts = [t0]
-    xs = [x.copy()]
+    xs = np.empty((nsteps + 1,) + x.shape)
+    vs = np.empty_like(xs)
+    xs[0] = x
     t = t0
     for k in range(nsteps):
         try:
-            x = step(f, t, x, cfg)
+            vs[k] = f(t, x)
+            x = step(f, t, x, vs[k], cfg)
             if c is not None:
                 x = project(c, x, cfg)
         except IntegrationError as exc:
             raise IntegrationError(f"t={t + cfg.dt}: {exc}") from exc
         t = t0 + (k + 1) * cfg.dt
         ts.append(t)
-        xs.append(x.copy())
-    return Trajectory(t=np.array(ts), x=np.array(xs))
+        xs[k + 1] = x
+    vs[nsteps] = f(t, x)
+    return Trajectory(t=np.array(ts), x=xs), vs

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .integrate import Method, ProjectedIntegratorConfig, integrate_projected
+from .integrate import ProjectedIntegratorConfig, integrate_projected
 from .trajectory import Trajectory
 
 
@@ -261,10 +261,10 @@ def simulate_with_input(model: ManipulatorModel, u_of_t: Callable,
     """
     x0 = np.concatenate([np.asarray(q0, dtype=float),
                          np.asarray(qd0, dtype=float)])
-    cfg = ProjectedIntegratorConfig(dt=dt, method=Method.RK4)
+    cfg = ProjectedIntegratorConfig(dt=dt)
     c = _velocity_constraint(model) if project_velocity else None
-    traj = integrate_projected(_constrained_field(model, u_of_t),
-                               c, 0.0, x0, t1, cfg)
+    traj, _ = integrate_projected(_constrained_field(model, u_of_t),
+                                  c, 0.0, x0, t1, cfg)
     u = np.array([np.asarray(u_of_t(traj.t[k], traj.x[k]), dtype=float)
                   for k in range(len(traj))])
     return Trajectory(t=traj.t, x=traj.x, u=u)

@@ -21,8 +21,7 @@ from regait.crawler import (CrawlerParams, angle_difference, crawler_stack,
 from regait.ctslip import (CTSlipParams, HybridState, Mode, SimConfig,
                            build_reference, count_completing, make_ensemble,
                            recover_parameters, simulate_hybrid)
-from regait.integrate import (Method, ProjectedIntegratorConfig,
-                              integrate_projected)
+from regait.integrate import ProjectedIntegratorConfig, integrate_projected
 from regait.manipulator import (point_mass_toy, rescaled_constraint,
                                 run_force_matching)
 from regait.optimize import NMConfig, constraint_violation_cost, nelder_mead
@@ -184,9 +183,9 @@ def test_numerics_hygiene(capsys):
         # observed integrator order on xdot = x
         errs = []
         for dt in (0.1, 0.05, 0.025):
-            traj = integrate_projected(lambda t, x: x, None, 0.0,
-                                       np.array([1.0]), 1.0,
-                                       ProjectedIntegratorConfig(dt=dt))
+            traj, _ = integrate_projected(lambda t, x: x, None, 0.0,
+                                          np.array([1.0]), 1.0,
+                                          ProjectedIntegratorConfig(dt=dt))
             errs.append(abs(traj.x[-1, 0] - np.e))
         order = min(np.log2(errs[i] / errs[i + 1]) for i in range(2))
         assert order >= 3.9

@@ -202,8 +202,6 @@ def oracle_simulate(params, ic, T, cfg=None):
     for k in range(nsteps):
         ta, tb = k * dt, (k + 1) * dt
         for _ in range(cfg.max_events_per_step):
-            if mode is Mode.CRASHED:
-                break
             leg = legs.get(mode, 0)
             fld = (_flight_field(params) if mode is Mode.FLIGHT
                    else _stance_field(params, chi0, leg))
@@ -220,7 +218,8 @@ def oracle_simulate(params, ic, T, cfg=None):
             events.append(Event(kind=kind, time=t_ev, leg=ev_leg))
             if kind == "crash":
                 mode, u = Mode.CRASHED, u_ev
-            elif kind == "touchdown":
+                break
+            if kind == "touchdown":
                 u, foot = _touchdown_map(params, t_ev, u_ev, chi0, ev_leg)
                 mode = Mode.STANCE_LEFT if ev_leg == 0 else Mode.STANCE_RIGHT
             else:  # liftoff
@@ -285,6 +284,10 @@ GRID = {
     "gravity-500": (replace(HEALTHY, gravity=500.0), ENSEMBLE[0], 12.0, None),
     "freefall-crash": (FREEFALL, apex_state(y=5.0, xdot=0.0,
                                             clock_phase=math.pi), 1.5, None),
+    # a crash ends its step at once, even on a budget of one event
+    "freefall-crash-budget-1": (FREEFALL, apex_state(y=5.0, xdot=0.0,
+                                                     clock_phase=math.pi),
+                                1.5, SimConfig(max_events_per_step=1)),
     "stance-drop": (HEALTHY, _stance_drop(HEALTHY), 4.0, None),
     # the leg passes through zero inside one Runge-Kutta stage
     "leg-collapse": (HEALTHY, HybridState(mode=Mode.STANCE_RIGHT,
@@ -310,6 +313,15 @@ def test_grid_covers_every_outcome():
     assert runs["freefall-crash"].crashed
     assert runs["leg-collapse"].events == [Event("crash", 0.0)]
     assert runs["stance-drop"].mode[0] == Mode.STANCE_LEFT.value
+
+
+def test_crash_alone_fits_a_one_event_budget():
+    params, ic, T, cfg = GRID["freefall-crash-budget-1"]
+    one = simulate_hybrid(params, ic, T, cfg)
+    assert one.crashed
+    assert one.events == simulate_hybrid(params, ic, T).events
+    assert [e.kind for e in one.events] == ["crash"]
+    assert one.events[0].time == pytest.approx(1.00964, abs=1e-5)
 
 
 def test_event_budget_failure_matches_oracle():

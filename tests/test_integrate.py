@@ -1,38 +1,36 @@
 import numpy as np
 import pytest
 
-from regait.integrate import (IntegrationError, Method,
-                              ProjectedIntegratorConfig, integrate_projected,
-                              project, step)
+from regait.integrate import (IntegrationError, ProjectedIntegratorConfig,
+                              integrate_projected, project, step)
 
 
 def cfg(**kw):
     return ProjectedIntegratorConfig(**kw)
 
 
+def rk4(f, t, x, conf):
+    return step(f, t, x, f(t, x), conf)
+
+
 class TestStep:
     def test_zero_field_fixed_point(self):
         x = np.array([1.0, -2.0])
-        out = step(lambda t, x: np.zeros(2), 0.0, x, cfg(dt=0.1))
+        out = rk4(lambda t, x: np.zeros(2), 0.0, x, cfg(dt=0.1))
         assert np.array_equal(out, x)
 
     def test_unit_field_exact(self):
-        out = step(lambda t, x: np.ones(1), 0.0, np.array([0.0]), cfg(dt=0.1))
+        out = rk4(lambda t, x: np.ones(1), 0.0, np.array([0.0]), cfg(dt=0.1))
         assert out[0] == pytest.approx(0.1, abs=1e-16)
 
     def test_exponential_single_step(self):
-        out = step(lambda t, x: x, 0.0, np.array([1.0]), cfg(dt=0.1))
+        out = rk4(lambda t, x: x, 0.0, np.array([1.0]), cfg(dt=0.1))
         assert abs(out[0] - np.exp(0.1)) < 1e-7
-
-    def test_euler_method(self):
-        out = step(lambda t, x: x, 0.0, np.array([1.0]),
-                   cfg(dt=0.1, method=Method.EULER))
-        assert out[0] == pytest.approx(1.1, abs=1e-15)
 
     def test_non_finite_output_rejected(self):
         with pytest.raises(IntegrationError):
-            step(lambda t, x: np.array([np.inf]), 0.0, np.array([1.0]),
-                 cfg(dt=0.1))
+            rk4(lambda t, x: np.array([np.inf]), 0.0, np.array([1.0]),
+                cfg(dt=0.1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -80,8 +78,8 @@ class TestProject:
 class TestIntegrateProjected:
     def test_zero_field_constant(self):
         c = lambda x: (np.array([x[0] - 1.0]), np.array([[1.0, 0.0]]))
-        traj = integrate_projected(lambda t, x: np.zeros(2), c, 0.0,
-                                   np.array([1.0, 2.0]), 0.5, cfg(dt=0.05))
+        traj, _ = integrate_projected(lambda t, x: np.zeros(2), c, 0.0,
+                                      np.array([1.0, 2.0]), 0.5, cfg(dt=0.05))
         assert np.allclose(traj.x, [1.0, 2.0], atol=1e-12)
         assert len(traj) == 11
 
@@ -89,14 +87,14 @@ class TestIntegrateProjected:
         field = lambda t, x: np.array([-x[1], x[0]])
         c = lambda x: (np.array([x @ x - 1.0]), 2.0 * x[None, :])
         conf = cfg(dt=1e-3, projection_tol=1e-12)
-        traj = integrate_projected(field, c, 0.0, np.array([1.0, 0.0]),
-                                   1.0, conf)
+        traj, _ = integrate_projected(field, c, 0.0, np.array([1.0, 0.0]),
+                                      1.0, conf)
         radii = np.linalg.norm(traj.x, axis=1)
         assert np.abs(radii - 1.0).max() < 1e-10
 
     def test_unconstrained_mode(self):
-        traj = integrate_projected(lambda t, x: x, None, 0.0,
-                                   np.array([1.0]), 1.0, cfg(dt=1e-3))
+        traj, _ = integrate_projected(lambda t, x: x, None, 0.0,
+                                      np.array([1.0]), 1.0, cfg(dt=1e-3))
         assert abs(traj.x[-1, 0] - np.e) < 1e-10
 
     def test_infeasible_start_rejected(self):
@@ -109,6 +107,22 @@ class TestIntegrateProjected:
         with pytest.raises(ValueError, match="integer"):
             integrate_projected(lambda t, x: np.zeros(1), None, 0.0,
                                 np.array([0.0]), 0.55, cfg(dt=0.1))
+
+    def test_sample_velocities_are_first_stages(self):
+        calls = []
+
+        def field(t, x):
+            calls.append(t)
+            return np.array([-x[1], x[0]])
+
+        c = lambda x: (np.array([x @ x - 1.0]), 2.0 * x[None, :])
+        traj, v = integrate_projected(field, c, 0.0, np.array([1.0, 0.0]),
+                                      0.5, cfg(dt=0.05))
+        # three stages per step plus one evaluation per stored sample
+        assert len(calls) == 3 * 10 + 11
+        assert v.shape == traj.x.shape
+        for k in range(len(traj)):
+            assert np.array_equal(v[k], field(traj.t[k], traj.x[k]))
 
     def test_failure_carries_time_stamp(self):
         def field(t, x):
@@ -124,18 +138,9 @@ class TestConvergenceOrder:
         # Step-halving study on xdot = x over [0, 1].
         errs = []
         for dt in (0.1, 0.05, 0.025):
-            traj = integrate_projected(lambda t, x: x, None, 0.0,
-                                       np.array([1.0]), 1.0, cfg(dt=dt))
+            traj, _ = integrate_projected(lambda t, x: x, None, 0.0,
+                                          np.array([1.0]), 1.0, cfg(dt=dt))
             errs.append(abs(traj.x[-1, 0] - np.e))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.9
 
-    def test_euler_observed_order(self):
-        errs = []
-        for dt in (0.01, 0.005):
-            traj = integrate_projected(lambda t, x: x, None, 0.0,
-                                       np.array([1.0]), 1.0,
-                                       cfg(dt=dt, method=Method.EULER))
-            errs.append(abs(traj.x[-1, 0] - np.e))
-        order = np.log2(errs[0] / errs[1])
-        assert 0.9 <= order <= 1.1

@@ -1,0 +1,124 @@
+"""Property tests for the greedy priority solve on random stacks.
+
+Stacks mix generic rows with rows that are exact or nearly exact
+combinations of earlier ones, so the rank tests in the active-row scan see
+both clear and marginal cases.
+"""
+import numpy as np
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from regait.constraints import (DEFAULT_RANK_TOL, ConstraintStack, Priority,
+                                RankDeficiencyError, constant_block,
+                                solve_velocity)
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
+                             derandomize=True, database=None)
+
+coefficient = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+# 0 gives an exact combination; the others sit near the rank tolerance
+near_dependence = st.sampled_from([0.0, 1e-14, 1e-11, 1e-9, 1e-6])
+
+
+@st.composite
+def row_blocks(draw, n, count):
+    """(count, n) rows; some are combinations of the rows drawn before."""
+    rows = []
+    for _ in range(count):
+        if rows and draw(st.booleans()):
+            weights = draw(st.lists(coefficient, min_size=len(rows),
+                                    max_size=len(rows)))
+            eps = draw(near_dependence)
+            noise = draw(st.lists(coefficient, min_size=n, max_size=n))
+            rows.append(np.asarray(weights) @ np.asarray(rows)
+                        + eps * np.asarray(noise))
+        else:
+            rows.append(np.asarray(draw(st.lists(coefficient, min_size=n,
+                                                 max_size=n))))
+    return np.asarray(rows).reshape(count, n)
+
+
+@st.composite
+def stacks(draw, at_least_n=False):
+    """(n, physical, designed, learned) as (rows, values) pairs.
+
+    With ``at_least_n`` the Physical and Designed blocks together hold at
+    least n rows.
+    """
+    n = draw(st.integers(2, 5))
+    n_phys = draw(st.integers(0, n + 1))
+    n_des = draw(st.integers(max(0, n - n_phys) if at_least_n else 0, n + 1))
+    n_learned = draw(st.integers(0, 3))
+    rows = draw(row_blocks(n, n_phys + n_des + n_learned))
+    # Physical values either admit a common solution or are arbitrary
+    if draw(st.booleans()):
+        v_true = np.asarray(draw(st.lists(coefficient, min_size=n,
+                                          max_size=n)))
+        phys_values = rows[:n_phys] @ v_true
+    else:
+        phys_values = np.asarray(draw(st.lists(coefficient, min_size=n_phys,
+                                               max_size=n_phys)))
+    other = np.asarray(draw(st.lists(coefficient,
+                                     min_size=n_des + n_learned,
+                                     max_size=n_des + n_learned)))
+    cut = n_phys + n_des
+    return (n, (rows[:n_phys], phys_values),
+            (rows[n_phys:cut], other[:n_des]),
+            (rows[cut:], other[n_des:]))
+
+
+def stack_from(n, *blocks):
+    return ConstraintStack(ambient_dim=n, blocks=[
+        constant_block(priority, rows.reshape(-1, n), values)
+        for priority, (rows, values) in zip(Priority, blocks) if len(rows)])
+
+
+def condition(matrix):
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    return svals[0] / svals[-1] if svals[-1] > 0 else np.inf
+
+
+# Physical rows 0 . v = 0 and 0 . v = 1, which no velocity satisfies, under a
+# tiny Learned row that makes the active system ill-conditioned: a Physical
+# tolerance scaled by that condition number lets the violated row through.
+HIDDEN_BY_LEARNED_ROW = (
+    3, (np.zeros((2, 3)), np.array([0.0, 1.0])),
+    (np.array([[0.0, 0.0, 1.0]]), np.array([0.0])),
+    (np.array([[0.0, 5.96e-8, 0.0]]), np.array([0.0])))
+
+
+@PROPERTY_SETTINGS
+@given(stacks())
+@example(HIDDEN_BY_LEARNED_ROW)
+def test_physical_rows_hold_or_solve_raises(case):
+    """Physical rows hold to a tolerance set by the Physical rows alone."""
+    n, phys, des, learned = case
+    try:
+        out = solve_velocity(stack_from(n, phys, des, learned), 0.0,
+                             np.zeros(n))
+    except RankDeficiencyError:
+        return
+    rows, values = phys
+    if not len(rows):
+        return
+    kept = [i for i in out.active_rows if i < len(rows)]
+    cond = condition(rows[kept]) if kept else 1.0
+    scale = max(1.0, float(np.abs(values).max()))
+    size = np.abs(rows) @ np.abs(out.velocity) + scale
+    err = np.abs(rows @ out.velocity - values)
+    assert np.all(err <= 1e3 * DEFAULT_RANK_TOL * max(1.0, cond) * size)
+
+
+@PROPERTY_SETTINGS
+@given(stacks(at_least_n=True))
+def test_learned_rows_never_move_a_determined_velocity(case):
+    n, phys, des, learned = case
+    try:
+        base = solve_velocity(stack_from(n, phys, des), 0.0, np.zeros(n))
+    except RankDeficiencyError:
+        base = None
+    assume(base is not None and not base.underdetermined)
+    full = solve_velocity(stack_from(n, phys, des, learned), 0.0,
+                          np.zeros(n))
+    assert full.active_rows == base.active_rows
+    assert np.array_equal(full.velocity, base.velocity)
