@@ -6,7 +6,7 @@ Subsystems
 ----------
 constraints   priority-ranked constraint stacks, rank analysis, velocity solves
 encoding      output templates, pullbacks, Fourier-in-phase constraint learning
-signals       Fourier series, PCA, phase estimation, triangle waves
+signals       Fourier series, PCA, phase estimation
 trajectory    uniformly sampled state series with CSV round-trip
 integrate     fixed-step integration with Newton projection onto manifolds
 crawler       planar two-arm crawler: gait synthesis, jam damage, recovery

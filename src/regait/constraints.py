@@ -3,15 +3,15 @@
 A behavior is specified as blocks of rows ``omega_i(x) . xdot = gamma_i(t, x)``
 in three priority classes: Physical (the plant, including damage), Designed
 (the behavior's defining relations), and Learned (rows fitted from an example
-trajectory). Solving for a feasible velocity keeps the first ``n`` linearly
-independent rows scanned in class order, so lower-priority rows can never
-displace higher-priority ones.
+trajectory). A block is a priority class plus a function returning its rows
+at (t, x) as one pair of arrays ``(omega (k, n), gamma (k,))``. Solving for a
+feasible velocity keeps the first ``n`` linearly independent rows scanned in
+class order, so lower-priority rows can never displace higher-priority ones.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,38 +25,14 @@ class Priority(enum.IntEnum):
     DESIGNED = 1
     LEARNED = 2
 
-    @property
-    def json_name(self) -> str:
-        return self.name.lower()
-
-
-@dataclass(frozen=True)
-class ConstraintRow:
-    """One row: coefficients applied to a velocity must equal ``value``."""
-
-    coefficients: np.ndarray
-    value: float = 0.0
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.ndim != 1 or not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must be a finite 1-d vector")
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "value", float(self.value))
-
 
 @dataclass(frozen=True)
 class ConstraintBlock:
-    """A priority class plus a function yielding its rows at (t, x).
-
-    ``payload`` optionally carries a serializable description of the block
-    (constant matrices, learned models) used by the stack JSON round-trip.
-    """
+    """A priority class plus a function yielding ``(omega, gamma)`` at (t, x)."""
 
     priority: Priority
-    rows: Callable[[float, np.ndarray], list[ConstraintRow]]
+    rows: Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]]
     label: str = ""
-    payload: object | None = None
 
 
 def constant_block(priority: Priority, matrix, values=None,
@@ -68,23 +44,8 @@ def constant_block(priority: Priority, matrix, values=None,
     values = np.asarray(values, dtype=float)
     if values.shape != (matrix.shape[0],):
         raise ValueError("one value per row required")
-    rows = [ConstraintRow(matrix[i], values[i]) for i in range(matrix.shape[0])]
-
-    payload = _ConstantPayload(matrix=matrix, values=values)
-    return ConstraintBlock(priority=priority, rows=lambda t, x: rows,
-                           label=label, payload=payload)
-
-
-@dataclass(frozen=True)
-class _ConstantPayload:
-    matrix: np.ndarray
-    values: np.ndarray
-
-    kind = "constant"
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "matrix": self.matrix.tolist(),
-                "values": self.values.tolist()}
+    return ConstraintBlock(priority=priority,
+                           rows=lambda t, x: (matrix, values), label=label)
 
 
 @dataclass(frozen=True)
@@ -142,23 +103,29 @@ def evaluate(stack: ConstraintStack, t: float, x) -> tuple[np.ndarray, np.ndarra
 def evaluate_with_classes(stack: ConstraintStack, t: float, x):
     """As evaluate(), plus the priority class of every row."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (stack.ambient_dim,):
-        raise ValueError(
-            f"state has shape {x.shape}, expected ({stack.ambient_dim},)")
-    coeffs, values, classes = [], [], []
+    n = stack.ambient_dim
+    if x.shape != (n,):
+        raise ValueError(f"state has shape {x.shape}, expected ({n},)")
+    omegas, gammas, classes = [], [], []
     for block in stack.blocks:
-        for row in block.rows(t, x):
-            if row.coefficients.shape != (stack.ambient_dim,):
-                name = block.label or block.priority.name
-                raise ValueError(
-                    f"block {name!r} produced a row of length "
-                    f"{row.coefficients.shape[0]}, expected {stack.ambient_dim}")
-            coeffs.append(row.coefficients)
-            values.append(row.value)
-            classes.append(block.priority)
-    if not coeffs:
-        return (np.zeros((0, stack.ambient_dim)), np.zeros(0), [])
-    return np.vstack(coeffs), np.asarray(values), classes
+        omega, gamma = block.rows(t, x)
+        omega = np.asarray(omega, dtype=float)
+        gamma = np.asarray(gamma, dtype=float)
+        name = block.label or block.priority.name
+        if omega.ndim != 2 or omega.shape[1] != n:
+            raise ValueError(f"block {name!r} produced a row of length "
+                             f"{omega.shape[-1]}, expected {n}")
+        if gamma.shape != (omega.shape[0],):
+            raise ValueError(f"block {name!r} produced {omega.shape[0]} rows "
+                             f"but {gamma.size} values")
+        if not np.all(np.isfinite(omega)):
+            raise ValueError(f"block {name!r} produced non-finite coefficients")
+        omegas.append(omega)
+        gammas.append(gamma)
+        classes += [block.priority] * omega.shape[0]
+    if not omegas:
+        return np.zeros((0, n)), np.zeros(0), []
+    return np.concatenate(omegas), np.concatenate(gammas), classes
 
 
 def residual(stack: ConstraintStack, t: float, x, v,
@@ -167,16 +134,28 @@ def residual(stack: ConstraintStack, t: float, x, v,
     """omega_sel . v - gamma_sel over the requested priority classes."""
     v = np.asarray(v, dtype=float)
     omega, gamma, row_classes = evaluate_with_classes(stack, t, x)
-    keep = [i for i, c in enumerate(row_classes) if c in classes]
-    if not keep:
-        return np.zeros(0)
+    keep = [c in classes for c in row_classes]
     return omega[keep] @ v - gamma[keep]
 
 
-def _raises_rank(kept: list[np.ndarray], candidate: np.ndarray,
-                 tol: float) -> bool:
-    svals = np.linalg.svd(np.vstack(kept + [candidate]), compute_uv=False)
-    return svals[-1] > tol * svals[0]
+def _select_rows(omega: np.ndarray, tol: float) -> list[int]:
+    """Greedy scan of ``omega``'s rows in order, keeping each row that raises
+    the numerical rank of the rows kept so far, until n are kept.
+
+    Rows are compared as unit vectors, so scaling a row never changes the
+    selection; zero rows are never kept.
+    """
+    n = omega.shape[1]
+    norms = np.linalg.norm(omega, axis=1)
+    unit = omega / np.where(norms > 0, norms, 1.0)[:, None]
+    kept: list[int] = []
+    for i in np.flatnonzero(norms > 0):
+        if len(kept) == n:
+            break
+        svals = np.linalg.svd(unit[kept + [i]], compute_uv=False)
+        if svals[-1] > tol * svals[0]:
+            kept.append(int(i))
+    return kept
 
 
 def select_active_rows(stack: ConstraintStack, t: float, x,
@@ -187,16 +166,7 @@ def select_active_rows(stack: ConstraintStack, t: float, x,
     stack does not determine the velocity (under-determined; not an error).
     """
     omega, _, _ = evaluate_with_classes(stack, t, x)
-    n = stack.ambient_dim
-    kept_rows: list[np.ndarray] = []
-    kept_idx: list[int] = []
-    for i in range(omega.shape[0]):
-        if len(kept_idx) == n:
-            break
-        if _raises_rank(kept_rows, omega[i], tol):
-            kept_rows.append(omega[i])
-            kept_idx.append(i)
-    return kept_idx
+    return _select_rows(omega, tol)
 
 
 def solve_velocity(stack: ConstraintStack, t: float, x,
@@ -211,7 +181,7 @@ def solve_velocity(stack: ConstraintStack, t: float, x,
     """
     omega, gamma, classes = evaluate_with_classes(stack, t, x)
     n = stack.ambient_dim
-    active = select_active_rows(stack, t, x, tol)
+    active = _select_rows(omega, tol)
     warnings = []
     if active:
         cond = _condition(omega[active])
@@ -236,7 +206,7 @@ def solve_velocity(stack: ConstraintStack, t: float, x,
         if np.any(err > 1e3 * tol * max(1.0, cond_phys) * size):
             raise RankDeficiencyError(
                 f"over-constrained Physical rows: residual {err.max():.3e}",
-                rank_report(stack, t, x, tol))
+                _rank_report(omega, classes, active, tol))
 
     return SolveResult(velocity=v, active_rows=active, condition_number=cond,
                        underdetermined=len(active) < n, warnings=warnings)
@@ -246,20 +216,23 @@ def rank_report(stack: ConstraintStack, t: float, x,
                 tol: float = DEFAULT_RANK_TOL) -> RankReport:
     """Per-class numerical ranks plus the damage-rank condition."""
     omega, _, classes = evaluate_with_classes(stack, t, x)
+    return _rank_report(omega, classes, _select_rows(omega, tol), tol)
+
+
+def _rank_report(omega: np.ndarray, classes: list[Priority],
+                 active: list[int], tol: float) -> RankReport:
     ranks = {}
     for cls in Priority:
-        rows = [i for i, c in enumerate(classes) if c == cls]
-        ranks[cls] = (int(np.linalg.matrix_rank(omega[rows], tol * _scale(omega[rows])))
-                      if rows else 0)
-    active = select_active_rows(stack, t, x, tol)
-    cond = _condition(omega[active]) if active else 0.0
+        rows = omega[[c == cls for c in classes]]
+        ranks[cls] = (int(np.linalg.matrix_rank(rows, tol * _scale(rows)))
+                      if len(rows) else 0)
     return RankReport(
         rank_physical=ranks[Priority.PHYSICAL],
         rank_designed=ranks[Priority.DESIGNED],
         rank_learned=ranks[Priority.LEARNED],
-        condition_number=cond,
+        condition_number=_condition(omega[active]) if active else 0.0,
         damage_condition_holds=completion_check(
-            stack.ambient_dim, ranks[Priority.PHYSICAL],
+            omega.shape[1], ranks[Priority.PHYSICAL],
             ranks[Priority.DESIGNED], ranks[Priority.LEARNED]))
 
 
@@ -349,36 +322,3 @@ def augment_random_rank(A: Callable[[np.ndarray], np.ndarray], samples,
             hits += int(rank >= k + 1)
             total += 1
     return hits / total
-
-
-def stack_to_json(stack: ConstraintStack) -> str:
-    """Serialize a stack whose blocks all carry JSON payloads."""
-    blocks = []
-    for block in stack.blocks:
-        if block.payload is None or not hasattr(block.payload, "to_json_dict"):
-            raise ValueError(
-                f"block {block.label or block.priority.name!r} is not serializable")
-        entry = {"class": block.priority.json_name, "label": block.label}
-        entry.update(block.payload.to_json_dict())
-        blocks.append(entry)
-    return json.dumps({"ambient_dim": stack.ambient_dim, "blocks": blocks},
-                      indent=2)
-
-
-def stack_from_json(text: str) -> ConstraintStack:
-    data = json.loads(text)
-    blocks = []
-    for entry in data["blocks"]:
-        priority = Priority[entry["class"].upper()]
-        kind = entry.get("kind", "constant")
-        if kind == "constant":
-            blocks.append(constant_block(priority, np.asarray(entry["matrix"]),
-                                         np.asarray(entry["values"]),
-                                         label=entry.get("label", "")))
-        elif kind == "learned":
-            from . import encoding
-            blocks.append(encoding.learned_block_from_json_dict(entry))
-        else:
-            raise ValueError(f"unknown block kind {kind!r}")
-    return ConstraintStack(ambient_dim=int(data["ambient_dim"]),
-                           blocks=tuple(blocks))

@@ -28,8 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constraints import (ConstraintBlock, ConstraintRow, ConstraintStack,
-                          Priority)
+from .constraints import ConstraintBlock, ConstraintStack, Priority
 from .encoding import EncodingMap
 from .integrate import (IntegrationError, ProjectedIntegratorConfig,
                         integrate_projected)
@@ -117,13 +116,6 @@ def foot_matrix(params: CrawlerParams, state) -> np.ndarray:
 
 def foot_residual(params: CrawlerParams, state) -> np.ndarray:
     return _feet(params, np.asarray(state, dtype=float))[0]
-
-
-def physical_constraints(params: CrawlerParams, state,
-                         ) -> tuple[list[ConstraintRow], np.ndarray]:
-    """Four pinned-foot rows (gamma = 0) plus the holonomic residual."""
-    res, rows = _feet(params, np.asarray(state, dtype=float))
-    return [ConstraintRow(coefficients=row) for row in rows], res
 
 
 def _midpoint(kin, tol: float = 1e-12) -> tuple[complex, float, np.ndarray]:
@@ -366,25 +358,23 @@ def reference_gait(params: CrawlerParams, period: float = 1.0,
                          alphadot=rates[:, 1])
 
 
-def apply_jam(joint_index: int) -> ConstraintRow:
-    """Physical row freezing one joint: e_j on the joint column, gamma 0."""
+def apply_jam(joint_index: int) -> np.ndarray:
+    """Physical row freezing one joint: e_j on the joint column (gamma 0)."""
     joint_index = int(joint_index)
     if not 1 <= joint_index <= N_JOINTS:
         raise ValueError(f"jam joint index must be in 1..{N_JOINTS}")
     coeffs = np.zeros(STATE_DIM)
     coeffs[G_DIM - 1 + joint_index] = 1.0
-    return ConstraintRow(coefficients=coeffs)
+    return coeffs
 
 
 def physical_block(params: CrawlerParams, jam: int | None = None,
                    ) -> ConstraintBlock:
-    jam_row = apply_jam(jam) if jam else None
+    jam_rows = [apply_jam(jam)] if jam else []
+    gamma = np.zeros(4 + len(jam_rows))     # four foot rows, then the jam
 
     def rows(t, state):
-        out, _ = physical_constraints(params, state)
-        if jam_row is not None:
-            out.append(jam_row)
-        return out
+        return np.vstack([_feet(params, state)[1], *jam_rows]), gamma
 
     label = "pinned feet" + (f" + jammed joint {jam}" if jam else "")
     return ConstraintBlock(priority=Priority.PHYSICAL, rows=rows, label=label)
@@ -393,10 +383,8 @@ def physical_block(params: CrawlerParams, jam: int | None = None,
 def designed_block(params: CrawlerParams, reference: ReferenceGait,
                    ) -> ConstraintBlock:
     def rows(t, state):
-        des = design_constraints(params, state,
-                                 rates=reference.rates_at(t))
-        return [ConstraintRow(coefficients=row, value=g)
-                for row, g in zip(des.rows, des.gamma)]
+        des = design_constraints(params, state, rates=reference.rates_at(t))
+        return des.rows, des.gamma
 
     return ConstraintBlock(priority=Priority.DESIGNED, rows=rows,
                            label="template gait")

@@ -16,11 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintBlock, ConstraintRow, Priority
+from .constraints import DEFAULT_RANK_TOL, ConstraintBlock, Priority
 from .signals import FourierSeries, PhaseEstimator, estimate_phase, fit_fourier
 from .trajectory import Trajectory
-
-DEFAULT_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -146,22 +144,10 @@ def learned_block(emap: EncodingMap, lc: LearnedConstraints,
 
     def rows(t, x):
         ph = estimate_phase(lc.phase_model, _phase_input(phase_features, x))
-        values = learned_gamma(lc, ph)
-        return [ConstraintRow(pullback(emap, omega, x), values[j])
-                for j, omega in enumerate(lc.forms)]
+        omega = np.array([pullback(emap, form, x) for form in lc.forms])
+        return omega.reshape(len(lc.forms), len(x)), learned_gamma(lc, ph)
 
-    return ConstraintBlock(priority=Priority.LEARNED, rows=rows, label=label,
-                           payload=_LearnedPayload(lc))
-
-
-@dataclass(frozen=True)
-class _LearnedPayload:
-    lc: LearnedConstraints
-
-    kind = "learned"
-
-    def to_json_dict(self) -> dict:
-        return learned_to_json_dict(self.lc)
+    return ConstraintBlock(priority=Priority.LEARNED, rows=rows, label=label)
 
 
 def learned_to_json_dict(lc: LearnedConstraints) -> dict:
@@ -209,16 +195,3 @@ def learned_to_json(lc: LearnedConstraints) -> str:
 
 def learned_from_json(text: str) -> LearnedConstraints:
     return learned_from_json_dict(json.loads(text))
-
-
-def learned_block_from_json_dict(entry: dict) -> ConstraintBlock:
-    """Rebuild a learned block from stack JSON.
-
-    The ambient map is not serialized; rows evaluate the stored constant
-    forms against an identity encoding (forms already pulled back). Stacks
-    that need a live map should be rebuilt in code, not from JSON.
-    """
-    lc = learned_from_json_dict(entry)
-    identity = EncodingMap(outputs=lambda x: x,
-                           jacobian=lambda x: np.eye(len(x)))
-    return learned_block(identity, lc, label=entry.get("label", "learned"))

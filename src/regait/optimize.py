@@ -1,9 +1,9 @@
 """Derivative-free Nelder-Mead search and the constraint-violation cost.
 
 The cost builder turns a constraint stack plus a params->trajectory provider
-into the scalar objective: lambda * integral of the squared Designed/Learned
-residuals along the produced trajectory (input-effort term optional, default
-zero). Both recovery paths that lack a model of the damage minimize it.
+into the scalar objective: the integral of the squared Designed/Learned
+residuals along the produced trajectory. Both recovery paths that lack a
+model of the damage minimize it.
 """
 
 from __future__ import annotations
@@ -15,30 +15,25 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constraints import ConstraintStack, Priority, residual
-from .signals import windowed_mean
 
 log = logging.getLogger(__name__)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
+# standard Nelder-Mead coefficients
+REFLECTION = 1.0
+EXPANSION = 2.0
+CONTRACTION = 0.5
+SHRINK = 0.5
+
 
 @dataclass(frozen=True)
 class NMConfig:
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
     initial_step: float | np.ndarray = 0.1
     max_iters: int = 200
     f_tol: float = 1e-10
     x_tol: float = 1e-10
     bounds: Sequence[tuple[float, float]] | None = None
-
-    def __post_init__(self):
-        ok = (self.reflection > 0 and self.expansion > 1
-              and 0 < self.contraction < 1 and 0 < self.shrink < 1)
-        if not ok:
-            raise ValueError("coefficients outside standard Nelder-Mead ranges")
 
 
 @dataclass
@@ -112,26 +107,26 @@ def nelder_mead(f: Callable[[np.ndarray], float], x0,
                 and np.max(np.abs(simplex[1:] - simplex[0])) < cfg.x_tol):
             break
         centroid = simplex[:-1].mean(axis=0)
-        xr, fr = eval_at(centroid + cfg.reflection * (centroid - simplex[-1]))
+        xr, fr = eval_at(centroid + REFLECTION * (centroid - simplex[-1]))
         if fr < fvals[0]:
-            xe, fe = eval_at(centroid + cfg.expansion * (xr - centroid))
+            xe, fe = eval_at(centroid + EXPANSION * (xr - centroid))
             simplex[-1], fvals[-1] = (xe, fe) if fe < fr else (xr, fr)
         elif fr < fvals[-2]:
             simplex[-1], fvals[-1] = xr, fr
         else:
             if fr < fvals[-1]:
-                xc, fc = eval_at(centroid + cfg.contraction * (xr - centroid))
+                xc, fc = eval_at(centroid + CONTRACTION * (xr - centroid))
                 better = fc <= fr
             else:
                 xc, fc = eval_at(
-                    centroid + cfg.contraction * (simplex[-1] - centroid))
+                    centroid + CONTRACTION * (simplex[-1] - centroid))
                 better = fc < fvals[-1]
             if better:
                 simplex[-1], fvals[-1] = xc, fc
             else:
                 for i in range(1, n + 1):
                     xi, fi = eval_at(
-                        simplex[0] + cfg.shrink * (simplex[i] - simplex[0]))
+                        simplex[0] + SHRINK * (simplex[i] - simplex[0]))
                     simplex[i], fvals[i] = xi, fi
 
     best = int(np.argmin(fvals))
@@ -140,20 +135,15 @@ def nelder_mead(f: Callable[[np.ndarray], float], x0,
 
 def constraint_violation_cost(stack: ConstraintStack,
                               trajectory_provider: Callable,
-                              lambda_weight: float = 1.0,
-                              input_cost: Callable | None = None,
                               classes=(Priority.DESIGNED, Priority.LEARNED),
-                              stride_marks: Callable | None = None,
-                              window: int | None = None,
                               failure_penalty: float = 1e6,
                               ) -> Callable[[np.ndarray], float]:
-    """Objective: R(params) + lambda * integral ||residual_{D,L}||^2 dt.
+    """Objective: integral of ||residual_{D,L}||^2 dt along the trajectory.
 
     The residual of the requested classes is evaluated at every sample of the
     provider's trajectory (velocities by central differences) and integrated
-    with the trapezoid rule. ``stride_marks(traj) -> index boundaries`` plus
-    ``window`` switch to a windowed mean of per-stride integrals. Provider
-    failures return ``failure_penalty`` so derivative-free search stays total.
+    with the trapezoid rule. Provider failures return ``failure_penalty`` so
+    derivative-free search stays total.
     """
 
     def cost(params) -> float:
@@ -167,12 +157,6 @@ def constraint_violation_cost(stack: ConstraintStack,
         for k in range(len(traj)):
             r = residual(stack, traj.t[k], traj.x[k], vel[k], classes=classes)
             sq[k] = float(r @ r)
-        base = float(input_cost(params)) if input_cost is not None else 0.0
-        if stride_marks is not None and window is not None:
-            bounds = list(stride_marks(traj))
-            per_stride = [_trapz(sq[a:b + 1], traj.t[a:b + 1])
-                          for a, b in zip(bounds[:-1], bounds[1:])]
-            return base + lambda_weight * windowed_mean(per_stride, window)
-        return base + lambda_weight * float(_trapz(sq, traj.t))
+        return float(_trapz(sq, traj.t))
 
     return cost

@@ -1,21 +1,16 @@
 """Shared signal-processing substrate.
 
 Fourier series in phase (the storage format for learned constraint values),
-principal component analysis, a PCA-plane phase estimator, triangle-wave gait
-signals, and windowed averaging of per-stride costs.
+principal component analysis and a PCA-plane phase estimator.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-
-# Triangle-wave knot abscissae are fixed; only the ordinates are free.
-TRIANGLE_KNOT_X = np.array([0.0, 0.25, 0.5, 0.75])
 
 
 @dataclass(frozen=True)
@@ -51,18 +46,6 @@ class FourierSeries:
         """Series of d/dp: cos(kp) -> -k sin(kp), sin(kp) -> k cos(kp)."""
         k = np.arange(1, self.order + 1, dtype=float)
         return FourierSeries(order=self.order, a0=0.0, a=k * self.b, b=-k * self.a)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"order": self.order, "a0": self.a0,
-             "a": self.a.tolist(), "b": self.b.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "FourierSeries":
-        d = json.loads(text)
-        return cls(order=int(d["order"]), a0=float(d["a0"]),
-                   a=np.asarray(d["a"], dtype=float),
-                   b=np.asarray(d["b"], dtype=float))
 
 
 def _trig_design(phases: np.ndarray, order: int) -> np.ndarray:
@@ -192,42 +175,3 @@ def estimate_phases(est: PhaseEstimator, X) -> np.ndarray:
         raise ValueError("phase undefined: projection at the estimator center")
     phase = est.direction_sign * np.arctan2(c[:, 1], c[:, 0]) - est.offset
     return np.mod(phase, TWO_PI)
-
-
-@dataclass(frozen=True)
-class TriangleWave:
-    """Period-1 piecewise-linear signal through knots at x = 0, .25, .5, .75.
-
-    The segment from x = 0.75 wraps back to the first knot at x = 1, so the
-    signal is continuous and periodic by construction.
-    """
-
-    knot_values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "knot_values",
-                           np.asarray(self.knot_values, dtype=float))
-        if self.knot_values.shape != (4,):
-            raise ValueError("exactly 4 knot values required")
-
-    def __call__(self, s):
-        return triangle_eval(self, s)
-
-
-def triangle_eval(tw: TriangleWave, s):
-    s = np.mod(np.asarray(s, dtype=float), 1.0)
-    xs = np.concatenate([TRIANGLE_KNOT_X, [1.0]])
-    ys = np.concatenate([tw.knot_values, tw.knot_values[:1]])
-    out = np.interp(s, xs, ys)
-    return float(out) if out.ndim == 0 else out
-
-
-def windowed_mean(per_stride_values, window: int) -> float:
-    """Mean of the last ``window`` entries; errors on insufficient data."""
-    values = np.asarray(per_stride_values, dtype=float)
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if len(values) < window:
-        raise ValueError(
-            f"need at least {window} strides, got {len(values)}")
-    return float(values[-window:].mean())

@@ -7,7 +7,7 @@ from regait.crawler import (CrawlerParams, angle_difference, apply_jam,
                             foot_residual, foot_residual_series,
                             gait_perturbation_provider, group_velocity,
                             initial_configuration, limb_endpoints,
-                            physical_constraints, playback_baseline, recover,
+                            physical_block, playback_baseline, recover,
                             recovery_field, reference_gait, shape_jacobian,
                             template_jacobian, template_map, template_traces)
 from regait.integrate import IntegrationError
@@ -74,10 +74,10 @@ class TestKinematics:
 
 class TestPhysicalConstraints:
     def test_four_rows_zero_gamma(self, cparams):
-        rows, res = physical_constraints(cparams, np.zeros(9))
-        assert len(rows) == 4
-        assert all(row.value == 0.0 for row in rows)
-        assert res.shape == (4,)
+        omega, gamma = physical_block(cparams).rows(0.0, np.zeros(9))
+        assert omega.shape == (4, 9)
+        assert np.array_equal(gamma, np.zeros(4))
+        assert np.array_equal(omega, foot_matrix(cparams, np.zeros(9)))
 
     def test_rows_match_finite_difference(self, cparams):
         rng = np.random.default_rng(1)
@@ -241,12 +241,14 @@ class TestReferenceGait:
 
 
 class TestJam:
-    def test_row_is_joint_basis_vector(self):
+    def test_row_is_joint_basis_vector(self, cparams):
         row = apply_jam(3)
         expected = np.zeros(9)
         expected[5] = 1.0
-        assert np.array_equal(row.coefficients, expected)
-        assert row.value == 0.0
+        assert np.array_equal(row, expected)
+        omega, gamma = physical_block(cparams, jam=3).rows(0.0, np.zeros(9))
+        assert np.array_equal(omega[-1], expected)
+        assert np.array_equal(gamma, np.zeros(5))
 
     def test_index_validation(self):
         for bad in (0, 7, -1):

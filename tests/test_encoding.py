@@ -131,8 +131,8 @@ class TestLearnConstraints:
         block = learned_block(emap, lc)
         worst = 0.0
         for k in range(len(traj)):
-            rows = block.rows(traj.t[k], traj.x[k])
-            viol = abs(rows[0].coefficients @ v[k] - rows[0].value)
+            omega, gamma = block.rows(traj.t[k], traj.x[k])
+            viol = abs(omega[0] @ v[k] - gamma[0])
             worst = max(worst, viol - fit_err[k])
         assert worst < 1e-10
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from regait.signals import (FourierSeries, PhaseEstimator, TriangleWave,
-                            deriv_fourier, estimate_phase, estimate_phases,
-                            eval_fourier, fit_fourier, pca_fit, triangle_eval,
-                            windowed_mean)
+from regait.signals import (FourierSeries, PhaseEstimator, deriv_fourier,
+                            estimate_phase, estimate_phases, eval_fourier,
+                            fit_fourier, pca_fit)
 
 TWO_PI = 2.0 * np.pi
 
@@ -170,33 +169,3 @@ class TestPhaseEstimator:
         single = np.array([estimate_phase(est, row) for row in data[:10]])
         assert np.array_equal(batch, single)
 
-
-class TestTriangleWave:
-    def test_segment_midpoint(self):
-        tw = TriangleWave(knot_values=np.array([0.0, 1.0, 0.0, -1.0]))
-        assert triangle_eval(tw, 0.125) == pytest.approx(0.5, abs=1e-12)
-
-    def test_periodic_wraparound(self):
-        tw = TriangleWave(knot_values=np.array([0.0, 1.0, 0.0, -1.0]))
-        assert triangle_eval(tw, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert abs(triangle_eval(tw, 1.0 - 1e-12)) < 1e-10
-
-    def test_constant_knots(self):
-        tw = TriangleWave(knot_values=np.full(4, 0.7))
-        s = np.linspace(0.0, 1.0, 33, endpoint=False)
-        assert np.allclose([triangle_eval(tw, si) for si in s], 0.7,
-                           atol=1e-12)
-
-
-class TestWindowedMean:
-    def test_uniform(self):
-        assert windowed_mean(np.full(35, 2.0), 35) == pytest.approx(2.0)
-
-    def test_last_window_only(self):
-        vals = np.arange(1.0, 36.0)
-        assert windowed_mean(vals, 35) == pytest.approx(18.0)
-        assert windowed_mean(vals, 5) == pytest.approx(33.0)
-
-    def test_window_too_large(self):
-        with pytest.raises(ValueError):
-            windowed_mean(np.ones(10), 11)

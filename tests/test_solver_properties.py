@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from regait.constraints import (DEFAULT_RANK_TOL, ConstraintStack, Priority,
                                 RankDeficiencyError, constant_block,
-                                solve_velocity)
+                                select_active_rows, solve_velocity)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
                              derandomize=True, database=None)
@@ -122,3 +122,37 @@ def test_learned_rows_never_move_a_determined_velocity(case):
                           np.zeros(n))
     assert full.active_rows == base.active_rows
     assert np.array_equal(full.velocity, base.velocity)
+
+
+@st.composite
+def scaled_stacks(draw):
+    """A stack plus one power-of-two exponent in -20..20 per row."""
+    case = draw(stacks())
+    count = sum(len(rows) for rows, _ in case[1:])
+    return case, draw(st.lists(st.integers(-20, 20), min_size=count,
+                               max_size=count))
+
+
+# Physical row [1, 0] then Designed row [1, 1e-9]: scanned raw, scaling the
+# Physical row by 1024 dropped the Designed row from the active set.
+SCALED_PHYSICAL_HIDES_DESIGNED = (
+    (2, (np.array([[1.0, 0.0]]), np.array([0.0])),
+     (np.array([[1.0, 1e-9]]), np.array([0.0])),
+     (np.zeros((0, 2)), np.zeros(0))),
+    [10, 0])
+
+
+@PROPERTY_SETTINGS
+@given(scaled_stacks())
+@example(SCALED_PHYSICAL_HIDES_DESIGNED)
+def test_row_scaling_keeps_the_active_set(scaled):
+    (n, *blocks), exponents = scaled
+    scales = np.ldexp(1.0, np.asarray(exponents, dtype=int))
+    scaled_blocks, start = [], 0
+    for rows, values in blocks:
+        s = scales[start:start + len(rows)]
+        scaled_blocks.append((rows * s[:, None], values * s))
+        start += len(rows)
+    x = np.zeros(n)
+    assert (select_active_rows(stack_from(n, *scaled_blocks), 0.0, x)
+            == select_active_rows(stack_from(n, *blocks), 0.0, x))
