@@ -100,14 +100,17 @@ def evaluate(stack: ConstraintStack, t: float, x) -> tuple[np.ndarray, np.ndarra
     return omega, gamma
 
 
-def evaluate_with_classes(stack: ConstraintStack, t: float, x):
-    """As evaluate(), plus the priority class of every row."""
+def evaluate_with_classes(stack: ConstraintStack, t: float, x,
+                          only: Sequence[Priority] | None = None):
+    """As evaluate(), plus each row's class; skips blocks outside ``only``."""
     x = np.asarray(x, dtype=float)
     n = stack.ambient_dim
     if x.shape != (n,):
         raise ValueError(f"state has shape {x.shape}, expected ({n},)")
     omegas, gammas, classes = [], [], []
     for block in stack.blocks:
+        if only is not None and block.priority not in only:
+            continue
         omega, gamma = block.rows(t, x)
         omega = np.asarray(omega, dtype=float)
         gamma = np.asarray(gamma, dtype=float)
@@ -131,11 +134,9 @@ def evaluate_with_classes(stack: ConstraintStack, t: float, x):
 def residual(stack: ConstraintStack, t: float, x, v,
              classes: Sequence[Priority] = (Priority.DESIGNED, Priority.LEARNED),
              ) -> np.ndarray:
-    """omega_sel . v - gamma_sel over the requested priority classes."""
-    v = np.asarray(v, dtype=float)
-    omega, gamma, row_classes = evaluate_with_classes(stack, t, x)
-    keep = [c in classes for c in row_classes]
-    return omega[keep] @ v - gamma[keep]
+    """omega . v - gamma over the blocks of the requested classes only."""
+    omega, gamma, _ = evaluate_with_classes(stack, t, x, only=classes)
+    return omega @ np.asarray(v, dtype=float) - gamma
 
 
 def _select_rows(omega: np.ndarray, tol: float) -> list[int]:
@@ -214,18 +215,20 @@ def solve_velocity(stack: ConstraintStack, t: float, x,
 
 def rank_report(stack: ConstraintStack, t: float, x,
                 tol: float = DEFAULT_RANK_TOL) -> RankReport:
-    """Per-class numerical ranks plus the damage-rank condition."""
+    """Per-class numerical ranks, each counted over the classes above it as
+    the greedy solve sees them, plus the damage-rank condition."""
     omega, _, classes = evaluate_with_classes(stack, t, x)
     return _rank_report(omega, classes, _select_rows(omega, tol), tol)
 
 
 def _rank_report(omega: np.ndarray, classes: list[Priority],
                  active: list[int], tol: float) -> RankReport:
-    ranks = {}
+    ranks, above = {}, 0
     for cls in Priority:
-        rows = omega[[c == cls for c in classes]]
-        ranks[cls] = (int(np.linalg.matrix_rank(rows, tol * _scale(rows)))
-                      if len(rows) else 0)
+        rows = omega[[c <= cls for c in classes]]
+        rank = (int(np.linalg.matrix_rank(rows, tol * _scale(rows)))
+                if len(rows) else 0)
+        ranks[cls], above = rank - above, rank
     return RankReport(
         rank_physical=ranks[Priority.PHYSICAL],
         rank_designed=ranks[Priority.DESIGNED],

@@ -1,5 +1,5 @@
 """Planar two-armed crawler: kinematics, constraint stack, reference gait,
-jam damage, playback baseline, and closed-form recovery.
+jam damage, closed-form recovery, and playback with a closed-form pose fit.
 
 State layout is x = (x, y, theta0, theta1..theta6): an SE(2) pose followed by
 six joint angles, three per arm. Each arm is a chain of unit links hanging off
@@ -484,29 +484,25 @@ def recover(params: CrawlerParams, reference: ReferenceGait, jam: int,
 
 
 def _pose_refit_rollout(params: CrawlerParams, thetas: np.ndarray,
-                        g0: np.ndarray, max_iters: int = 60,
-                        tol: float = 1e-12) -> np.ndarray:
-    """Least-squares pose fit per sample: Gauss-Newton on the foot residual
-    over (x, y, theta0) with the previous pose as the initial guess. The
-    joint angles are fixed within a sample, so its arms are evaluated once."""
-    out = np.empty((len(thetas), STATE_DIM))
-    g = np.array(g0, dtype=float)
-    for k in range(len(thetas)):
-        state = np.concatenate([g, thetas[k]])
-        arms = _kinematics(params, state)[1:]
-        for _ in range(max_iters):
-            res, J = _feet(params, state, (np.exp(1j * state[2]), *arms))
-            delta = np.linalg.lstsq(J[:, :G_DIM], res, rcond=None)[0]
-            state[:G_DIM] -= delta
-            if not np.all(np.isfinite(state[:G_DIM])) or \
-                    np.linalg.norm(state[:G_DIM]) > 1e6:
-                raise ValueError(f"pose fit diverged at sample {k}")
-            if np.linalg.norm(delta, ord=np.inf) < tol:
-                break
-        else:
-            raise ValueError(f"pose fit did not converge at sample {k}")
-        out[k] = state
-        g = state[:G_DIM].copy()
+                        g0: np.ndarray) -> np.ndarray:
+    """Least-squares pose of every sample of an (N, 6) block of joint angles.
+
+    With the joints fixed, placing the body-frame feet p1, p2 on the anchors
+    l1, l2 is a two-point rigid fit with a closed form (Umeyama, IEEE T-PAMI
+    1991): theta0 turns p1 - p2 onto l1 - l2, and the translation matches the
+    foot midpoints. theta0 is unwrapped to continue from the heading g0[2].
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    p1 = _arm(params.h1, thetas[:, :3])[0]
+    p2 = _arm(params.h2, thetas[:, 3:])[0]
+    heading = np.unwrap(np.concatenate(
+        [[g0[2]], np.angle((params.l1 - params.l2) * np.conj(p1 - p2))]))[1:]
+    z = 0.5 * (params.l1 + params.l2) - np.exp(1j * heading) * 0.5 * (p1 + p2)
+    out = np.column_stack([z.real, z.imag, heading, thetas])
+    ok = (np.abs(p1 - p2) >= 1e-12) & np.isfinite(out[:, :G_DIM]).all(axis=1)
+    if not ok.all():
+        raise ValueError(f"pose fit undefined at sample {np.argmin(ok)}: "
+                         "coincident feet or a non-finite pose")
     return out
 
 
@@ -514,8 +510,8 @@ def playback_baseline(params: CrawlerParams, reference: ReferenceGait,
                       jam: int) -> Trajectory:
     """Replay the recorded joint curves with the jammed joint stuck.
 
-    The pose is re-fit per sample from the (generally infeasible) foot
-    equations; the result is the no-recovery trajectory.
+    Each pose is the closed-form least-squares fit of the (generally
+    infeasible) foot equations; the result is the no-recovery trajectory.
     """
     t = reference.t[::2]
     thetas = reference.x[::2, G_DIM:].copy()
@@ -535,8 +531,8 @@ def gait_perturbation_provider(params: CrawlerParams,
 
     Each free joint gets one sine lobe of adjustable amplitude added to its
     recorded curve (zero at t = 0, so the start state is unchanged); the
-    jammed joint ignores its command. The pose is re-fit per sample exactly as
-    in the playback baseline.
+    jammed joint ignores its command. Each sample's pose is the closed-form
+    rigid fit of the playback baseline.
     """
     t = reference.t[::2][::stride]
     base = reference.x[::2, G_DIM:][::stride].copy()

@@ -52,10 +52,13 @@ class CostTrace:
         self.best_so_far.append(min(prev, float(fx)))
 
     def to_csv(self, path) -> None:
+        n = len(self.candidates[0]) if self.candidates else 0
         with open(path, "w") as fh:
-            fh.write("iter,cost,best\n")
-            for i, (c, b) in enumerate(zip(self.costs, self.best_so_far)):
-                fh.write(f"{i},{c:.17g},{b:.17g}\n")
+            fh.write("iter,cost,best" + "".join(f",x{j}" for j in range(n)))
+            for i, (c, b, x) in enumerate(zip(self.costs, self.best_so_far,
+                                              self.candidates)):
+                fh.write(f"\n{i}," + ",".join(f"{v:.17g}" for v in (c, b, *x)))
+            fh.write("\n")
 
 
 def _clip(x: np.ndarray, bounds) -> np.ndarray:
@@ -152,11 +155,9 @@ def constraint_violation_cost(stack: ConstraintStack,
         except Exception as exc:  # provider failure is data, not a crash
             log.warning("trajectory provider failed at %s: %s", params, exc)
             return failure_penalty
-        vel = traj.velocities()
-        sq = np.empty(len(traj))
-        for k in range(len(traj)):
-            r = residual(stack, traj.t[k], traj.x[k], vel[k], classes=classes)
-            sq[k] = float(r @ r)
+        sq = [r @ r for r in (residual(stack, t, x, v, classes=classes)
+                              for t, x, v in zip(traj.t, traj.x,
+                                                 traj.velocities()))]
         return float(_trapz(sq, traj.t))
 
     return cost

@@ -68,6 +68,17 @@ class TestResidual:
                         classes=(Priority.PHYSICAL, Priority.DESIGNED))
         assert np.allclose(full, [3.0, -2.0])
 
+    def test_unrequested_blocks_not_evaluated(self):
+        def unreachable(t, x):
+            raise AssertionError("Physical block evaluated")
+
+        phys = ConstraintBlock(priority=Priority.PHYSICAL, rows=unreachable)
+        des = constant_block(Priority.DESIGNED, [[1.0, 2.0]], [0.5])
+        stack = stack_of(phys, des, n=2)
+        r = residual(stack, 0.0, np.zeros(2), np.array([1.0, 1.0]),
+                     classes=(Priority.DESIGNED,))
+        assert np.array_equal(r, [2.5])
+
 
 class TestSelectActiveRows:
     def test_duplicate_row_rejected(self):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from regait.constraints import solve_velocity
+from regait import crawler
+from regait.constraints import (ConstraintStack, Priority, constant_block,
+                                evaluate_with_classes, rank_report, residual,
+                                solve_velocity)
 from regait.crawler import (CrawlerParams, angle_difference, apply_jam,
                             crawler_stack, design_constraints, foot_matrix,
                             foot_residual, foot_residual_series,
@@ -11,6 +14,7 @@ from regait.crawler import (CrawlerParams, angle_difference, apply_jam,
                             recovery_field, reference_gait, shape_jacobian,
                             template_jacobian, template_map, template_traces)
 from regait.integrate import IntegrationError
+from regait.optimize import constraint_violation_cost
 
 
 def fd_rows(fn, state, h=1e-7):
@@ -382,3 +386,78 @@ class TestPerturbationProvider:
         a = provider(np.zeros(5))
         b = provider(np.array([0.4, -0.2, 0.1, 0.3, -0.1]))
         assert np.allclose(a.x[0], b.x[0], atol=1e-10)
+
+
+class TestPoseFit:
+    # Amplitudes inside the search bounds whose feet stay far from their
+    # anchors: an iterative Gauss-Newton fit converges only linearly here
+    # and did not reach a 1e-12 step in 60 iterations at sample 188.
+    HARD_MU = np.array([0.5, -0.44, -0.03, 0.96, 0.92])
+
+    def test_hard_amplitudes_reach_the_least_squares_minimum(self, cparams,
+                                                             gait):
+        provider = gait_perturbation_provider(cparams, gait, jam=1, stride=4)
+        X = provider(self.HARD_MU).x
+        assert np.all(np.isfinite(X))
+        grad = [foot_matrix(cparams, s)[:, :3].T @ foot_residual(cparams, s)
+                for s in X]
+        assert np.abs(grad).max() < 1e-10
+        sq = np.array([foot_residual(cparams, s) @ foot_residual(cparams, s)
+                       for s in X])
+        # every heading on a grid, each with its best translation
+        body = np.column_stack([np.zeros((len(X), 3)), X[:, 3:]])
+        p1, p2 = limb_endpoints(cparams, body)
+        rot = np.exp(1j * np.linspace(-np.pi, np.pi, 3600,
+                                      endpoint=False))[:, None]
+        z = 0.5 * (cparams.l1 + cparams.l2) - 0.5 * rot * (p1 + p2)
+        grid = (np.abs(z + rot * p1 - cparams.l1) ** 2
+                + np.abs(z + rot * p2 - cparams.l2) ** 2)
+        assert np.all(sq <= grid.min(axis=0) + 1e-12)
+
+    def test_hard_amplitudes_cost_is_not_the_penalty(self, cparams, gait):
+        cost = constraint_violation_cost(
+            crawler_stack(cparams, gait, jam=1),
+            gait_perturbation_provider(cparams, gait, jam=1, stride=4),
+            classes=(Priority.DESIGNED,))
+        value = cost(self.HARD_MU)
+        assert np.isfinite(value) and value < 1e6
+
+    @pytest.mark.parametrize("row", [
+        # body-frame feet both at -2: 1 - 3 and -1 + (-1 + 1 - 1)
+        (np.pi, 0.0, 0.0, np.pi, np.pi, np.pi),
+        (np.nan,) * 6,
+    ])
+    def test_undefined_fit_names_the_sample(self, cparams, gait, row):
+        thetas = np.repeat(gait.x[:1, 3:], 3, axis=0)
+        thetas[1] = row
+        with pytest.raises(ValueError, match="undefined at sample 1:"):
+            crawler._pose_refit_rollout(cparams, thetas, gait.x[0, :3])
+
+
+class TestStackDiagnostics:
+    def test_designed_residual_matches_full_evaluation(self, cparams, gait):
+        stack = crawler_stack(cparams, gait, jam=1)
+        for k in range(0, len(gait.t), 250):
+            t, x, v = gait.t[k], gait.x[k], gait.v[k]
+            omega, gamma, classes = evaluate_with_classes(stack, t, x)
+            keep = [c == Priority.DESIGNED for c in classes]
+            want = omega[keep] @ v - gamma[keep]
+            got = residual(stack, t, x, v, classes=(Priority.DESIGNED,))
+            assert np.array_equal(got, want)
+
+    def test_rank_report_counts_rank_over_higher_classes(self, cparams, gait):
+        stack = crawler_stack(cparams, gait, jam=1)
+        x0 = gait.initial_state
+        rep = rank_report(stack, 0.0, x0)
+        assert (rep.rank_physical, rep.rank_designed,
+                rep.rank_learned) == (5, 3, 0)
+        assert rep.rank_physical + rep.rank_designed <= 9
+        assert not rep.damage_condition_holds
+
+        omega, _, _ = evaluate_with_classes(stack, 0.0, x0)
+        outside = np.linalg.svd(omega)[2][-1]   # orthogonal to [P; D]
+        learned = constant_block(Priority.LEARNED, outside[None, :])
+        rep = rank_report(ConstraintStack(
+            ambient_dim=9, blocks=[*stack.blocks, learned]), 0.0, x0)
+        assert rep.rank_learned == 1
+        assert rep.damage_condition_holds

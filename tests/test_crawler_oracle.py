@@ -342,7 +342,8 @@ def test_playback_baseline_matches_oracle(cparams, gait):
     want = _pose_refit_rollout(cparams, thetas, gait.x[0, :G_DIM])
     got = playback_baseline(cparams, gait, jam=1)
     assert np.array_equal(got.t, gait.t[::2])
-    assert np.array_equal(got.x, want)
+    # the package fits the pose in closed form, the oracle by Gauss-Newton
+    assert np.abs(got.x - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("mu", [
@@ -355,5 +356,5 @@ def test_perturbation_provider_matches_oracle(cparams, gait, mu):
     got = provider(mu)
     t, want = oracle_perturbed_rollout(cparams, gait, 1, mu)
     assert np.array_equal(got.t, t)
-    assert np.array_equal(got.x, want)
+    assert np.abs(got.x - want).max() <= 1e-12
 

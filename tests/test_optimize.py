@@ -66,8 +66,21 @@ class TestNelderMead:
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "iter,cost,best"
+        assert lines[0] == "iter,cost,best,x0"
         assert len(lines) == len(trace.costs) + 1
+
+    def test_trace_csv_keeps_candidates(self, tmp_path):
+        f = lambda x: float((x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.1) ** 2)
+        _, trace = nelder_mead(f, np.array([1.0, 1.0 / 3.0]),
+                               NMConfig(max_iters=8))
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        assert path.read_text().splitlines()[0] == "iter,cost,best,x0,x1"
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 0], np.arange(len(trace.costs)))
+        assert np.array_equal(table[:, 1], trace.costs)
+        assert np.array_equal(table[:, 2], trace.best_so_far)
+        assert np.array_equal(table[:, 3:], np.array(trace.candidates))
 
 
 def constant_target_stack(gamma_fn=None, dim=1):
