@@ -290,13 +290,12 @@ def cmd_ctslip(args) -> int:
 
     # recover
     reference = build_reference(params, ensemble, T=args.T, cfg=cfg)
-    initial_cost = recovery_cost(damaged, ensemble, reference, T=args.T,
-                                 cfg=cfg)
+    initial_cost = recovery_cost(damaged, ensemble, reference)
     nm = NMConfig(initial_step=np.asarray(FREE_PARAM_STEPS),
                   max_iters=args.iters, f_tol=0.0, x_tol=0.0,
                   bounds=FREE_PARAM_BOUNDS)
     recovered, trace = recover_parameters(damaged, reference, ensemble,
-                                          nm_config=nm, T=args.T, cfg=cfg)
+                                          nm_config=nm)
     trace.to_csv(os.path.join(out, "cost_trace.csv"))
     _write_json(os.path.join(out, "recovered_params.json"),
                 _params_dict(recovered))

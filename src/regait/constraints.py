@@ -7,6 +7,8 @@ trajectory). A block is a priority class plus a function returning its rows
 at (t, x) as one pair of arrays ``(omega (k, n), gamma (k,))``. Solving for a
 feasible velocity keeps the first ``n`` linearly independent rows scanned in
 class order, so lower-priority rows can never displace higher-priority ones.
+One ordered QR factor of the kept rows gives the selection, the velocity,
+the condition numbers and the per-class ranks.
 """
 
 from __future__ import annotations
@@ -121,8 +123,10 @@ def evaluate_with_classes(stack: ConstraintStack, t: float, x,
         if gamma.shape != (omega.shape[0],):
             raise ValueError(f"block {name!r} produced {omega.shape[0]} rows "
                              f"but {gamma.size} values")
-        if not np.all(np.isfinite(omega)):
+        if not np.isfinite(omega).all():
             raise ValueError(f"block {name!r} produced non-finite coefficients")
+        if not np.isfinite(gamma).all():
+            raise ValueError(f"block {name!r} produced non-finite values")
         omegas.append(omega)
         gammas.append(gamma)
         classes += [block.priority] * omega.shape[0]
@@ -139,24 +143,26 @@ def residual(stack: ConstraintStack, t: float, x, v,
     return omega @ np.asarray(v, dtype=float) - gamma
 
 
-def _select_rows(omega: np.ndarray, tol: float) -> list[int]:
-    """Greedy scan of ``omega``'s rows in order, keeping each row that raises
-    the numerical rank of the rows kept so far, until n are kept.
+def _greedy_qr(omega: np.ndarray, tol: float,
+               ) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Greedy priority scan as one ordered QR factor of the kept rows.
 
-    Rows are compared as unit vectors, so scaling a row never changes the
-    selection; zero rows are never kept.
+    The first n nonzero rows, as unit vectors (so row scaling never changes
+    the selection), are factored; the first whose pivot |R_ii| is at most
+    ``tol`` is dropped and the next candidate joins, until no pivot is small.
+    Returns the kept indices, lower-triangular ``low`` and orthonormal ``q``
+    with ``omega[kept] = low @ q.T``.
     """
     n = omega.shape[1]
     norms = np.linalg.norm(omega, axis=1)
-    unit = omega / np.where(norms > 0, norms, 1.0)[:, None]
-    kept: list[int] = []
-    for i in np.flatnonzero(norms > 0):
-        if len(kept) == n:
-            break
-        svals = np.linalg.svd(unit[kept + [i]], compute_uv=False)
-        if svals[-1] > tol * svals[0]:
-            kept.append(int(i))
-    return kept
+    candidates = np.flatnonzero(norms > 0)
+    while True:
+        kept = candidates[:n]
+        q, r = np.linalg.qr((omega[kept] / norms[kept, None]).T)
+        small = np.flatnonzero(np.abs(np.diagonal(r)) <= tol)
+        if not small.size:
+            return kept.tolist(), norms[kept, None] * r.T, q
+        candidates = np.delete(candidates, small[0])
 
 
 def select_active_rows(stack: ConstraintStack, t: float, x,
@@ -167,7 +173,7 @@ def select_active_rows(stack: ConstraintStack, t: float, x,
     stack does not determine the velocity (under-determined; not an error).
     """
     omega, _, _ = evaluate_with_classes(stack, t, x)
-    return _select_rows(omega, tol)
+    return _greedy_qr(omega, tol)[0]
 
 
 def solve_velocity(stack: ConstraintStack, t: float, x,
@@ -182,32 +188,29 @@ def solve_velocity(stack: ConstraintStack, t: float, x,
     """
     omega, gamma, classes = evaluate_with_classes(stack, t, x)
     n = stack.ambient_dim
-    active = _select_rows(omega, tol)
-    warnings = []
-    if active:
-        cond = _condition(omega[active])
-        v, *_ = np.linalg.lstsq(omega[active], gamma[active], rcond=tol)
-        if cond > 1.0 / tol:
-            warnings.append(f"ill-conditioned active system: cond={cond:.3e}")
-    else:
-        cond, v = 0.0, np.zeros(n)
-        warnings.append("no active rows")
+    active, low, q = _greedy_qr(omega, tol)
+    # v in the span of q solves low @ q.T @ v = gamma with minimum norm
+    v = q @ np.linalg.solve(low, gamma[active])
+    cond = _condition(low)
+    warnings = [] if active else ["no active rows"]
+    if cond > 1.0 / tol:
+        warnings.append(f"ill-conditioned active system: cond={cond:.3e}")
 
     # Physical rows must hold whether or not they made the active cut; a
     # violated inactive Physical row means the physics itself is inconsistent.
-    # It depends on active Physical rows only, so rows of lower priority never
-    # enter the tolerance.
+    # It depends on active Physical rows only (the leading block of the
+    # factor), so rows of lower priority never enter the tolerance.
     phys = [i for i, c in enumerate(classes) if c == Priority.PHYSICAL]
     if phys:
-        kept = [i for i in active if classes[i] == Priority.PHYSICAL]
-        cond_phys = _condition(omega[kept]) if kept else 1.0
+        p = sum(classes[i] == Priority.PHYSICAL for i in active)
+        cond_phys = _condition(low[:p, :p])
         scale = max(1.0, float(np.abs(gamma[phys]).max()))
         size = np.abs(omega[phys]) @ np.abs(v) + scale
         err = np.abs(omega[phys] @ v - gamma[phys])
         if np.any(err > 1e3 * tol * max(1.0, cond_phys) * size):
             raise RankDeficiencyError(
                 f"over-constrained Physical rows: residual {err.max():.3e}",
-                _rank_report(omega, classes, active, tol))
+                _rank_report(n, classes, active, cond))
 
     return SolveResult(velocity=v, active_rows=active, condition_number=cond,
                        underdetermined=len(active) < n, warnings=warnings)
@@ -218,29 +221,22 @@ def rank_report(stack: ConstraintStack, t: float, x,
     """Per-class numerical ranks, each counted over the classes above it as
     the greedy solve sees them, plus the damage-rank condition."""
     omega, _, classes = evaluate_with_classes(stack, t, x)
-    return _rank_report(omega, classes, _select_rows(omega, tol), tol)
+    active, low, _ = _greedy_qr(omega, tol)
+    return _rank_report(stack.ambient_dim, classes, active, _condition(low))
 
 
-def _rank_report(omega: np.ndarray, classes: list[Priority],
-                 active: list[int], tol: float) -> RankReport:
-    ranks, above = {}, 0
-    for cls in Priority:
-        rows = omega[[c <= cls for c in classes]]
-        rank = (int(np.linalg.matrix_rank(rows, tol * _scale(rows)))
-                if len(rows) else 0)
-        ranks[cls], above = rank - above, rank
-    return RankReport(
-        rank_physical=ranks[Priority.PHYSICAL],
-        rank_designed=ranks[Priority.DESIGNED],
-        rank_learned=ranks[Priority.LEARNED],
-        condition_number=_condition(omega[active]) if active else 0.0,
-        damage_condition_holds=completion_check(
-            omega.shape[1], ranks[Priority.PHYSICAL],
-            ranks[Priority.DESIGNED], ranks[Priority.LEARNED]))
+def _rank_report(n: int, classes: list[Priority], active: list[int],
+                 cond: float) -> RankReport:
+    """A class's rank is the number of its rows the greedy scan kept."""
+    ranks = [sum(classes[i] == cls for i in active) for cls in Priority]
+    return RankReport(*ranks, condition_number=cond,
+                      damage_condition_holds=completion_check(n, *ranks))
 
 
-def _condition(matrix: np.ndarray) -> float:
-    svals = np.linalg.svd(matrix, compute_uv=False)
+def _condition(low: np.ndarray) -> float:
+    if not low.size:       # no active rows
+        return 0.0
+    svals = np.linalg.svd(low, compute_uv=False)
     return float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
 
 

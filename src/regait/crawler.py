@@ -358,11 +358,18 @@ def reference_gait(params: CrawlerParams, period: float = 1.0,
                          alphadot=rates[:, 1])
 
 
+def _jam_index(jam, none_allowed: bool = True) -> int:
+    """``jam`` as a joint index in 1..N_JOINTS, or 0 (no jam) if allowed."""
+    jam = int(jam)
+    if not (1 <= jam <= N_JOINTS or (none_allowed and jam == 0)):
+        raise ValueError(f"jam joint index must be in 1..{N_JOINTS}"
+                         + (" or 0 for no jam" if none_allowed else ""))
+    return jam
+
+
 def apply_jam(joint_index: int) -> np.ndarray:
     """Physical row freezing one joint: e_j on the joint column (gamma 0)."""
-    joint_index = int(joint_index)
-    if not 1 <= joint_index <= N_JOINTS:
-        raise ValueError(f"jam joint index must be in 1..{N_JOINTS}")
+    joint_index = _jam_index(joint_index, none_allowed=False)
     coeffs = np.zeros(STATE_DIM)
     coeffs[G_DIM - 1 + joint_index] = 1.0
     return coeffs
@@ -453,6 +460,7 @@ def recover(params: CrawlerParams, reference: ReferenceGait, jam: int,
     sample (its RK4 first stage). With jam=0 there is nothing to recover: the
     reference itself realizes the behavior and is returned unchanged.
     """
+    jam = _jam_index(jam)
     if not jam:
         full = reference.full_grid()
         return RecoveryResult(trajectory=full, r=reference.r[::2].copy(),
@@ -460,9 +468,6 @@ def recover(params: CrawlerParams, reference: ReferenceGait, jam: int,
                               designed_residual=_designed_residuals(
                                   params, reference, full.t, full.x,
                                   reference.v[::2]))
-    jam = int(jam)
-    if not 1 <= jam <= N_JOINTS:
-        raise ValueError(f"jam joint index must be in 1..{N_JOINTS}")
     if cfg is None:
         cfg = ProjectedIntegratorConfig(dt=reference.dt, projection_tol=1e-11)
     x0 = reference.initial_state
@@ -515,10 +520,8 @@ def playback_baseline(params: CrawlerParams, reference: ReferenceGait,
     """
     t = reference.t[::2]
     thetas = reference.x[::2, G_DIM:].copy()
+    jam = _jam_index(jam)
     if jam:
-        jam = int(jam)
-        if not 1 <= jam <= N_JOINTS:
-            raise ValueError(f"jam joint index must be in 1..{N_JOINTS}")
         thetas[:, jam - 1] = thetas[0, jam - 1]
     X = _pose_refit_rollout(params, thetas, reference.x[0, :G_DIM])
     return Trajectory(t=t.copy(), x=X)
@@ -531,9 +534,10 @@ def gait_perturbation_provider(params: CrawlerParams,
 
     Each free joint gets one sine lobe of adjustable amplitude added to its
     recorded curve (zero at t = 0, so the start state is unchanged); the
-    jammed joint ignores its command. Each sample's pose is the closed-form
-    rigid fit of the playback baseline.
+    jammed joint ignores its command (jam=0: no joint is jammed). Each
+    sample's pose is the closed-form rigid fit of the playback baseline.
     """
+    jam = _jam_index(jam)
     t = reference.t[::2][::stride]
     base = reference.x[::2, G_DIM:][::stride].copy()
     g0 = reference.x[0, :G_DIM]
@@ -545,7 +549,8 @@ def gait_perturbation_provider(params: CrawlerParams,
         thetas = base.copy()
         for i, j in enumerate(free[:len(mu)]):
             thetas[:, j] += mu[i] * lobe
-        thetas[:, jam - 1] = base[0, jam - 1]
+        if jam:
+            thetas[:, jam - 1] = base[0, jam - 1]
         return Trajectory(t=t.copy(),
                           x=_pose_refit_rollout(params, thetas, g0))
 

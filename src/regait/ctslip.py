@@ -416,6 +416,11 @@ def phase_features(result: SimResult) -> np.ndarray:
     return result.com[:, [1, 3]].copy()
 
 
+ALPHA = 1.0         # recovery-cost weight of the phase-rate variance
+BETA = 0.1          # recovery-cost weight of the inverse mean phase rate
+ENERGY_ORDER = 8    # Fourier order of the energy-vs-phase model
+
+
 @dataclass(frozen=True)
 class NominalReference:
     """Frozen nominal-gait data the recovery cost compares against."""
@@ -425,11 +430,13 @@ class NominalReference:
     e_model: FourierSeries    # normalized elastic energy vs phase
     self_cost: float          # nominal parameters scored against themselves
     crash_penalty: float      # per-crashed-member base penalty
+    T: float                  # length of every scored run
+    cfg: SimConfig            # simulator settings of every scored run
 
 
-def _member_cost(params, reference, ic, T, cfg, alpha, beta):
+def _member_cost(params, reference, ic):
     """Cost of one ensemble member; None signals a crash/degenerate run."""
-    res = simulate_hybrid(params, ic, T, cfg)
+    res = simulate_hybrid(params, ic, reference.T, reference.cfg)
     if res.crashed or res.strides < 2 or len(res.t) < 32:
         return None
     E, E_T = energy_outputs(params, res)
@@ -445,22 +452,19 @@ def _member_cost(params, reference, ic, T, cfg, alpha, beta):
     if abs(mean_rate) < 1e-9:
         return None
     term1 = float(np.mean((np.diff(mismatch) / dt) ** 2))
-    term2 = alpha * float(rate.var())
-    term3 = beta / abs(mean_rate)
+    term2 = ALPHA * float(rate.var())
+    term3 = BETA / abs(mean_rate)
     return term1 + term2 + term3
 
 
 def recovery_cost(params: CTSlipParams, ensemble: Sequence[HybridState],
-                  reference: NominalReference, alpha: float = 1.0,
-                  beta: float = 0.1, T: float = 12.0,
-                  cfg: SimConfig | None = None) -> float:
+                  reference: NominalReference) -> float:
     """Mean member cost; a crashed member contributes the base penalty times
     the ensemble size (so any crash dominates all smooth-mismatch terms)."""
-    cfg = cfg if cfg is not None else SimConfig()
     n = len(ensemble)
     total = 0.0
     for ic in ensemble:
-        c = _member_cost(params, reference, ic, T, cfg, alpha, beta)
+        c = _member_cost(params, reference, ic)
         total += reference.crash_penalty * n if c is None else c
     return total / n
 
@@ -505,7 +509,6 @@ def make_ensemble(params: CTSlipParams, n: int = 10, seed: int = 0,
 
 def build_reference(params: CTSlipParams, ensemble: Sequence[HybridState],
                     T: float = 12.0, cfg: SimConfig | None = None,
-                    order: int = 8, alpha: float = 1.0, beta: float = 0.1,
                     ) -> NominalReference:
     """Train the phase estimator and energy model on the nominal plant.
 
@@ -523,19 +526,18 @@ def build_reference(params: CTSlipParams, ensemble: Sequence[HybridState],
     E, E_T = energy_outputs(params, res)
     e_hat = (E / float(E_T.mean()))[skip:]
     wrapped = estimate_phases(est, feats)
-    e_model = fit_fourier(wrapped, e_hat, order)
+    e_model = fit_fourier(wrapped, e_hat, ENERGY_ORDER)
     proto = NominalReference(params=params, phase=est, e_model=e_model,
-                             self_cost=0.0, crash_penalty=1.0)
+                             self_cost=0.0, crash_penalty=1.0, T=T, cfg=cfg)
     costs = []
     for ic in ensemble:
-        c = _member_cost(params, proto, ic, T, cfg, alpha, beta)
+        c = _member_cost(params, proto, ic)
         if c is None:
             raise ValueError("nominal parameters crashed on an ensemble member")
         costs.append(c)
     worst = max(costs)
-    return NominalReference(params=params, phase=est, e_model=e_model,
-                            self_cost=float(np.mean(costs)),
-                            crash_penalty=10.0 * worst)
+    return replace(proto, self_cost=float(np.mean(costs)),
+                   crash_penalty=10.0 * worst)
 
 
 def count_completing(params: CTSlipParams, ensemble: Sequence[HybridState],
@@ -562,12 +564,9 @@ def recover_parameters(damaged: CTSlipParams,
                        reference: NominalReference,
                        ensemble: Sequence[HybridState],
                        nm_config: NMConfig | None = None,
-                       alpha: float = 1.0, beta: float = 0.1,
-                       T: float = 12.0, cfg: SimConfig | None = None,
                        ) -> tuple[CTSlipParams, CostTrace]:
     """Minimize the recovery cost over (K, L, mu, eta, frequency) with the
     damaged hip gain t_s held fixed; starts from the damaged parameters."""
-    cfg = cfg if cfg is not None else SimConfig()
     x0 = np.array([damaged.K, damaged.L, damaged.mu, damaged.eta,
                    damaged.clock.frequency])
     if nm_config is None:
@@ -576,8 +575,7 @@ def recover_parameters(damaged: CTSlipParams,
                              f_tol=0.0, x_tol=0.0)
 
     def f(x):
-        return recovery_cost(_apply_free(damaged, x), ensemble, reference,
-                             alpha=alpha, beta=beta, T=T, cfg=cfg)
+        return recovery_cost(_apply_free(damaged, x), ensemble, reference)
 
     best, trace = nelder_mead(f, x0, nm_config)
     return _apply_free(damaged, best), trace

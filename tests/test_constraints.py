@@ -44,6 +44,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="feet"):
             evaluate(stack, 0.0, np.zeros(2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_names_block(self, value):
+        # A NaN value used to pass the Physical check (NaN comparisons are
+        # False) and come back as a NaN velocity without a warning.
+        bad = constant_block(Priority.PHYSICAL, [[1.0, 0.0]], [value],
+                             label="feet")
+        stack = ConstraintStack(ambient_dim=2, blocks=[bad])
+        with pytest.raises(ValueError, match="'feet'.*non-finite values"):
+            solve_velocity(stack, 0.0, np.zeros(2))
+
 
 class TestResidual:
     def test_exact_satisfaction(self):

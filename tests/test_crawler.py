@@ -387,6 +387,16 @@ class TestPerturbationProvider:
         b = provider(np.array([0.4, -0.2, 0.1, 0.3, -0.1]))
         assert np.allclose(a.x[0], b.x[0], atol=1e-10)
 
+    def test_no_jam_matches_the_baseline(self, cparams, gait):
+        # jam=0 used to freeze joint 6 through index -1
+        provider = gait_perturbation_provider(cparams, gait, jam=0, stride=4)
+        base = playback_baseline(cparams, gait, jam=0)
+        assert np.array_equal(provider(np.zeros(6)).x, base.x[::4])
+
+    def test_invalid_jam_rejected_when_built(self, cparams, gait):
+        with pytest.raises(ValueError, match="1..6"):
+            gait_perturbation_provider(cparams, gait, jam=7)
+
 
 class TestPoseFit:
     # Amplitudes inside the search bounds whose feet stay far from their

@@ -312,14 +312,15 @@ class TestNominalReference:
 
 
 class TestRecoverParameters:
-    def test_search_respects_frozen_gain(self, nominal_params, ensemble,
-                                         reference):
+    def test_search_respects_frozen_gain(self, nominal_params, ensemble):
+        # a short search scores T = 3 runs against a T = 3 reference
+        reference = build_reference(nominal_params, ensemble[:3], T=3.0)
         damaged = replace(nominal_params, t_s=0.02)
         nm = NMConfig(initial_step=np.asarray(FREE_PARAM_STEPS),
                       max_iters=2, bounds=FREE_PARAM_BOUNDS,
                       f_tol=0.0, x_tol=0.0)
         tuned, trace = recover_parameters(damaged, reference, ensemble[:3],
-                                          nm_config=nm, T=3.0)
+                                          nm_config=nm)
         assert tuned.t_s == damaged.t_s
         assert np.array_equal(
             trace.candidates[0],

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from regait.constraints import (DEFAULT_RANK_TOL, ConstraintStack, Priority,
                                 RankDeficiencyError, constant_block,
-                                select_active_rows, solve_velocity)
+                                evaluate, rank_report, select_active_rows,
+                                solve_velocity)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
                              derandomize=True, database=None)
@@ -156,3 +157,88 @@ def test_row_scaling_keeps_the_active_set(scaled):
     x = np.zeros(n)
     assert (select_active_rows(stack_from(n, *scaled_blocks), 0.0, x)
             == select_active_rows(stack_from(n, *blocks), 0.0, x))
+
+
+# The former active-row scan, one SVD per candidate row, kept verbatim as the
+# oracle of the ordered-QR selection.
+def _select_rows(omega: np.ndarray, tol: float) -> list[int]:
+    """Greedy scan of ``omega``'s rows in order, keeping each row that raises
+    the numerical rank of the rows kept so far, until n are kept.
+
+    Rows are compared as unit vectors, so scaling a row never changes the
+    selection; zero rows are never kept.
+    """
+    n = omega.shape[1]
+    norms = np.linalg.norm(omega, axis=1)
+    unit = omega / np.where(norms > 0, norms, 1.0)[:, None]
+    kept: list[int] = []
+    for i in np.flatnonzero(norms > 0):
+        if len(kept) == n:
+            break
+        svals = np.linalg.svd(unit[kept + [i]], compute_uv=False)
+        if svals[-1] > tol * svals[0]:
+            kept.append(int(i))
+    return kept
+
+
+def oracle_ratios(omega, kept):
+    """sigma_min / sigma_max of each candidate the oracle scan tested, over
+    the unit rows it had kept before that candidate."""
+    norms = np.linalg.norm(omega, axis=1)
+    unit = omega / np.where(norms > 0, norms, 1.0)[:, None]
+    ratios = []
+    for i in np.flatnonzero(norms > 0):
+        before = [k for k in kept if k < i]
+        if len(before) == omega.shape[1]:
+            break
+        svals = np.linalg.svd(unit[before + [i]], compute_uv=False)
+        ratios.append(svals[-1] / svals[0])
+    return np.asarray(ratios)
+
+
+@PROPERTY_SETTINGS
+@given(stacks())
+def test_selection_matches_the_svd_scan(case):
+    """Away from the tolerance, the QR pivots and the SVD scan agree; a
+    candidate whose ratio lies within 10^3 of tol may fall either way."""
+    n, *blocks = case
+    stack, x = stack_from(n, *blocks), np.zeros(n)
+    omega, _ = evaluate(stack, 0.0, x)
+    want = _select_rows(omega, DEFAULT_RANK_TOL)
+    ratios = oracle_ratios(omega, want)
+    assume(not np.any((ratios > 1e-3 * DEFAULT_RANK_TOL)
+                      & (ratios < 1e3 * DEFAULT_RANK_TOL)))
+    assert select_active_rows(stack, 0.0, x) == want
+
+
+def ranks(report):
+    return (report.rank_physical, report.rank_designed, report.rank_learned)
+
+
+# Physical row [1e11, 0] then Designed row [0, 1]: ranks taken on the raw rows
+# with a tolerance scaled by the largest row reported r_D = 0, while the solve
+# keeps both rows.
+LARGE_PHYSICAL_ROW = (
+    (2, (np.array([[1e11, 0.0]]), np.array([0.0])),
+     (np.array([[0.0, 1.0]]), np.array([0.0])),
+     (np.zeros((0, 2)), np.zeros(0))),
+    [0, 0])
+
+
+@PROPERTY_SETTINGS
+@given(scaled_stacks())
+@example(LARGE_PHYSICAL_ROW)
+def test_rank_report_counts_the_kept_rows(scaled):
+    (n, *blocks), exponents = scaled
+    omega = np.concatenate([rows for rows, _ in blocks])
+    rescaled = np.ldexp(1.0, np.asarray(exponents, dtype=int))[:, None] * omega
+    classes = np.repeat(list(Priority), [len(rows) for rows, _ in blocks])
+    x = np.zeros(n)
+    stack = stack_from(n, *blocks)
+    active = select_active_rows(stack, 0.0, x)
+    counts = tuple(int(np.sum(classes[active] == c)) for c in Priority)
+    assert ranks(rank_report(stack, 0.0, x)) == counts
+    scaled_stack = ConstraintStack(ambient_dim=n, blocks=[
+        constant_block(Priority(c), rescaled[classes == c])
+        for c in Priority if np.any(classes == c)])
+    assert ranks(rank_report(scaled_stack, 0.0, x)) == counts
