@@ -4,11 +4,14 @@ A behavior is specified as blocks of rows ``omega_i(x) . xdot = gamma_i(t, x)``
 in three priority classes: Physical (the plant, including damage), Designed
 (the behavior's defining relations), and Learned (rows fitted from an example
 trajectory). A block is a priority class plus a function returning its rows
-at (t, x) as one pair of arrays ``(omega (k, n), gamma (k,))``. Solving for a
-feasible velocity keeps the first ``n`` linearly independent rows scanned in
-class order, so lower-priority rows can never displace higher-priority ones.
-One ordered QR factor of the kept rows gives the selection, the velocity,
-the condition numbers and the per-class ranks.
+at (t, x) as one pair of arrays ``(omega (..., k, n), gamma (..., k))``: at
+one state (``t`` a scalar, ``x`` of shape (n,)) or at each of a block of
+states (``t`` of shape (N,), ``x`` of shape (N, n)), so the residual along a
+whole trajectory is one evaluation. Solving for a feasible velocity keeps
+the first ``n`` linearly independent rows scanned in class order, so
+lower-priority rows can never displace higher-priority ones. One ordered QR
+factor of the kept rows gives the selection, the velocity, the condition
+numbers and the per-class ranks; the solves take one state.
 """
 
 from __future__ import annotations
@@ -30,24 +33,35 @@ class Priority(enum.IntEnum):
 
 @dataclass(frozen=True)
 class ConstraintBlock:
-    """A priority class plus a function yielding ``(omega, gamma)`` at (t, x)."""
+    """A priority class plus a function yielding ``(omega, gamma)`` at (t, x).
+
+    ``rows(t, x)`` takes one state (``t`` a scalar, ``x`` (n,)) and returns
+    ``omega`` (k, n) and ``gamma`` (k,), or takes a block of states (``t``
+    (N,), ``x`` (N, n)) and returns ``omega`` (N, k, n) and ``gamma`` (N, k).
+    """
 
     priority: Priority
-    rows: Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    rows: Callable[[float | np.ndarray, np.ndarray],
+                   tuple[np.ndarray, np.ndarray]]
     label: str = ""
 
 
 def constant_block(priority: Priority, matrix, values=None,
                    label: str = "") -> ConstraintBlock:
-    """Block whose rows do not depend on (t, x)."""
+    """Block whose rows do not depend on (t, x), broadcast over the states."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if values is None:
         values = np.zeros(matrix.shape[0])
     values = np.asarray(values, dtype=float)
     if values.shape != (matrix.shape[0],):
         raise ValueError("one value per row required")
-    return ConstraintBlock(priority=priority,
-                           rows=lambda t, x: (matrix, values), label=label)
+
+    def rows(t, x):
+        lead = np.shape(t)
+        return (np.broadcast_to(matrix, lead + matrix.shape),
+                np.broadcast_to(values, lead + values.shape))
+
+    return ConstraintBlock(priority=priority, rows=rows, label=label)
 
 
 @dataclass(frozen=True)
@@ -96,19 +110,29 @@ class SolveResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def evaluate(stack: ConstraintStack, t: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """All rows concatenated in priority order: (omega m x n, gamma m)."""
+def evaluate(stack: ConstraintStack, t, x) -> tuple[np.ndarray, np.ndarray]:
+    """All rows concatenated in priority order: omega (..., m, n) and
+    gamma (..., m), at one state or a block of states."""
     omega, gamma, _ = evaluate_with_classes(stack, t, x)
     return omega, gamma
 
 
-def evaluate_with_classes(stack: ConstraintStack, t: float, x,
+def evaluate_with_classes(stack: ConstraintStack, t, x,
                           only: Sequence[Priority] | None = None):
-    """As evaluate(), plus each row's class; skips blocks outside ``only``."""
+    """As evaluate(), plus each row's class; skips blocks outside ``only``.
+
+    ``t`` is a scalar with ``x`` of shape (n,), or ``t`` (N,) with ``x``
+    (N, n). Each block's output shape and finiteness is checked once.
+    """
     x = np.asarray(x, dtype=float)
     n = stack.ambient_dim
-    if x.shape != (n,):
-        raise ValueError(f"state has shape {x.shape}, expected ({n},)")
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise ValueError(f"state has shape {x.shape}, expected ({n},) or "
+                         f"(N, {n})")
+    lead = x.shape[:-1]
+    if np.shape(t) != lead:
+        raise ValueError(f"times have shape {np.shape(t)}, expected {lead} "
+                         f"for states of shape {x.shape}")
     omegas, gammas, classes = [], [], []
     for block in stack.blocks:
         if only is not None and block.priority not in only:
@@ -117,30 +141,36 @@ def evaluate_with_classes(stack: ConstraintStack, t: float, x,
         omega = np.asarray(omega, dtype=float)
         gamma = np.asarray(gamma, dtype=float)
         name = block.label or block.priority.name
-        if omega.ndim != 2 or omega.shape[1] != n:
-            raise ValueError(f"block {name!r} produced a row of length "
-                             f"{omega.shape[-1]}, expected {n}")
-        if gamma.shape != (omega.shape[0],):
-            raise ValueError(f"block {name!r} produced {omega.shape[0]} rows "
-                             f"but {gamma.size} values")
+        if (omega.ndim != len(lead) + 2 or omega.shape[:-2] != lead
+                or omega.shape[-1] != n):
+            expected = ", ".join(map(str, (*lead, "k", n)))
+            raise ValueError(f"block {name!r} produced omega of shape "
+                             f"{omega.shape}, expected ({expected})")
+        if gamma.shape != omega.shape[:-1]:
+            raise ValueError(f"block {name!r} produced omega of shape "
+                             f"{omega.shape} but gamma of shape "
+                             f"{gamma.shape}, expected {omega.shape[:-1]}")
         if not np.isfinite(omega).all():
             raise ValueError(f"block {name!r} produced non-finite coefficients")
         if not np.isfinite(gamma).all():
             raise ValueError(f"block {name!r} produced non-finite values")
         omegas.append(omega)
         gammas.append(gamma)
-        classes += [block.priority] * omega.shape[0]
+        classes += [block.priority] * omega.shape[-2]
     if not omegas:
-        return np.zeros((0, n)), np.zeros(0), []
-    return np.concatenate(omegas), np.concatenate(gammas), classes
+        return np.zeros(lead + (0, n)), np.zeros(lead + (0,)), []
+    return (np.concatenate(omegas, axis=-2), np.concatenate(gammas, axis=-1),
+            classes)
 
 
-def residual(stack: ConstraintStack, t: float, x, v,
+def residual(stack: ConstraintStack, t, x, v,
              classes: Sequence[Priority] = (Priority.DESIGNED, Priority.LEARNED),
              ) -> np.ndarray:
-    """omega . v - gamma over the blocks of the requested classes only."""
+    """omega . v - gamma over the blocks of the requested classes only: shape
+    (m,) at one state, (N, m) at a block of states with velocities (N, n)."""
     omega, gamma, _ = evaluate_with_classes(stack, t, x, only=classes)
-    return omega @ np.asarray(v, dtype=float) - gamma
+    v = np.asarray(v, dtype=float)
+    return (omega @ v[..., None])[..., 0] - gamma
 
 
 def _greedy_qr(omega: np.ndarray, tol: float,
@@ -151,8 +181,11 @@ def _greedy_qr(omega: np.ndarray, tol: float,
     the selection), are factored; the first whose pivot |R_ii| is at most
     ``tol`` is dropped and the next candidate joins, until no pivot is small.
     Returns the kept indices, lower-triangular ``low`` and orthonormal ``q``
-    with ``omega[kept] = low @ q.T``.
+    with ``omega[kept] = low @ q.T``. Only the rows of one state are taken.
     """
+    if omega.ndim != 2:
+        raise ValueError(f"rows of shape {omega.shape}: the priority solve "
+                         "takes one state")
     n = omega.shape[1]
     norms = np.linalg.norm(omega, axis=1)
     candidates = np.flatnonzero(norms > 0)

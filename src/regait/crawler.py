@@ -60,24 +60,28 @@ class TemplateOutput:
     alpha: float
 
 
-def _arm(h: complex, angles: np.ndarray) -> tuple[complex, np.ndarray]:
-    """Endpoint of a three-link unit chain and the tail sums s_j (last axis).
+def _arms(params: CrawlerParams, joints: np.ndarray,
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Body-frame endpoints (..., 2) of both three-link unit chains and their
+    tail sums s_j (..., 2, 3), from joint angles (..., 6).
 
     d endpoint / d angle_j = i * s_j where s_j sums the links from j outward.
     """
+    angles = joints.reshape(joints.shape[:-1] + (2, 3))
     links = np.exp(1j * np.cumsum(angles, axis=-1))
     tails = np.cumsum(links[..., ::-1], axis=-1)[..., ::-1]
-    return h + links.sum(axis=-1), tails
+    return np.array([params.h1, params.h2]) + links.sum(axis=-1), tails
 
 
 def _kinematics(params: CrawlerParams, state: np.ndarray) -> tuple:
     """(rot, p1, s1, p2, s2): body rotation e^{i theta0}, both arm endpoints
     in the body frame and their tail sums, from one pass over the arms.
-    ``state`` is one state or an (N, 9) block of them."""
+    ``state`` is one state or an (N, 9) block of them; for one state the
+    endpoints are scalars (``[()]`` unwraps a 0-d array)."""
     rot = np.exp(1j * state[..., 2])
-    p1, s1 = _arm(params.h1, state[..., 3:6])
-    p2, s2 = _arm(params.h2, state[..., 6:9])
-    return rot, p1, s1, p2, s2
+    ends, tails = _arms(params, state[..., 3:])
+    return (rot, ends[..., 0][()], tails[..., 0, :], ends[..., 1][()],
+            tails[..., 1, :])
 
 
 def limb_endpoints(params: CrawlerParams, state) -> tuple[complex, complex]:
@@ -88,25 +92,32 @@ def limb_endpoints(params: CrawlerParams, state) -> tuple[complex, complex]:
     return z + rot * p1, z + rot * p2
 
 
+_UNIT = np.array([1.0, 1j])   # d f / d(x, y) of either foot
+
+
 def _feet(params: CrawlerParams, state, kin=None,
           ) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and (4, 9) velocity rows of (Re f1, Im f1, Re f2, Im f2) from
-    one kinematics record (computed from the state unless given)."""
+    """Residual (..., 4) and velocity rows (..., 4, 9) of (Re f1, Im f1,
+    Re f2, Im f2) at one state or an (N, 9) block, from one kinematics
+    record (computed from the state unless given)."""
     if kin is None:
         kin = _kinematics(params, state)
     rot, p1, s1, p2, s2 = kin
-    z = state[0] + 1j * state[1]
-    d1, d2 = z + rot * p1 - params.l1, z + rot * p2 - params.l2
-    J1 = np.zeros(STATE_DIM, dtype=complex)
-    J2 = np.zeros(STATE_DIM, dtype=complex)
-    J1[0] = J2[0] = 1.0
-    J1[1] = J2[1] = 1j
-    J1[2] = 1j * rot * p1
-    J2[2] = 1j * rot * p2
-    J1[3:6] = 1j * rot * s1
-    J2[6:9] = 1j * rot * s2
-    return (np.array([d1.real, d1.imag, d2.real, d2.imag]),
-            np.array([J1.real, J1.imag, J2.real, J2.imag]))
+    lead = rot.shape
+    z = state[..., 0] + 1j * state[..., 1]
+    d = np.empty(lead + (2,), dtype=complex)
+    d[..., 0] = z + rot * p1 - params.l1
+    d[..., 1] = z + rot * p2 - params.l2
+    turn = 1j * rot
+    J = np.zeros(lead + (2, STATE_DIM), dtype=complex)   # rows f1, f2
+    J[..., :2] = _UNIT
+    J[..., 0, 2] = turn * p1
+    J[..., 1, 2] = turn * p2
+    np.multiply(turn[..., None], s1, out=J[..., 0, 3:6])
+    np.multiply(turn[..., None], s2, out=J[..., 1, 6:9])
+    # complex (re, im) pairs -> rows Re f1, Im f1, Re f2, Im f2
+    rows = J.view(float).reshape(lead + (2, STATE_DIM, 2)).swapaxes(-1, -2)
+    return d.view(float), rows.reshape(lead + (4, STATE_DIM))
 
 
 def foot_matrix(params: CrawlerParams, state) -> np.ndarray:
@@ -118,20 +129,24 @@ def foot_residual(params: CrawlerParams, state) -> np.ndarray:
     return _feet(params, np.asarray(state, dtype=float))[0]
 
 
-def _midpoint(kin, tol: float = 1e-12) -> tuple[complex, float, np.ndarray]:
+def _midpoint(kin, tol: float = 1e-12) -> tuple:
     """Body-frame foot midpoint w, its radius r (the template's r) and the
-    joint-angle gradient of w."""
+    joint-angle gradient of w (..., 6), over the kinematics' leading dims."""
     _, p1, s1, p2, s2 = kin
     w = 0.5 * (p1 + p2)
     r = abs(w)
-    if r < tol:
+    if np.count_nonzero(r < tol):   # cheaper than .any() on one state
         raise ValueError("template undefined: limb midpoint at the body origin")
-    return w, r, 0.5j * np.concatenate([s1, s2])
+    return w, r, 0.5j * np.concatenate([s1, s2], axis=-1)
 
 
 def _shape_jacobian(w, r, dw) -> np.ndarray:
-    prod = np.conj(w) * dw
-    return np.vstack([prod.real / r, prod.imag / r**2])
+    """(..., 2, 6) Jacobian of (r, alpha) from a ``_midpoint`` record."""
+    prod = np.conj(w)[..., None] * dw
+    out = np.empty(prod.shape[:-1] + (2, prod.shape[-1]))
+    out[..., 0, :] = prod.real / r[..., None]
+    out[..., 1, :] = prod.imag / (r**2)[..., None]
+    return out
 
 
 def template_map(params: CrawlerParams, state, tol: float = 1e-12,
@@ -148,10 +163,11 @@ def shape_jacobian(params: CrawlerParams, state) -> np.ndarray:
 
 
 def _pullback(jac_shape: np.ndarray) -> np.ndarray:
-    """(5, 9) Jacobian of (x, y, theta0, r, alpha) given that of (r, alpha)."""
-    out = np.zeros((5, STATE_DIM))
-    out[:3, :3] = np.eye(3)
-    out[3:, 3:] = jac_shape
+    """(..., 5, 9) Jacobian of (x, y, theta0, r, alpha) given that of
+    (r, alpha)."""
+    out = np.zeros(jac_shape.shape[:-2] + (5, STATE_DIM))
+    out[..., :3, :3] = np.eye(3)
+    out[..., 3:, 3:] = jac_shape
     return out
 
 
@@ -181,30 +197,46 @@ class DesignedRows:
     """The five gait rows in template coordinates (xd, yd, theta0d, rd,
     alphad), pulled back to the nine-dimensional state, and their values."""
 
-    gamma: np.ndarray          # (5,)
-    rows: np.ndarray           # (5, 9)
+    gamma: np.ndarray          # (..., 5)
+    rows: np.ndarray           # (..., 5, 9)
+
+
+# the state-independent entries of the template rows; rows 1-2, columns
+# theta0d, rd and alphad depend on the state
+_TEMPLATE_FIXED = np.array([
+    [1.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 1.0],
+    [0.0, 0.0, 0.0, 1.0, 0.0],
+    [1.0, 0.0, -1.0, 0.0, 0.0],
+])
 
 
 def _template_rows(state, w, r) -> np.ndarray:
-    """(5, 5) designed rows in template coordinates at a state whose
+    """(..., 5, 5) designed rows in template coordinates at states whose
     body-frame foot midpoint is w, of radius r."""
-    r = float(r)
-    beta = state[2] + float(np.angle(w))
+    beta = state[..., 2] + np.angle(w)
     cb, sb = np.cos(beta), np.sin(beta)
-    return np.array([
-        [1.0, 0.0, -r * sb, cb, -r * sb],
-        [0.0, 1.0, r * cb, sb, r * cb],
-        [0.0, 0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, 0.0, 1.0, 0.0],
-        [1.0, 0.0, -1.0, 0.0, 0.0],
-    ])
+    out = np.empty(beta.shape + (5, 5))
+    out[...] = _TEMPLATE_FIXED
+    out[..., 0, 2] = out[..., 0, 4] = -r * sb
+    out[..., 1, 2] = out[..., 1, 4] = r * cb
+    out[..., 0, 3] = cb
+    out[..., 1, 3] = sb
+    return out
 
 
 def design_constraints(params: CrawlerParams, state,
-                       rates: Sequence[float] = (0.0, 0.0)) -> DesignedRows:
+                       rates: Sequence = (0.0, 0.0)) -> DesignedRows:
+    """The designed rows at one state or an (N, 9) block of states.
+
+    ``rates`` is (rdot, alphadot), each a float or one value per state, as
+    ``ReferenceGait.rates_at`` returns them for a time or an array of times.
+    """
     state = np.asarray(state, dtype=float)
     w, r, dw = _midpoint(_kinematics(params, state))
-    gamma = np.array([0.0, 0.0, float(rates[1]), float(rates[0]), 0.0])
+    gamma = np.zeros(state.shape[:-1] + (5,))
+    gamma[..., 2], gamma[..., 3] = rates[1], rates[0]
     rows = _template_rows(state, w, r) @ _pullback(_shape_jacobian(w, r, dw))
     return DesignedRows(gamma=gamma, rows=rows)
 
@@ -315,16 +347,22 @@ class ReferenceGait:
     rdot: np.ndarray
     alphadot: np.ndarray
 
-    def _index(self, t: float) -> int:
+    def _index(self, t) -> np.ndarray:
+        """Grid index of a time or of each of an array of times."""
         half = 0.5 * self.dt
-        idx = int(round(float(t) / half))
-        if idx < 0 or idx >= len(self.t) or abs(t - idx * half) > 1e-9:
-            raise ValueError(f"time {t} is not on the recorded gait grid")
-        return idx
+        k = np.rint(t / half)
+        # written so that a NaN time counts as off the grid
+        off = (k < 0) | (k >= len(self.t)) | ~(abs(t - k * half) <= 1e-9)
+        if np.count_nonzero(off):
+            raise ValueError(f"time {np.asarray(t)[off][0]} is not on the "
+                             "recorded gait grid")
+        return k.astype(np.intp)
 
-    def rates_at(self, t: float) -> tuple[float, float]:
+    def rates_at(self, t) -> tuple:
+        """(rdot, alphadot) at a time on the grid, or two arrays at an array
+        of times; an off-grid time raises a ``ValueError`` naming it."""
         idx = self._index(t)
-        return float(self.rdot[idx]), float(self.alphadot[idx])
+        return self.rdot[idx], self.alphadot[idx]
 
     def full_grid(self) -> Trajectory:
         return Trajectory(t=self.t[::2].copy(), x=self.x[::2].copy())
@@ -377,11 +415,14 @@ def apply_jam(joint_index: int) -> np.ndarray:
 
 def physical_block(params: CrawlerParams, jam: int | None = None,
                    ) -> ConstraintBlock:
-    jam_rows = [apply_jam(jam)] if jam else []
-    gamma = np.zeros(4 + len(jam_rows))     # four foot rows, then the jam
+    jam_rows = apply_jam(jam)[None] if jam else np.zeros((0, STATE_DIM))
 
     def rows(t, state):
-        return np.vstack([_feet(params, state)[1], *jam_rows]), gamma
+        feet = _feet(params, state)[1]      # four foot rows, then the jam
+        lead = feet.shape[:-2]
+        omega = np.concatenate(
+            [feet, np.broadcast_to(jam_rows, lead + jam_rows.shape)], axis=-2)
+        return omega, np.zeros(omega.shape[:-1])
 
     label = "pinned feet" + (f" + jammed joint {jam}" if jam else "")
     return ConstraintBlock(priority=Priority.PHYSICAL, rows=rows, label=label)
@@ -445,11 +486,9 @@ class RecoveryResult:
 
 
 def _designed_residuals(params, reference, t, x, v) -> np.ndarray:
-    out = np.empty(len(t))
-    for k in range(len(t)):
-        des = design_constraints(params, x[k], rates=reference.rates_at(t[k]))
-        out[k] = np.linalg.norm(des.rows @ v[k] - des.gamma)
-    return out
+    des = design_constraints(params, x, rates=reference.rates_at(t))
+    return np.linalg.norm((des.rows @ v[..., None])[..., 0] - des.gamma,
+                          axis=-1)
 
 
 def recover(params: CrawlerParams, reference: ReferenceGait, jam: int,
@@ -498,8 +537,8 @@ def _pose_refit_rollout(params: CrawlerParams, thetas: np.ndarray,
     foot midpoints. theta0 is unwrapped to continue from the heading g0[2].
     """
     thetas = np.asarray(thetas, dtype=float)
-    p1 = _arm(params.h1, thetas[:, :3])[0]
-    p2 = _arm(params.h2, thetas[:, 3:])[0]
+    ends = _arms(params, thetas)[0]
+    p1, p2 = ends[:, 0], ends[:, 1]
     heading = np.unwrap(np.concatenate(
         [[g0[2]], np.angle((params.l1 - params.l2) * np.conj(p1 - p2))]))[1:]
     z = 0.5 * (params.l1 + params.l2) - np.exp(1j * heading) * 0.5 * (p1 + p2)

@@ -140,12 +140,20 @@ def learned_gamma(lc: LearnedConstraints, phase: float) -> np.ndarray:
 def learned_block(emap: EncodingMap, lc: LearnedConstraints,
                   phase_features: Callable | None = None,
                   label: str = "learned") -> ConstraintBlock:
-    """Constraint block evaluating the learned rows at any (t, x)."""
+    """Constraint block evaluating the learned rows at one state or at each
+    of an (N, n) block of states (one encoding-map call per state)."""
 
     def rows(t, x):
-        ph = estimate_phase(lc.phase_model, _phase_input(phase_features, x))
-        omega = np.array([pullback(emap, form, x) for form in lc.forms])
-        return omega.reshape(len(lc.forms), len(x)), learned_gamma(lc, ph)
+        x = np.asarray(x, dtype=float)
+        omega = np.empty(x.shape[:-1] + (len(lc.forms), x.shape[-1]))
+        gamma = np.empty(x.shape[:-1] + (len(lc.forms),))
+        for k in np.ndindex(x.shape[:-1]):
+            ph = estimate_phase(lc.phase_model,
+                                _phase_input(phase_features, x[k]))
+            for j, form in enumerate(lc.forms):
+                omega[k + (j,)] = pullback(emap, form, x[k])
+            gamma[k] = learned_gamma(lc, ph)
+        return omega, gamma
 
     return ConstraintBlock(priority=Priority.LEARNED, rows=rows, label=label)
 

@@ -144,9 +144,10 @@ def constraint_violation_cost(stack: ConstraintStack,
     """Objective: integral of ||residual_{D,L}||^2 dt along the trajectory.
 
     The residual of the requested classes is evaluated at every sample of the
-    provider's trajectory (velocities by central differences) and integrated
-    with the trapezoid rule. Provider failures return ``failure_penalty`` so
-    derivative-free search stays total.
+    provider's trajectory in one call over all samples (velocities by central
+    differences) and its squared row norms are integrated with the trapezoid
+    rule. Provider failures return ``failure_penalty`` so derivative-free
+    search stays total.
     """
 
     def cost(params) -> float:
@@ -155,9 +156,7 @@ def constraint_violation_cost(stack: ConstraintStack,
         except Exception as exc:  # provider failure is data, not a crash
             log.warning("trajectory provider failed at %s: %s", params, exc)
             return failure_penalty
-        sq = [r @ r for r in (residual(stack, t, x, v, classes=classes)
-                              for t, x, v in zip(traj.t, traj.x,
-                                                 traj.velocities()))]
-        return float(_trapz(sq, traj.t))
+        r = residual(stack, traj.t, traj.x, traj.velocities(), classes=classes)
+        return float(_trapz(np.einsum("ij,ij->i", r, r), traj.t))
 
     return cost

@@ -44,6 +44,19 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="feet"):
             evaluate(stack, 0.0, np.zeros(2))
 
+    @pytest.mark.parametrize("omega, t, x, expected", [
+        (np.array([1.0, 0.0]), 0.0, np.zeros(2), r"\(2,\), expected \(k, 2\)"),
+        (np.eye(2)[:1], np.zeros(3), np.zeros((3, 2)),
+         r"\(1, 2\), expected \(3, k, 2\)"),
+    ], ids=["one-dimensional", "not-batched"])
+    def test_misshapen_rows_report_shape(self, omega, t, x, expected):
+        bad = ConstraintBlock(priority=Priority.PHYSICAL, label="one row",
+                              rows=lambda t, x: (omega, np.zeros(1)))
+        stack = ConstraintStack(ambient_dim=2, blocks=[bad])
+        with pytest.raises(ValueError, match="block 'one row' produced omega "
+                                             "of shape " + expected):
+            evaluate(stack, t, x)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_value_names_block(self, value):
         # A NaN value used to pass the Physical check (NaN comparisons are
@@ -161,6 +174,13 @@ class TestSolveVelocity:
             err = np.abs(omega @ out.velocity - gamma).max()
             assert err < 1e-10 * max(1.0, np.abs(gamma).max()) * \
                 max(1.0, out.condition_number)
+
+    @pytest.mark.parametrize("solve", [solve_velocity, select_active_rows,
+                                       rank_report])
+    def test_batch_of_states_rejected(self, solve):
+        stack = stack_of(constant_block(Priority.PHYSICAL, np.eye(2)))
+        with pytest.raises(ValueError, match="one state"):
+            solve(stack, np.zeros(3), np.zeros((3, 2)))
 
 
 class TestCompletionCheck:

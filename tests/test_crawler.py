@@ -5,6 +5,7 @@ from regait import crawler
 from regait.constraints import (ConstraintStack, Priority, constant_block,
                                 evaluate_with_classes, rank_report, residual,
                                 solve_velocity)
+from regait.encoding import learn_constraints, learned_block
 from regait.crawler import (CrawlerParams, angle_difference, apply_jam,
                             crawler_stack, design_constraints, foot_matrix,
                             foot_residual, foot_residual_series,
@@ -14,7 +15,8 @@ from regait.crawler import (CrawlerParams, angle_difference, apply_jam,
                             recovery_field, reference_gait, shape_jacobian,
                             template_jacobian, template_map, template_traces)
 from regait.integrate import IntegrationError
-from regait.optimize import constraint_violation_cost
+from regait.optimize import _trapz, constraint_violation_cost
+from regait.signals import PhaseEstimator
 
 
 def fd_rows(fn, state, h=1e-7):
@@ -233,6 +235,16 @@ class TestReferenceGait:
         gait.rates_at(float(gait.t[3]))
         with pytest.raises(ValueError, match="grid"):
             gait.rates_at(float(gait.t[3]) + 0.3e-3)
+        rdot, alphadot = gait.rates_at(gait.t[:5])
+        assert np.array_equal(rdot, gait.rdot[:5])
+        assert np.array_equal(alphadot, gait.alphadot[:5])
+        times = gait.t[:5].copy()
+        times[3] += 0.3e-3
+        with pytest.raises(ValueError,
+                           match=f"time {times[3]} is not on the recorded"):
+            gait.rates_at(times)
+        with pytest.raises(ValueError, match="time nan is not on the"):
+            gait.rates_at(np.array([0.0, np.nan]))
 
     def test_full_grid_subsamples(self, gait):
         full = gait.full_grid()
@@ -425,12 +437,21 @@ class TestPoseFit:
         assert np.all(sq <= grid.min(axis=0) + 1e-12)
 
     def test_hard_amplitudes_cost_is_not_the_penalty(self, cparams, gait):
-        cost = constraint_violation_cost(
-            crawler_stack(cparams, gait, jam=1),
-            gait_perturbation_provider(cparams, gait, jam=1, stride=4),
-            classes=(Priority.DESIGNED,))
+        # The cost is one batched residual over the rollout; it must equal
+        # its definition, the trapezoid integral of single-state residuals.
+        stack = crawler_stack(cparams, gait, jam=1)
+        provider = gait_perturbation_provider(cparams, gait, jam=1, stride=4)
+        classes = (Priority.DESIGNED,)
+        cost = constraint_violation_cost(stack, provider, classes=classes)
         value = cost(self.HARD_MU)
         assert np.isfinite(value) and value < 1e6
+        for mu in (np.zeros(5), self.HARD_MU):
+            traj = provider(mu)
+            sq = [r @ r for r in (residual(stack, t, x, v, classes=classes)
+                                  for t, x, v in zip(traj.t, traj.x,
+                                                     traj.velocities()))]
+            want = _trapz(sq, traj.t)
+            assert abs(cost(mu) - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("row", [
         # body-frame feet both at -2: 1 - 3 and -1 + (-1 + 1 - 1)
@@ -442,6 +463,42 @@ class TestPoseFit:
         thetas[1] = row
         with pytest.raises(ValueError, match="undefined at sample 1:"):
             crawler._pose_refit_rollout(cparams, thetas, gait.x[0, :3])
+
+
+@pytest.fixture(scope="module")
+def learned(cparams, gait):
+    full = gait.full_grid()
+    phase = PhaseEstimator.fit(crawler.shape_features(full.x))
+    lc = learn_constraints(crawler.template_encoding_map(cparams),
+                           crawler.TEMPLATE_FORMS, full, phase, order=4,
+                           phase_features=crawler.shape_features)
+    return learned_block(crawler.template_encoding_map(cparams), lc,
+                         phase_features=crawler.shape_features)
+
+
+class TestBatchedBlocks:
+    @pytest.mark.parametrize("kind", ["constant", "feet", "feet + jam 1",
+                                      "designed", "learned"])
+    def test_batch_slices_match_single_states(self, cparams, gait, learned,
+                                              kind):
+        block = {
+            "constant": lambda: constant_block(
+                Priority.PHYSICAL, np.arange(18.0).reshape(2, 9), [1.0, 2.0]),
+            "feet": lambda: physical_block(cparams),
+            "feet + jam 1": lambda: physical_block(cparams, jam=1),
+            "designed": lambda: crawler.designed_block(cparams, gait),
+            "learned": lambda: learned,
+        }[kind]()
+        stack = ConstraintStack(ambient_dim=9, blocks=[block])
+        T, X = gait.t[::97], gait.x[::97]
+        omega, gamma, classes = evaluate_with_classes(stack, T, X)
+        assert omega.shape[0] == gamma.shape[0] == len(T)
+        for k in range(len(T)):
+            one = evaluate_with_classes(stack, T[k], X[k])
+            for got, want in zip((omega[k], gamma[k]), one[:2]):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+            assert classes == one[2]
 
 
 class TestStackDiagnostics:

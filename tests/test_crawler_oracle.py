@@ -333,7 +333,9 @@ def test_recover_matches_oracle(cparams, gait, jam):
     assert np.array_equal(rec.trajectory.x, x)
     assert np.array_equal(rec.r, r)
     assert np.array_equal(rec.alpha, alpha)
-    assert np.array_equal(rec.designed_residual, residual)
+    # one batched evaluation of the designed rows against the oracle's
+    # per-sample loop: both are pure round-off
+    assert np.abs(rec.designed_residual - residual).max() <= 1e-14
 
 
 def test_playback_baseline_matches_oracle(cparams, gait):

@@ -84,7 +84,8 @@ class TestNelderMead:
 
 
 def constant_target_stack(gamma_fn=None, dim=1):
-    """One Designed row on a `dim`-state: coefficient e_0, value gamma(t)."""
+    """One Designed row on a `dim`-state: coefficient e_0, value gamma(t),
+    at one time or at an array of times."""
     if gamma_fn is None:
         return ConstraintStack(
             ambient_dim=dim,
@@ -92,7 +93,8 @@ def constant_target_stack(gamma_fn=None, dim=1):
     row = np.eye(dim)[0]
     block = ConstraintBlock(
         priority=Priority.DESIGNED,
-        rows=lambda t, x: (row[None, :], np.array([gamma_fn(t)])))
+        rows=lambda t, x: (np.broadcast_to(row, np.shape(t) + (1, dim)),
+                           np.broadcast_to(gamma_fn(t), np.shape(t))[..., None]))
     return ConstraintStack(ambient_dim=dim, blocks=[block])
 
 
