@@ -5,7 +5,7 @@ after constraint-level damage.
 Subsystems
 ----------
 constraints   priority-ranked constraint stacks, rank analysis, velocity solves
-encoding      output templates, pullbacks, Fourier-in-phase constraint learning
+encoding      encoding-map Jacobians, pullbacks, Fourier-in-phase learning
 signals       Fourier series, PCA, phase estimation
 trajectory    uniformly sampled state series with CSV round-trip
 integrate     fixed-step integration with Newton projection onto manifolds

@@ -8,7 +8,10 @@ l1/l2, giving four real Pfaffian rows (real and imaginary parts of the two
 complex foot velocities).
 
 The encoding template is the polar form (r, alpha) of the body-frame midpoint
-of the two feet. Designed rows keep that midpoint stationary in the world
+of the two feet; ``template_encoding_map`` gives it to the learning pipeline
+as its Jacobian, and ``template_traces`` gives its values. Like the
+kinematics and the constraint blocks, both take one state or a block of
+states. Designed rows keep that midpoint stationary in the world
 (rows 1-2, implied by the pinned feet), drive (r, alpha) along recorded gait
 rates (rows 3-4), and lock x to theta0 (row 5). Jamming a joint adds one
 physical row (that joint's velocity is zero); recovery re-solves the joint
@@ -28,8 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintBlock, ConstraintStack, Priority
-from .encoding import EncodingMap
+from .constraints import ConstraintBlock, ConstraintStack, Priority, residual
 from .integrate import (IntegrationError, ProjectedIntegratorConfig,
                         integrate_projected)
 from .trajectory import Trajectory
@@ -38,8 +40,8 @@ G_DIM = 3
 N_JOINTS = 6
 STATE_DIM = 9
 
-# dr and dalpha as template 1-forms, used by the learning pipeline
-TEMPLATE_FORMS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+# dr and dalpha as template 1-forms (rows), used by the learning pipeline
+TEMPLATE_FORMS = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -52,12 +54,6 @@ class CrawlerParams:
     def __post_init__(self):
         if self.l1 == self.l2:
             raise ValueError("foot anchors must be distinct")
-
-
-@dataclass(frozen=True)
-class TemplateOutput:
-    r: float
-    alpha: float
 
 
 def _arms(params: CrawlerParams, joints: np.ndarray,
@@ -149,19 +145,6 @@ def _shape_jacobian(w, r, dw) -> np.ndarray:
     return out
 
 
-def template_map(params: CrawlerParams, state, tol: float = 1e-12,
-                 ) -> TemplateOutput:
-    w, r, _ = _midpoint(_kinematics(params, np.asarray(state, dtype=float)),
-                        tol)
-    return TemplateOutput(r=float(r), alpha=float(np.angle(w)))
-
-
-def shape_jacobian(params: CrawlerParams, state) -> np.ndarray:
-    """(2, 6) Jacobian of (r, alpha) w.r.t. the joint angles."""
-    return _shape_jacobian(
-        *_midpoint(_kinematics(params, np.asarray(state, dtype=float))))
-
-
 def _pullback(jac_shape: np.ndarray) -> np.ndarray:
     """(..., 5, 9) Jacobian of (x, y, theta0, r, alpha) given that of
     (r, alpha)."""
@@ -171,20 +154,15 @@ def _pullback(jac_shape: np.ndarray) -> np.ndarray:
     return out
 
 
-def template_jacobian(params: CrawlerParams, state) -> np.ndarray:
-    """(5, 9) Jacobian of (x, y, theta0, r, alpha) w.r.t. the state."""
-    return _pullback(shape_jacobian(params, state))
+def template_encoding_map(params: CrawlerParams) -> Callable:
+    """The template (r, alpha) as an encoding map: its (2, 9) Jacobian at one
+    state, (..., 2, 9) at a block of states."""
 
+    def dphi(state):
+        kin = _kinematics(params, np.asarray(state, dtype=float))
+        return _pullback(_shape_jacobian(*_midpoint(kin)))[..., G_DIM:, :]
 
-def template_encoding_map(params: CrawlerParams) -> EncodingMap:
-    def outputs(state):
-        out = template_map(params, state)
-        return np.array([out.r, out.alpha])
-
-    def jacobian(state):
-        return template_jacobian(params, state)[3:]
-
-    return EncodingMap(outputs=outputs, jacobian=jacobian)
+    return dphi
 
 
 def shape_features(x) -> np.ndarray:
@@ -453,8 +431,7 @@ def recovery_field(params: CrawlerParams, reference: ReferenceGait,
     5; joint rates are the minimum-norm solution of the stacked foot rows,
     template-rate rows, and the jam row. The arms are evaluated once per call.
     """
-    e_jam = np.zeros(N_JOINTS)
-    e_jam[jam - 1] = 1.0
+    e_jam = apply_jam(jam)[G_DIM:]
 
     def field(t, state):
         rates = np.asarray(reference.rates_at(t))
@@ -486,9 +463,8 @@ class RecoveryResult:
 
 
 def _designed_residuals(params, reference, t, x, v) -> np.ndarray:
-    des = design_constraints(params, x, rates=reference.rates_at(t))
-    return np.linalg.norm((des.rows @ v[..., None])[..., 0] - des.gamma,
-                          axis=-1)
+    return np.linalg.norm(residual(crawler_stack(params, reference), t, x, v,
+                                   classes=(Priority.DESIGNED,)), axis=-1)
 
 
 def recover(params: CrawlerParams, reference: ReferenceGait, jam: int,
@@ -511,8 +487,7 @@ def recover(params: CrawlerParams, reference: ReferenceGait, jam: int,
         cfg = ProjectedIntegratorConfig(dt=reference.dt, projection_tol=1e-11)
     x0 = reference.initial_state
     locked = x0[G_DIM - 1 + jam]
-    jam_grad = np.zeros((1, STATE_DIM))
-    jam_grad[0, G_DIM - 1 + jam] = 1.0
+    jam_grad = apply_jam(jam)[None]
 
     def c(state):
         res, rows = _feet(params, state)
@@ -555,15 +530,10 @@ def playback_baseline(params: CrawlerParams, reference: ReferenceGait,
     """Replay the recorded joint curves with the jammed joint stuck.
 
     Each pose is the closed-form least-squares fit of the (generally
-    infeasible) foot equations; the result is the no-recovery trajectory.
+    infeasible) foot equations; the result is the no-recovery trajectory,
+    the zero-amplitude rollout of ``gait_perturbation_provider``.
     """
-    t = reference.t[::2]
-    thetas = reference.x[::2, G_DIM:].copy()
-    jam = _jam_index(jam)
-    if jam:
-        thetas[:, jam - 1] = thetas[0, jam - 1]
-    X = _pose_refit_rollout(params, thetas, reference.x[0, :G_DIM])
-    return Trajectory(t=t.copy(), x=X)
+    return gait_perturbation_provider(params, reference, jam, stride=1)(())
 
 
 def gait_perturbation_provider(params: CrawlerParams,

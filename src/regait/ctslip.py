@@ -548,7 +548,6 @@ def count_completing(params: CTSlipParams, ensemble: Sequence[HybridState],
                if simulate_hybrid(params, ic, T, cfg).strides >= strides)
 
 
-_FREE_PARAMS = ("K", "L", "mu", "eta", "frequency")
 FREE_PARAM_BOUNDS = ((4.0, 400.0), (40.0, 140.0), (0.0, 1.5), (-0.15, 0.15),
            (0.2, 4.0))
 FREE_PARAM_STEPS = (3.0, 6.0, 0.06, 0.012, 0.08)

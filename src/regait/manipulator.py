@@ -68,15 +68,11 @@ class ForceSignal:
 
 
 def constrained_accel(model: ManipulatorModel, q, qd, u,
-                      constraint: Callable | None = None,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the saddle system for (qdd, lam) at one state.
 
     [M  -A^T] [qdd]   [B u - C  ]
     [A    0 ] [lam] = [-Adot qd ]
-
-    ``constraint`` optionally overrides the model's A (used for perturbed
-    plants without rebuilding the model).
     """
     q = np.asarray(q, dtype=float)
     qd = np.asarray(qd, dtype=float)
@@ -84,11 +80,8 @@ def constrained_accel(model: ManipulatorModel, q, qd, u,
     M = np.asarray(model.inertia(q), dtype=float)
     C = np.asarray(model.bias(q, qd), dtype=float)
     B = model.input_map
-    if constraint is None:
-        A = model.constraint_at(q)
-        Adot = model.constraint_rate_at(q, qd)
-    else:
-        A, Adot = _constraint_pair(constraint, model, q, qd)
+    A = model.constraint_at(q)
+    Adot = model.constraint_rate_at(q, qd)
     m, n = A.shape
     if m == 0:
         return np.linalg.solve(M, B @ u - C), np.zeros(0)
@@ -252,8 +245,7 @@ def _velocity_constraint(model: ManipulatorModel):
 
 
 def simulate_with_input(model: ManipulatorModel, u_of_t: Callable,
-                        q0, qd0, t1: float, dt: float = 1e-3,
-                        project_velocity: bool = True) -> Trajectory:
+                        q0, qd0, t1: float, dt: float = 1e-3) -> Trajectory:
     """Integrate the constrained plant under u(t, state); records inputs.
 
     The Pfaffian constraint is enforced at acceleration level by the saddle
@@ -262,9 +254,9 @@ def simulate_with_input(model: ManipulatorModel, u_of_t: Callable,
     x0 = np.concatenate([np.asarray(q0, dtype=float),
                          np.asarray(qd0, dtype=float)])
     cfg = ProjectedIntegratorConfig(dt=dt)
-    c = _velocity_constraint(model) if project_velocity else None
     traj, _ = integrate_projected(_constrained_field(model, u_of_t),
-                                  c, 0.0, x0, t1, cfg)
+                                  _velocity_constraint(model), 0.0, x0, t1,
+                                  cfg)
     u = np.array([np.asarray(u_of_t(traj.t[k], traj.x[k]), dtype=float)
                   for k in range(len(traj))])
     return Trajectory(t=traj.t, x=traj.x, u=u)

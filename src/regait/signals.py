@@ -1,7 +1,8 @@
 """Shared signal-processing substrate.
 
 Fourier series in phase (the storage format for learned constraint values),
-principal component analysis and a PCA-plane phase estimator.
+principal component analysis and a PCA-plane phase estimator, which takes
+one sample or a block of samples.
 """
 
 from __future__ import annotations
@@ -157,21 +158,11 @@ class PhaseEstimator:
         return self.direction_sign * raw - self.offset
 
 
-def estimate_phase(est: PhaseEstimator, x) -> float:
-    """Phase of a single state in [0, 2*pi). Raises near the estimator center."""
-    x = np.asarray(x, dtype=float)
-    c = (x - est.center) @ est.pca_basis.T
-    if np.hypot(c[0], c[1]) <= est.min_radius:
-        raise ValueError("phase undefined: projection at the estimator center")
-    phase = est.direction_sign * np.arctan2(c[1], c[0]) - est.offset
-    return float(np.mod(phase, TWO_PI))
-
-
 def estimate_phases(est: PhaseEstimator, X) -> np.ndarray:
-    """Row-wise ``estimate_phase`` over an N x d sample block."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    c = (X - est.center) @ est.pca_basis.T
-    if np.any(np.hypot(c[:, 0], c[:, 1]) <= est.min_radius):
+    """Phase in [0, 2*pi) of one sample (d,), a 0-d value, or of each sample
+    of a (..., d) block. Raises near the estimator center."""
+    c = (np.asarray(X, dtype=float) - est.center) @ est.pca_basis.T
+    if np.any(np.hypot(c[..., 0], c[..., 1]) <= est.min_radius):
         raise ValueError("phase undefined: projection at the estimator center")
-    phase = est.direction_sign * np.arctan2(c[:, 1], c[:, 0]) - est.offset
+    phase = est.direction_sign * np.arctan2(c[..., 1], c[..., 0]) - est.offset
     return np.mod(phase, TWO_PI)

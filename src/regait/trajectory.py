@@ -99,6 +99,9 @@ class Trajectory:
             except ValueError as exc:
                 raise TrajectoryFormatError(
                     f"{path}: line {lineno}: {exc}") from None
+            if not np.all(np.isfinite(vals)):
+                raise TrajectoryFormatError(
+                    f"{path}: line {lineno}: non-finite field in {line!r}")
             t.append(vals[0])
             rows.append(vals[1:])
         if not rows:

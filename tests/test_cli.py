@@ -97,11 +97,16 @@ class TestLearnCommand:
 
     def test_corrupt_csv_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "traj.csv"
-        bad.write_text("t,q_0\n0.0,1.0\noops,2.0\n")
-        code = main(["learn", "--traj", str(bad),
-                     "--out", str(tmp_path / "x")])
-        assert code == 4
-        assert "line 3" in capsys.readouterr().err
+        header = "t," + ",".join(f"q_{i}" for i in range(9))
+        good = ",".join(["0.0"] + ["1.0"] * 9)
+        for row in ("oops" + ",2.0" * 9,            # unparsable field
+                    "0.1,nan" + ",2.0" * 8,         # non-finite state
+                    "inf" + ",2.0" * 9):            # non-finite time
+            bad.write_text(f"{header}\n{good}\n{row}\n")
+            code = main(["learn", "--traj", str(bad),
+                         "--out", str(tmp_path / "x")])
+            assert code == 4
+            assert "line 3" in capsys.readouterr().err
 
     def test_wrong_state_dimension(self, tmp_path, capsys):
         small = tmp_path / "traj.csv"

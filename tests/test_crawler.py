@@ -5,15 +5,15 @@ from regait import crawler
 from regait.constraints import (ConstraintStack, Priority, constant_block,
                                 evaluate_with_classes, rank_report, residual,
                                 solve_velocity)
-from regait.encoding import learn_constraints, learned_block
+from regait.encoding import learn_constraints, learned_block, record_eta
 from regait.crawler import (CrawlerParams, angle_difference, apply_jam,
                             crawler_stack, design_constraints, foot_matrix,
                             foot_residual, foot_residual_series,
                             gait_perturbation_provider, group_velocity,
                             initial_configuration, limb_endpoints,
                             physical_block, playback_baseline, recover,
-                            recovery_field, reference_gait, shape_jacobian,
-                            template_jacobian, template_map, template_traces)
+                            recovery_field, reference_gait,
+                            template_encoding_map, template_traces)
 from regait.integrate import IntegrationError
 from regait.optimize import _trapz, constraint_violation_cost
 from regait.signals import PhaseEstimator
@@ -72,10 +72,9 @@ class TestKinematics:
         r0 = np.linalg.norm(foot_residual(cparams, state))
         r1 = np.linalg.norm(foot_residual(moved_params, moved))
         assert r1 == pytest.approx(r0, abs=1e-12)
-        t0 = template_map(cparams, state)
-        t1 = template_map(moved_params, moved)
-        assert t1.r == pytest.approx(t0.r, abs=1e-12)
-        assert t1.alpha == pytest.approx(t0.alpha, abs=1e-12)
+        t0 = template_traces(cparams, state)
+        t1 = template_traces(moved_params, moved)
+        assert np.allclose(t1, t0, rtol=0.0, atol=1e-12)
 
 
 class TestPhysicalConstraints:
@@ -107,17 +106,17 @@ class TestPhysicalConstraints:
 
 class TestTemplateMap:
     def test_straight_arms_value(self, cparams):
-        out = template_map(cparams, np.zeros(9))
-        assert out.r == pytest.approx(3.0, abs=1e-12)
-        assert out.alpha == pytest.approx(0.0, abs=1e-12)
+        (r,), (alpha,) = template_traces(cparams, np.zeros(9))
+        assert r == pytest.approx(3.0, abs=1e-12)
+        assert alpha == pytest.approx(0.0, abs=1e-12)
 
     def test_start_configuration_value(self, cparams):
         x0 = initial_configuration(cparams)
-        out = template_map(cparams, x0)
+        (r,), (alpha,) = template_traces(cparams, x0)
         # Both feet anchored at height 2 with the body at the origin: the
         # midpoint sits straight above the hips at distance 2.
-        assert out.r == pytest.approx(2.0, abs=1e-9)
-        assert out.alpha == pytest.approx(np.pi / 2, abs=1e-9)
+        assert r == pytest.approx(2.0, abs=1e-9)
+        assert alpha == pytest.approx(np.pi / 2, abs=1e-9)
 
     def test_arm_swap_symmetry(self, cparams):
         rng = np.random.default_rng(3)
@@ -126,32 +125,26 @@ class TestTemplateMap:
                                        h1=cparams.h2, h2=cparams.h1)
         swapped = state.copy()
         swapped[3:6], swapped[6:9] = state[6:9].copy(), state[3:6].copy()
-        a = template_map(cparams, state)
-        b = template_map(swapped_params, swapped)
-        assert b.r == pytest.approx(a.r, abs=1e-12)
-        assert b.alpha == pytest.approx(a.alpha, abs=1e-12)
+        a = template_traces(cparams, state)
+        b = template_traces(swapped_params, swapped)
+        assert np.allclose(b, a, rtol=0.0, atol=1e-12)
 
     def test_midpoint_at_origin_rejected(self, cparams):
         state = np.zeros(9)
         state[3] = np.pi  # arm 1 folds to -2, arm 2 reaches +2
         with pytest.raises(ValueError, match="midpoint"):
-            template_map(cparams, state)
+            template_encoding_map(cparams)(state)
 
     def test_jacobians_match_finite_difference(self, cparams):
         rng = np.random.default_rng(4)
         state = np.concatenate([rng.standard_normal(3),
                                 rng.uniform(-0.8, 0.8, 6)])
 
-        def outputs(s):
-            out = template_map(cparams, s)
-            return np.array([out.r, out.alpha])
-
-        num = fd_rows(outputs, state)
-        assert np.allclose(shape_jacobian(cparams, state), num[:, 3:],
+        num = fd_rows(lambda s: np.concatenate(template_traces(cparams, s)),
+                      state)
+        assert np.allclose(template_encoding_map(cparams)(state), num,
                            atol=1e-6)
         assert np.abs(num[:, :3]).max() < 1e-7  # body-frame: pose-invariant
-        full = template_jacobian(cparams, state)
-        assert np.allclose(full[3:], num, atol=1e-6)
 
     def test_batched_traces_match_scalar(self, cparams):
         rng = np.random.default_rng(5)
@@ -159,9 +152,33 @@ class TestTemplateMap:
                             rng.uniform(-1.0, 1.0, (7, 6))], axis=1)
         r, a = template_traces(cparams, X)
         for k in range(7):
-            out = template_map(cparams, X[k])
-            assert r[k] == pytest.approx(out.r, abs=1e-12)
-            assert a[k] == pytest.approx(out.alpha, abs=1e-12)
+            assert np.array_equal(template_traces(cparams, X[k]),
+                                  ([r[k]], [a[k]]))
+        # the body-frame foot midpoint, from the world-frame feet
+        f1, f2 = limb_endpoints(cparams, X)
+        w = np.exp(-1j * X[:, 2]) * (0.5 * (f1 + f2) - X[:, 0] - 1j * X[:, 1])
+        assert np.allclose(r, np.abs(w), rtol=0.0, atol=1e-12)
+        assert np.allclose(a, np.angle(w), rtol=0.0, atol=1e-12)
+
+    def test_jacobian_block_slices_match_single_states(self, cparams, gait):
+        dphi = template_encoding_map(cparams)
+        X = gait.x[::97]
+        block = dphi(X)
+        assert block.shape == (len(X), 2, 9)
+        for k in range(len(X)):
+            one = dphi(X[k])
+            assert one.shape == (2, 9)
+            assert np.abs(block[k] - one).max() <= 1e-15 * np.abs(one).max()
+
+    def test_record_eta_matches_per_sample_definition(self, cparams, gait):
+        dphi = template_encoding_map(cparams)
+        full = gait.full_grid()
+        v = full.velocities()
+        eta = record_eta(dphi, crawler.TEMPLATE_FORMS, full)
+        want = np.array([[form @ dphi(x) @ vk for x, vk in zip(full.x, v)]
+                         for form in crawler.TEMPLATE_FORMS])
+        assert eta.shape == want.shape
+        assert np.abs(eta - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestDesignRows:
@@ -177,7 +194,7 @@ class TestDesignRows:
         rng = np.random.default_rng(6)
         x0 = gait.initial_state
         v = rng.standard_normal(9)
-        rdot, alphadot = shape_jacobian(cparams, x0) @ v[3:]
+        rdot, alphadot = template_encoding_map(cparams)(x0) @ v
         des = design_constraints(cparams, x0, rates=(rdot, alphadot))
         assert abs(des.rows[2] @ v - des.gamma[2]) < 1e-12
         assert abs(des.rows[3] @ v - des.gamma[3]) < 1e-12
@@ -349,8 +366,8 @@ class TestRecovery:
         # beta = theta0 + alpha with r*sin(beta) = 1 makes the pose block
         # singular; rotating the start body frame reaches that locus.
         x = gait.initial_state.copy()
-        out = template_map(cparams, x)
-        x[2] = np.arcsin(1.0 / out.r) - out.alpha
+        (r,), (alpha,) = template_traces(cparams, x)
+        x[2] = np.arcsin(1.0 / r) - alpha
         field = recovery_field(cparams, gait, 1)
         with pytest.raises(IntegrationError, match="rank"):
             field(0.0, x)

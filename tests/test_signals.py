@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from regait.signals import (FourierSeries, PhaseEstimator, deriv_fourier,
-                            estimate_phase, estimate_phases, eval_fourier,
-                            fit_fourier, pca_fit)
+                            estimate_phases, eval_fourier, fit_fourier,
+                            pca_fit)
 
 TWO_PI = 2.0 * np.pi
 
@@ -160,12 +160,18 @@ class TestPhaseEstimator:
         _, data = self.circle()
         est = PhaseEstimator.fit(data)
         with pytest.raises(ValueError, match="center"):
-            estimate_phase(est, est.center)
+            estimate_phases(est, est.center)
 
     def test_batch_matches_scalar(self):
+        # one sample gives a 0-d phase equal to its row of the block call,
+        # and any leading dims are kept
         _, data = self.circle(64)
         est = PhaseEstimator.fit(data)
         batch = estimate_phases(est, data[:10])
-        single = np.array([estimate_phase(est, row) for row in data[:10]])
-        assert np.array_equal(batch, single)
+        for k in range(10):
+            one = estimate_phases(est, data[k])
+            assert np.ndim(one) == 0 and one == batch[k]
+        assert np.array_equal(
+            estimate_phases(est, data[:10].reshape(2, 5, 2)),
+            batch.reshape(2, 5))
 
