@@ -78,6 +78,15 @@ class BuehlerClock:
 
         return at
 
+    def angles(self, t: np.ndarray, chi0: float) -> np.ndarray:
+        """Commanded angles of legs 0 and 1 (rows) at a 1-D array of times,
+        with the operations of ``signal`` elementwise."""
+        duty, sweep = self.duty_factor, self.sweep_angle
+        omega, offset = TWO_PI * self.frequency, np.array([[0.0], [math.pi]])
+        s = ((chi0 + omega * t + offset) / TWO_PI) % 1.0
+        return np.where(s < duty, sweep * (1.0 - 2.0 * s / duty),
+                        -sweep + 2.0 * sweep * ((s - duty) / (1.0 - duty)))
+
 
 @dataclass(frozen=True)
 class CTSlipParams:
@@ -171,6 +180,8 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0.0 or self.bisect_tol <= 0.0:
             raise ValueError("dt and bisect_tol must be positive")
+        if self.max_events_per_step < 1:
+            raise ValueError("max_events_per_step must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -226,8 +237,10 @@ def _liftoff_map(u: Sequence[float], foot: tuple) -> tuple:
             zd * cp - zeta * pd * sp)
 
 
-def _modes(params: CTSlipParams, chi0: float) -> dict:
-    """Mode -> (RK4 step(t, u, h), guards, guard values), built once per run.
+def _modes(params: CTSlipParams, chi0: float, dt: float,
+           ) -> tuple[dict, Callable]:
+    """Mode -> (RK4 step(t, u, h), guards, guard values), built once per run,
+    and the flight block advance on the grid of width dt.
 
     A guard is (kind, leg, value, armed); an event fires when value crosses
     from > 0 to <= 0 inside a step (and the armed predicate holds, if any).
@@ -236,6 +249,8 @@ def _modes(params: CTSlipParams, chi0: float) -> dict:
     ng_sum = ng + 2.0 * ng + 2.0 * ng + ng
     armed_below = params.clock.touchdown_angle + 1e-12
     floor = 1e-3 * L
+    margin = 1e-9 * L  # far above numpy's cos error in a guard value
+    half_cycle = math.ceil(0.5 / (params.clock.frequency * dt))
     cos = math.cos
 
     def flight(t, u, h):
@@ -246,6 +261,32 @@ def _modes(params: CTSlipParams, chi0: float) -> dict:
         return (x + s * (xd + 2.0 * xd + 2.0 * xd + xd),
                 y + s * (yd + 2.0 * yd_mid + 2.0 * yd_mid + yd_end),
                 xd, yd + s * ng_sum)
+
+    def flight_block(k, u, n):
+        """Full flight steps from grid step k, at most n and at most half a
+        clock cycle, as arrays: the sample rows of the leading steps no
+        guard can fire on, and the state after the last of them."""
+        n = min(n, half_cycle)
+        t = np.arange(k, k + n + 1) * dt
+        h = t[1:] - t[:-1]
+        x, y, xd, yd = u
+        xd += 0.0
+        s = h / 6.0
+        yds = np.add.accumulate(np.concatenate(((yd,), s * ng_sum)))
+        yd0 = yds[:-1]
+        yd_mid, yd_end = yd0 + 0.5 * h * ng, yd0 + h * ng
+        ys = np.add.accumulate(np.concatenate((
+            (y,), s * (yd0 + 2.0 * yd_mid + 2.0 * yd_mid + yd_end))))
+        xs = np.add.accumulate(np.concatenate((
+            (x,), s * (xd + 2.0 * xd + 2.0 * xd + xd))))
+        v = np.vstack((ys, ys - L * np.cos(params.clock.angles(t, chi0))))
+        safe = ((v[:, 1:] > margin) | (v[:, :-1] < -margin)).all(axis=0)
+        c = n if safe.all() else int(safe.argmin())
+        rows = np.empty((c, 7))
+        rows[:, 0], rows[:, 1] = xs[1:c + 1], ys[1:c + 1]
+        rows[:, 3] = yds[1:c + 1]
+        rows[:, 2], rows[:, 4:] = xd, (L, math.nan, Mode.FLIGHT.value)
+        return rows, (float(xs[c]), float(ys[c]), xd, float(yds[c]))
 
     def stance(leg):
         accel = _stance_law(params, chi0, leg)
@@ -284,9 +325,15 @@ def _modes(params: CTSlipParams, chi0: float) -> dict:
               ("crash", None, lambda t, u: u[0] - floor, None),
               ("liftoff", None, lambda t, u: L - u[0], None))
     values = [g[2] for g in landed]
-    return {Mode.FLIGHT: (flight, airborne, [g[2] for g in airborne]),
-            Mode.STANCE_LEFT: (stance(0), landed, values),
-            Mode.STANCE_RIGHT: (stance(1), landed, values)}
+    return ({Mode.FLIGHT: (flight, airborne, [g[2] for g in airborne]),
+             Mode.STANCE_LEFT: (stance(0), landed, values),
+             Mode.STANCE_RIGHT: (stance(1), landed, values)}, flight_block)
+
+
+def _sample_rows(samples: list) -> np.ndarray:
+    """(N, 7) array of a list of 7-tuple samples."""
+    return np.fromiter(chain.from_iterable(samples), float,
+                       7 * len(samples)).reshape(-1, 7)
 
 
 def _first_event(step, guards, ta, ua, va, tb, ub, vb, tol):
@@ -323,9 +370,24 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
     the uniform grid. The run stops at the first crash (absorbing mode).
     Guards are tested only at step ends, so a guard that crosses zero and
     back inside one step (a grazing touchdown) fires no event.
+
+    A full grid step that starts in flight starts a block of up to half a
+    clock cycle of flight steps, computed with numpy. Each step's width is
+    (k+1)*dt - k*dt and its increments take the scalar step's operations in
+    the same order, elementwise; x, y and ydot are summed left to right by
+    ``np.add.accumulate``. numpy rounds each IEEE +, -, * and / as Python
+    does, so every stored state has the scalar loop's bits. The block
+    keeps only its leading steps on which no guard can fire: each
+    guard's value is above a margin at the step's end or below minus the
+    margin at its start. The margin is far above the rounding of numpy's
+    cosine in the touchdown guards, so the first step that may fire is left
+    to the scalar loop, which makes every event decision, bisection and
+    post-event remainder as before.
     """
     cfg = cfg if cfg is not None else SimConfig()
     dt, tol = cfg.dt, cfg.bisect_tol
+    if not 0.0 <= T < math.inf:
+        raise ValueError(f"span T={T} is negative or not finite")
     nsteps = int(round(T / dt))
     if abs(nsteps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError("span must be an integer number of steps")
@@ -343,16 +405,26 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
     else:
         raise ValueError("initial condition must be flight or stance")
 
-    modes = _modes(params, chi0)
+    modes, flight_block = _modes(params, chi0, dt)
     step, guards, (v0, v1, v2) = modes[mode]
     flight_tail = (params.L, math.nan, Mode.FLIGHT.value)
     stance_value = mode.value
     samples = [u + flight_tail if foot is None
                else _liftoff_map(u, foot) + (u[0], u[1], stance_value)]
+    blocks = []  # sample arrays before `samples`, in order
     events, crashed = [], False
     va = None  # guard values at (ta, u), carried over from the last step end
 
-    for k in range(nsteps):
+    k = 0
+    while k < nsteps:
+        if mode is Mode.FLIGHT:
+            rows, u_next = flight_block(k, u, nsteps - k)
+            if len(rows):
+                blocks += (_sample_rows(samples), rows)
+                samples, u, va = [], u_next, None
+                k += len(rows)
+                if k == nsteps:
+                    break
         ta, tb = k * dt, (k + 1) * dt
         for _ in range(cfg.max_events_per_step):
             if va is None:
@@ -392,10 +464,10 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
             break
         samples.append(u + flight_tail if foot is None
                        else _liftoff_map(u, foot) + (u[0], u[1], stance_value))
+        k += 1
 
-    arr = np.fromiter(chain.from_iterable(samples), float,
-                      7 * len(samples)).reshape(-1, 7)
-    return SimResult(params=params, t=np.arange(len(samples)) * dt,
+    arr = np.concatenate(blocks + [_sample_rows(samples)])
+    return SimResult(params=params, t=np.arange(len(arr)) * dt,
                      com=arr[:, :4], zeta=arr[:, 4], psi=arr[:, 5],
                      mode=arr[:, 6].astype(int), events=events,
                      crashed=crashed)

@@ -7,6 +7,7 @@ stored, so constraint error cannot compound with integration time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,6 +81,8 @@ def integrate_projected(f, c, t0: float, x0, t1: float,
     the RK4 first stage of the step leaving it (one extra evaluation at the
     last sample). ``c`` may be None for plain unconstrained integration.
     """
+    if not (math.isfinite(t0) and t0 <= t1 < math.inf):
+        raise ValueError(f"span [{t0}, {t1}] is negative or not finite")
     x = np.asarray(x0, dtype=float)
     if c is not None:
         res0, _ = c(x)

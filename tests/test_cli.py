@@ -158,6 +158,13 @@ class TestCtslipCommand:
         assert m["crashed"] is False
         assert m["strides"] >= 2
 
+    def test_negative_span_fails(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        code = main(["ctslip", "simulate", "--T", "-1", "--out", str(out)])
+        assert code == 3
+        assert "span T=-1.0" in capsys.readouterr().err
+        assert not (out / "com.csv").exists()
+
     def test_recover_is_deterministic(self, tmp_path):
         outs = []
         for name in ("rec_a", "rec_b"):

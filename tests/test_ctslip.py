@@ -179,6 +179,17 @@ class TestFlight:
         with pytest.raises(ValueError, match="integer"):
             simulate_hybrid(params, nominal_ic(params), T=0.0501)
 
+    @pytest.mark.parametrize("T", [-1.0, math.nan, math.inf])
+    def test_negative_or_infinite_span_rejected(self, T):
+        params = CTSlipParams()
+        with pytest.raises(ValueError, match=f"span T={T}"):
+            simulate_hybrid(params, nominal_ic(params), T=T)
+
+    def test_event_budget_must_allow_one_event(self):
+        with pytest.raises(ValueError, match="max_events_per_step"):
+            SimConfig(max_events_per_step=0)
+        assert SimConfig(max_events_per_step=1).max_events_per_step == 1
+
     def test_stance_start_requires_anchor(self):
         params = CTSlipParams()
         ic = HybridState(mode=Mode.STANCE_LEFT, com=(0.0, 70.0, 0.0, 0.0))

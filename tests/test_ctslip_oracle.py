@@ -12,9 +12,12 @@ from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regait import ctslip
-from regait.ctslip import (FREE_PARAM_STEPS, BuehlerClock, CrashSignal,
+from regait.ctslip import (FREE_PARAM_BOUNDS, FREE_PARAM_STEPS,
+                           BuehlerClock, CrashSignal,
                            CTSlipParams, Event, HybridState, Mode, SimConfig,
                            SimResult, _apply_free, apex_state,
                            build_reference, make_ensemble, nominal_ic,
@@ -270,6 +273,15 @@ def _stance_drop(params, psi0=0.25):
     return HybridState(mode=Mode.STANCE_LEFT, com=com, foot=(0.0, 0.0))
 
 
+def _stance_liftoff(params, psi0=-0.1, gap=1e-3, speed=5.0):
+    """Stance start a little inside the rest length, extending fast enough
+    to lift off inside the first step."""
+    zeta = params.L - gap
+    sp, cp = math.sin(psi0), math.cos(psi0)
+    com = (-zeta * sp, zeta * cp, -speed * sp, speed * cp)
+    return HybridState(mode=Mode.STANCE_LEFT, com=com, foot=(0.0, 0.0))
+
+
 ENSEMBLE = make_ensemble(HEALTHY)
 FREEFALL = CTSlipParams(clock=BuehlerClock(frequency=1e-6))
 
@@ -294,6 +306,14 @@ GRID = {
                                           com=(0.0, 0.5, 0.0, -1000.0),
                                           foot=(0.0, 0.0)), 1.0, None),
     "fine-dt": (HEALTHY, ENSEMBLE[5], 3.0, SimConfig(dt=2e-4)),
+    # the span ends in the flight after a liftoff
+    "span-ends-in-flight": (HEALTHY, ENSEMBLE[6], 1.9, None),
+    # flights longer than half a clock cycle that end in touchdowns
+    "long-flight": (HEALTHY, apex_state(y=HEALTHY.L * math.cos(0.3) + 6.0,
+                                        xdot=22.0, clock_phase=0.55 * TWO_PI),
+                    4.0, None),
+    # the first flight starts after a liftoff inside the first step
+    "liftoff-first-step": (HEALTHY, _stance_liftoff(HEALTHY), 2.0, None),
 }
 
 
@@ -313,6 +333,40 @@ def test_grid_covers_every_outcome():
     assert runs["freefall-crash"].crashed
     assert runs["leg-collapse"].events == [Event("crash", 0.0)]
     assert runs["stance-drop"].mode[0] == Mode.STANCE_LEFT.value
+
+
+def test_flight_cases_have_their_shapes():
+    ends = oracle_simulate(*GRID["span-ends-in-flight"])
+    assert not ends.crashed and ends.events[-1].kind == "liftoff"
+    assert ends.mode[-1] == Mode.FLIGHT.value
+
+    params, ic, T, _ = GRID["long-flight"]
+    run = oracle_simulate(params, ic, T)
+    flights = [(b.time - a.time, b.kind)
+               for a, b in zip(run.events, run.events[1:])
+               if a.kind == "liftoff"]
+    half_cycle = 0.5 / params.clock.frequency
+    assert any(span > half_cycle and kind == "touchdown"
+               for span, kind in flights)
+    assert not run.crashed
+
+    lift = oracle_simulate(*GRID["liftoff-first-step"])
+    assert lift.events[0].kind == "liftoff"
+    assert lift.events[0].time < SimConfig().dt
+    assert lift.mode[0] == Mode.STANCE_LEFT.value
+    assert lift.mode[1] == Mode.FLIGHT.value
+
+
+@settings(max_examples=40, deadline=None)
+@given(clearance=st.floats(0.0, 10.0), speed=st.floats(0.0, 30.0),
+       phase=st.floats(0.0, TWO_PI),
+       free=st.tuples(*(st.floats(lo, hi) for lo, hi in FREE_PARAM_BOUNDS)))
+def test_random_apex_starts_match_oracle(clearance, speed, phase, free):
+    params = _apply_free(HEALTHY, np.array(free))
+    y = params.L * math.cos(params.clock.touchdown_angle) + clearance
+    ic = apex_state(y=y, xdot=speed, clock_phase=phase)
+    assert_same_run(simulate_hybrid(params, ic, 2.0),
+                    oracle_simulate(params, ic, 2.0))
 
 
 def test_crash_alone_fits_a_one_event_budget():

@@ -108,6 +108,12 @@ class TestIntegrateProjected:
             integrate_projected(lambda t, x: np.zeros(1), None, 0.0,
                                 np.array([0.0]), 0.55, cfg(dt=0.1))
 
+    @pytest.mark.parametrize("t1", [0.5, np.nan, np.inf])
+    def test_negative_or_infinite_span_rejected(self, t1):
+        with pytest.raises(ValueError, match=rf"span \[1.0, {t1}\]"):
+            integrate_projected(lambda t, x: np.zeros(1), None, 1.0,
+                                np.array([0.0]), t1, cfg(dt=0.1))
+
     def test_sample_velocities_are_first_stages(self):
         calls = []
 
