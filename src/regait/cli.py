@@ -10,6 +10,7 @@ randomness flows from the manifest seed, and numeric outputs are written with
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -332,7 +333,8 @@ def cmd_manipulator(args) -> int:
     out = _ensure_out(args.out)
     model = point_mass_toy()
     perturbed = rescaled_constraint(
-        model, lambda q: 1.0 + 0.5 * math.sin(q[0] + 0.7))
+        model, lambda q: (1.0 + 0.5 * math.sin(q[0] + 0.7),
+                          np.array([0.5 * math.cos(q[0] + 0.7), 0.0])))
     rng = np.random.default_rng(args.seed)
     Q = rng.standard_normal((2, 2))
     while abs(np.linalg.det(Q)) < 0.3:
@@ -525,6 +527,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    fresh_out = not os.path.exists(args.out)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -540,6 +543,12 @@ def main(argv=None) -> int:
             ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        # a failed run leaves no empty output directory of its own making;
+        # rmdir refuses a directory that holds any output
+        if fresh_out:
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out)
 
 
 if __name__ == "__main__":

@@ -548,6 +548,8 @@ def recovery_cost(params: CTSlipParams, ensemble: Sequence[HybridState],
 APEX_MARGIN = 2.0
 APEX_SPEED = 22.0
 APEX_CLOCK_FRACTION = 0.55
+APEX_MARGIN_SPREAD = 0.20  # relative spread of the ensemble's apex clearance
+APEX_SPEED_SPREAD = 0.05   # relative spread of the ensemble's forward speed
 
 
 def nominal_ic(params: CTSlipParams) -> HybridState:
@@ -557,9 +559,8 @@ def nominal_ic(params: CTSlipParams) -> HybridState:
                       clock_phase=TWO_PI * APEX_CLOCK_FRACTION)
 
 
-def make_ensemble(params: CTSlipParams, n: int = 10, seed: int = 0,
-                  margin_spread: float = 0.20,
-                  speed_spread: float = 0.05) -> list[HybridState]:
+def make_ensemble(params: CTSlipParams, n: int = 10,
+                  seed: int = 0) -> list[HybridState]:
     """Fixed randomized apex ensemble around the canonical start.
 
     The apex clearance above touchdown height is perturbed relatively (a
@@ -572,8 +573,8 @@ def make_ensemble(params: CTSlipParams, n: int = 10, seed: int = 0,
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
-        fm = 1.0 + margin_spread * rng.uniform(-1.0, 1.0)
-        fx = 1.0 + speed_spread * rng.uniform(-1.0, 1.0)
+        fm = 1.0 + APEX_MARGIN_SPREAD * rng.uniform(-1.0, 1.0)
+        fx = 1.0 + APEX_SPEED_SPREAD * rng.uniform(-1.0, 1.0)
         out.append(apex_state(y=td_y + clearance * fm, xdot=base.com[2] * fx,
                               clock_phase=base.clock_phase))
     return out

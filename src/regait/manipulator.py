@@ -10,7 +10,7 @@ Includes a 2-DOF point-mass toy small enough for hand-checked oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,36 +23,30 @@ from .trajectory import Trajectory
 class ManipulatorModel:
     """Plant description; all pieces are functions of configuration.
 
-    ``constraint_rate`` returns dA/dt given (q, qd); omit it to use a central
-    finite difference of A along the direction qd.
+    ``constraint(q)`` returns the Pfaffian rows A (m, n) together with their
+    configuration derivative dA (m, n, n), dA[j, k, i] = dA_jk/dq_i, so that
+    dA/dt = dA @ qd. Perturbed constraints follow the same contract.
     """
 
     inertia: Callable[[np.ndarray], np.ndarray]
     bias: Callable[[np.ndarray, np.ndarray], np.ndarray]
     input_map: np.ndarray
-    constraint: Callable[[np.ndarray], np.ndarray]
-    constraint_rate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    constraint: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     @property
     def dof(self) -> int:
         return self.input_map.shape[0]
 
-    def constraint_at(self, q) -> np.ndarray:
-        A = np.asarray(self.constraint(np.asarray(q, dtype=float)), dtype=float)
-        return A.reshape(0, self.dof) if A.size == 0 else np.atleast_2d(A)
+    def constraint_at(self, q) -> tuple[np.ndarray, np.ndarray]:
+        return _pfaffian(self.constraint, q, self.dof)
 
-    def constraint_rate_at(self, q, qd) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        qd = np.asarray(qd, dtype=float)
-        if self.constraint_rate is not None:
-            out = np.asarray(self.constraint_rate(q, qd), dtype=float)
-            return out.reshape(0, self.dof) if out.size == 0 else np.atleast_2d(out)
-        speed = float(np.linalg.norm(qd))
-        if speed == 0.0:
-            return np.zeros_like(self.constraint_at(q))
-        h = 1e-6 * max(1.0, float(np.linalg.norm(q))) / speed
-        return (self.constraint_at(q + h * qd)
-                - self.constraint_at(q - h * qd)) / (2.0 * h)
+
+def _pfaffian(constraint: Callable, q, n: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(A, dA) of a constraint callable, shaped (m, n) and (m, n, n)."""
+    A, dA = constraint(np.asarray(q, dtype=float))
+    A = np.asarray(A, dtype=float).reshape(-1, n)
+    return A, np.asarray(dA, dtype=float).reshape(A.shape[0], n, n)
 
 
 @dataclass(frozen=True)
@@ -80,8 +74,8 @@ def constrained_accel(model: ManipulatorModel, q, qd, u,
     M = np.asarray(model.inertia(q), dtype=float)
     C = np.asarray(model.bias(q, qd), dtype=float)
     B = model.input_map
-    A = model.constraint_at(q)
-    Adot = model.constraint_rate_at(q, qd)
+    A, dA = model.constraint_at(q)
+    Adot = dA @ qd
     m, n = A.shape
     if m == 0:
         return np.linalg.solve(M, B @ u - C), np.zeros(0)
@@ -94,18 +88,6 @@ def constrained_accel(model: ManipulatorModel, q, qd, u,
     return sol[:n], sol[n:]
 
 
-def _constraint_pair(constraint, model, q, qd):
-    A = np.atleast_2d(np.asarray(constraint(q), dtype=float))
-    speed = float(np.linalg.norm(qd))
-    if speed == 0.0:
-        return A, np.zeros_like(A)
-    h = 1e-6 * max(1.0, float(np.linalg.norm(q))) / speed
-    Adot = (np.atleast_2d(np.asarray(constraint(q + h * qd), dtype=float))
-            - np.atleast_2d(np.asarray(constraint(q - h * qd), dtype=float))
-            ) / (2.0 * h)
-    return A, Adot
-
-
 def record_force_signal(model: ManipulatorModel, traj: Trajectory) -> ForceSignal:
     """eta at every sample of a trajectory that carries its inputs."""
     if traj.u is None:
@@ -114,7 +96,7 @@ def record_force_signal(model: ManipulatorModel, traj: Trajectory) -> ForceSigna
     eta = np.empty((len(traj), n))
     for k in range(len(traj)):
         q, qd = traj.x[k, :n], traj.x[k, n:]
-        A = model.constraint_at(q)
+        A, _ = model.constraint_at(q)
         _, lam = constrained_accel(model, q, qd, traj.u[k])
         eta[k] = model.input_map @ traj.u[k] + A.T @ lam
     return ForceSignal(t=traj.t.copy(), eta=eta)
@@ -144,7 +126,8 @@ def redesign_input(model: ManipulatorModel, perturbed_A: Callable, eta_d,
     M = np.asarray(model.inertia(q), dtype=float)
     C = np.asarray(model.bias(q, qd), dtype=float)
     B = model.input_map
-    A, Adot = _constraint_pair(perturbed_A, model, q, qd)
+    A, dA = _pfaffian(perturbed_A, q, model.dof)
+    Adot = dA @ qd
     Minv = np.linalg.inv(M)
     W = A @ Minv @ A.T
     Winv = np.linalg.inv(W)
@@ -169,12 +152,13 @@ def gauge_invariance_check(model: ManipulatorModel, Q: np.ndarray,
     sample. Defaults to the model's own constraint rows.
     """
     Q = np.asarray(Q, dtype=float)
-    if abs(np.linalg.det(Q)) < 1e-12:
-        raise ValueError("gauge matrix must be invertible")
+    n = model.dof
+    if Q.shape != (n, n) or np.linalg.matrix_rank(Q) < n:
+        raise ValueError("gauge matrix must be an invertible (dof, dof) "
+                         "matrix")
     if perturbed_A is None:
         perturbed_A = model.constraint_at
     signal = record_force_signal(model, traj)
-    n = model.dof
     for k in range(len(traj)):
         q, qd = traj.x[k, :n], traj.x[k, n:]
         plain = redesign_input(model, perturbed_A, signal.eta[k], q, qd)
@@ -196,19 +180,22 @@ def point_mass_toy(mass=(1.0, 1.0)) -> ManipulatorModel:
         inertia=lambda q: M,
         bias=lambda q, qd: np.zeros(2),
         input_map=np.eye(2),
-        constraint=lambda q: np.array([[np.sin(q[0]), 1.0]]),
-        constraint_rate=lambda q, qd: np.array(
-            [[np.cos(q[0]) * qd[0], 0.0]]),
+        constraint=lambda q: (np.array([[np.sin(q[0]), 1.0]]),
+                              np.array([[[np.cos(q[0]), 0.0], [0.0, 0.0]]])),
     )
 
 
-def rescaled_constraint(model: ManipulatorModel,
-                        factor: Callable[[np.ndarray], float]) -> Callable:
+def rescaled_constraint(model: ManipulatorModel, factor: Callable) -> Callable:
     """Row-rescaled constraint A~(q) = c(q) A(q); rank- and kernel-preserving
-    for positive c, so the original motion stays feasible."""
+    for positive c, so the original motion stays feasible.
+
+    ``factor(q)`` returns c and its gradient; dA~ follows by the product rule.
+    """
 
     def perturbed(q):
-        return float(factor(np.asarray(q, dtype=float))) * model.constraint_at(q)
+        c, grad = factor(np.asarray(q, dtype=float))
+        A, dA = model.constraint_at(q)
+        return c * A, c * dA + A[:, :, None] * np.asarray(grad, dtype=float)
 
     return perturbed
 
@@ -230,16 +217,8 @@ def _velocity_constraint(model: ManipulatorModel):
 
     def c(state):
         q, qd = state[:n], state[n:]
-        A = model.constraint_at(q)
-        res = A @ qd
-        jac_q = np.empty((A.shape[0], n))
-        h = 1e-6 * max(1.0, float(np.linalg.norm(q)))
-        for i in range(n):
-            dq = np.zeros(n)
-            dq[i] = h
-            jac_q[:, i] = ((model.constraint_at(q + dq)
-                            - model.constraint_at(q - dq)) @ qd) / (2.0 * h)
-        return res, np.hstack([jac_q, A])
+        A, dA = model.constraint_at(q)
+        return A @ qd, np.hstack([np.einsum("jki,k->ji", dA, qd), A])
 
     return c
 

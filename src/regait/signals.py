@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+MIN_RADIUS_FRACTION = 1e-6  # phase-estimator dead zone, relative to mean radius
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ class PhaseEstimator:
     min_radius: float = 0.0
 
     @classmethod
-    def fit(cls, data, min_radius_fraction: float = 1e-6) -> "PhaseEstimator":
+    def fit(cls, data) -> "PhaseEstimator":
         """Train on one or more cycles of d-dimensional samples.
 
         The training data must wind around its centroid in the PCA plane;
@@ -148,7 +149,7 @@ class PhaseEstimator:
         offset = sign * raw[0]
         return cls(pca_basis=basis[:2].copy(), center=center,
                    direction_sign=sign, offset=offset,
-                   min_radius=min_radius_fraction * float(radius.mean()))
+                   min_radius=MIN_RADIUS_FRACTION * float(radius.mean()))
 
     def training_phases(self, data) -> np.ndarray:
         """Unwrapped phase along a sample sequence (monotonicity diagnostics)."""

@@ -104,7 +104,8 @@ def test_manipulator_force_matching(capsys):
     with report(capsys, "force matching under a rescaled constraint") as out:
         model = point_mass_toy()
         perturbed = rescaled_constraint(
-            model, lambda q: 1.0 + 0.5 * math.sin(q[0] + 0.7))
+            model, lambda q: (1.0 + 0.5 * math.sin(q[0] + 0.7),
+                              np.array([0.5 * math.cos(q[0] + 0.7), 0.0])))
         rng = np.random.default_rng(3)
         Q = rng.standard_normal((2, 2))
         while abs(np.linalg.det(Q)) < 0.3:

@@ -159,11 +159,20 @@ class TestCtslipCommand:
         assert m["strides"] >= 2
 
     def test_negative_span_fails(self, tmp_path, capsys):
-        out = tmp_path / "sim"
-        code = main(["ctslip", "simulate", "--T", "-1", "--out", str(out)])
-        assert code == 3
+        # a failed run removes the output directory it created, and only that
+        cases = ((("ctslip", "simulate", "--T", "-1"), "span T=-1.0"),
+                 (("crawler", "--dt", "0.3"), "integer number of steps"))
+        for argv, message in cases:
+            out = tmp_path / "sim"
+            assert main([*argv, "--out", str(out)]) == 3
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert main(["ctslip", "simulate", "--T", "-1",
+                     "--out", str(kept)]) == 3
         assert "span T=-1.0" in capsys.readouterr().err
-        assert not (out / "com.csv").exists()
+        assert kept.is_dir()
 
     def test_recover_is_deterministic(self, tmp_path):
         outs = []

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from regait.manipulator import (ManipulatorModel, constrained_accel,
-                                gauge_invariance_check, point_mass_toy,
-                                record_force_signal, redesign_input,
-                                rescaled_constraint, run_force_matching,
-                                simulate_with_input)
+from regait.manipulator import (ManipulatorModel, _velocity_constraint,
+                                constrained_accel, gauge_invariance_check,
+                                point_mass_toy, record_force_signal,
+                                redesign_input, rescaled_constraint,
+                                run_force_matching, simulate_with_input)
 from regait.trajectory import Trajectory
 
 
@@ -15,9 +17,14 @@ def pinned_y_model(B=None):
         inertia=lambda q: np.eye(2),
         bias=lambda q, qd: np.zeros(2),
         input_map=np.eye(2) if B is None else np.asarray(B, dtype=float),
-        constraint=lambda q: np.array([[0.0, 1.0]]),
-        constraint_rate=lambda q, qd: np.zeros((1, 2)),
+        constraint=lambda q: (np.array([[0.0, 1.0]]), np.zeros((1, 2, 2))),
     )
+
+
+def sine_factor(q):
+    """Rescale factor c(q) = 1 + 0.5 sin(q0 + 0.7) and its gradient."""
+    return (1.0 + 0.5 * np.sin(q[0] + 0.7),
+            np.array([0.5 * np.cos(q[0] + 0.7), 0.0]))
 
 
 def free_model():
@@ -25,8 +32,42 @@ def free_model():
         inertia=lambda q: np.diag([2.0, 0.5]),
         bias=lambda q, qd: np.array([0.1, -0.2]),
         input_map=np.eye(2),
-        constraint=lambda q: np.zeros((0, 2)),
+        constraint=lambda q: (np.zeros((0, 2)), np.zeros((0, 2, 2))),
     )
+
+
+class TestConstraintDerivative:
+    def test_analytic_dA_matches_central_difference(self):
+        # dA[j, k, i] = dA_jk/dq_i, checked column by column against A.
+        model = point_mass_toy()
+        rows = {"toy": model.constraint_at,
+                "rescaled": rescaled_constraint(model, sine_factor)}
+        rng = np.random.default_rng(13)
+        h = 1e-6
+        for name, constraint in rows.items():
+            for _ in range(10):
+                q = rng.standard_normal(2)
+                _, dA = constraint(q)
+                for i in range(2):
+                    step = h * np.eye(2)[i]
+                    fd = (constraint(q + step)[0]
+                          - constraint(q - step)[0]) / (2.0 * h)
+                    assert np.abs(dA[:, :, i] - fd).max() < 1e-8, name
+
+    def test_projection_jacobian_matches_central_difference(self):
+        # the rescaled rows make dA[j, k, i] asymmetric in (k, i)
+        toy = point_mass_toy()
+        model = replace(toy, constraint=rescaled_constraint(toy, sine_factor))
+        c = _velocity_constraint(model)
+        rng = np.random.default_rng(17)
+        h = 1e-6
+        for _ in range(10):
+            x = rng.standard_normal(4)
+            _, jac = c(x)
+            for i in range(4):
+                step = h * np.eye(4)[i]
+                fd = (c(x + step)[0] - c(x - step)[0]) / (2.0 * h)
+                assert np.abs(jac[:, i] - fd).max() < 1e-8
 
 
 class TestConstrainedAccel:
@@ -56,8 +97,8 @@ class TestConstrainedAccel:
             inertia=lambda q: np.eye(2),
             bias=lambda q, qd: np.zeros(2),
             input_map=np.eye(2),
-            constraint=lambda q: np.array([[0.0, 1.0], [0.0, 1.0]]),
-            constraint_rate=lambda q, qd: np.zeros((2, 2)),
+            constraint=lambda q: (np.array([[0.0, 1.0], [0.0, 1.0]]),
+                                  np.zeros((2, 2, 2))),
         )
         with pytest.raises(ValueError, match="singular"):
             constrained_accel(model, np.zeros(2), np.zeros(2), np.ones(2))
@@ -72,11 +113,10 @@ class TestConstrainedAccel:
             qd = rng.standard_normal(2)
             # Velocity must start on the constraint for the identity to
             # be meaningful at acceleration level; project it first.
-            A = model.constraint_at(q)
+            A, dA = model.constraint_at(q)
             qd = qd - A.T @ np.linalg.solve(A @ A.T, A @ qd)
             qdd, _ = constrained_accel(model, q, qd, u)
-            Adot = model.constraint_rate_at(q, qd)
-            assert np.abs(A @ qdd + Adot @ qd).max() < 1e-10
+            assert np.abs(A @ qdd + (dA @ qd) @ qd).max() < 1e-10
 
 
 class TestRecordForceSignal:
@@ -123,7 +163,7 @@ class TestRedesignInput:
         for _ in range(20):
             q, qd, u = (rng.standard_normal(2) for _ in range(3))
             qdd, lam = constrained_accel(model, q, qd, u)
-            A = model.constraint_at(q)
+            A, _ = model.constraint_at(q)
             eta = u + A.T @ lam
             out = redesign_input(model, model.constraint_at, eta, q, qd)
             assert out.feasible
@@ -136,15 +176,15 @@ class TestRedesignInput:
         # For admissible velocities the rescaled row constrains the same
         # motions, so the recorded force demand stays realizable.
         model = point_mass_toy()
-        perturbed = rescaled_constraint(
-            model, lambda q: 1.0 + 0.5 * np.sin(q[0] + 0.7))
+        perturbed = rescaled_constraint(model, sine_factor)
         rng = np.random.default_rng(9)
         for _ in range(20):
             q, qd, u = (rng.standard_normal(2) for _ in range(3))
-            a = model.constraint_at(q)[0]
+            A, _ = model.constraint_at(q)
+            a = A[0]
             qd = qd - a * float(a @ qd) / float(a @ a)
             _, lam = constrained_accel(model, q, qd, u)
-            eta = u + model.constraint_at(q).T @ lam
+            eta = u + A.T @ lam
             out = redesign_input(model, perturbed, eta, q, qd)
             assert out.feasible
             assert out.residual < 1e-9
@@ -170,8 +210,7 @@ class TestClosedLoop:
 
     def test_perturbed_plant_tracks_desired_motion(self):
         model = point_mass_toy()
-        perturbed = rescaled_constraint(
-            model, lambda q: 1.0 + 0.5 * np.sin(q[0] + 0.7))
+        perturbed = rescaled_constraint(model, sine_factor)
         q0, qd0 = self.feasible_start()
         out = run_force_matching(model, perturbed, self.u_desired, q0, qd0,
                                  T=1.0, dt=1e-3)
@@ -187,7 +226,7 @@ class TestClosedLoop:
         for k in range(0, len(traj), 25):
             q, qd = traj.x[k, :2], traj.x[k, 2:]
             _, lam = constrained_accel(model, q, qd, traj.u[k])
-            power = float(lam @ (model.constraint_at(q) @ qd))
+            power = float(lam @ (model.constraint_at(q)[0] @ qd))
             worst = max(worst, abs(power))
         assert worst < 1e-9
 
@@ -206,6 +245,8 @@ class TestGaugeInvariance:
         traj = self.short_trajectory(model)
         assert gauge_invariance_check(model, np.eye(2), traj)
         assert gauge_invariance_check(model, 2.0 * np.eye(2), traj)
+        # invertibility is judged by numerical rank, not by the size of det Q
+        assert gauge_invariance_check(model, 1e-7 * np.eye(2), traj)
 
     def test_random_well_conditioned_gauge(self):
         model = point_mass_toy()
@@ -214,8 +255,9 @@ class TestGaugeInvariance:
         Q = rng.standard_normal((2, 2))
         while abs(np.linalg.det(Q)) < 0.3:
             Q = rng.standard_normal((2, 2))
-        perturbed = rescaled_constraint(model,
-                                        lambda q: 1.0 + 0.2 * np.cos(q[1]))
+        perturbed = rescaled_constraint(
+            model, lambda q: (1.0 + 0.2 * np.cos(q[1]),
+                              np.array([0.0, -0.2 * np.sin(q[1])])))
         assert gauge_invariance_check(model, Q, traj, perturbed_A=perturbed)
 
     def test_singular_gauge_rejected(self):
@@ -223,3 +265,5 @@ class TestGaugeInvariance:
         traj = self.short_trajectory(model)
         with pytest.raises(ValueError, match="invertible"):
             gauge_invariance_check(model, np.zeros((2, 2)), traj)
+        with pytest.raises(ValueError, match="invertible"):
+            gauge_invariance_check(model, np.eye(3), traj)
