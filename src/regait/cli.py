@@ -2,9 +2,11 @@
 outputs and a manifest per run.
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O failure.
-Every run writes exactly one manifest.json into the output directory; all
-randomness flows from the manifest seed, and numeric outputs are written with
-%.17g so identical runs produce identical bytes.
+Each subcommand writes its own artifacts into ``--out`` and returns its
+metrics; ``main`` creates the directory, times the run and writes
+metrics.json and then manifest.json, last. All randomness flows from the
+manifest seed, and numeric outputs are written with %.17g so identical runs
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .manipulator import point_mass_toy, rescaled_constraint, run_force_matching
 from .optimize import NMConfig
 from .signals import PhaseEstimator, eval_fourier
 from .svgplot import Figure, save_svg
-from .trajectory import Trajectory, TrajectoryFormatError
+from .trajectory import Trajectory, TrajectoryFormatError, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,57 +52,38 @@ class UsageError(Exception):
 
 
 class IOFailure(Exception):
-    """Unreadable/unwritable or unparseable file; maps to exit code 4."""
+    """Unreadable or unparseable input file; maps to exit code 4."""
 
 
-def _ensure_out(path: str) -> str:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise IOFailure(f"cannot create output directory {path}: {exc}")
-    return path
+def _write_json(path: str, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def _load_json(path: str) -> dict:
+def _load_params(path: str, kind: str, keys) -> dict:
+    """The JSON object of a ``--params`` file; every key must be in ``keys``."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise IOFailure(f"{path}: line {exc.lineno}: {exc.msg}")
     except OSError as exc:
         raise IOFailure(f"cannot read {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise UsageError(f"{path}: {kind} parameters must be a JSON object, "
+                         f"got {type(raw).__name__}")
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise UsageError(f"unknown {kind} parameter(s): {sorted(unknown)}")
+    return raw
 
 
-def _write_json(path: str, obj) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IOFailure(f"cannot write {path}: {exc}")
-
-
-def _write_csv(path: str, header: str, columns) -> None:
-    cols = [np.asarray(c) for c in columns]
-    try:
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for k in range(len(cols[0])):
-                fh.write(",".join(f"{float(c[k]):.17g}" for c in cols) + "\n")
-    except OSError as exc:
-        raise IOFailure(f"cannot write {path}: {exc}")
-
-
-def _write_manifest(out: str, subcommand: str, params_path, seed: int,
-                    t_start: float) -> None:
-    _write_json(os.path.join(out, "manifest.json"), {
-        "subcommand": subcommand,
-        "params": params_path,
-        "seed": seed,
-        "out_dir": os.path.abspath(out),
-        "tool_version": __version__,
-        "duration_seconds": time.perf_counter() - t_start,
-    })
+def _number(kind: str, key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{kind} parameter {key!r} must be a number, "
+                         f"got {value!r}")
+    return float(value)
 
 
 def _rms(arr) -> float:
@@ -112,44 +95,46 @@ def _rms(arr) -> float:
 def _crawler_params(path: str | None) -> CrawlerParams:
     if path is None:
         return CrawlerParams()
-    raw = _load_json(path)
-    allowed = {"l1", "l2", "h1", "h2"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise UsageError(f"unknown crawler parameter(s): {sorted(unknown)}")
+    raw = _load_params(path, "crawler", ("l1", "l2", "h1", "h2"))
 
-    def c(key, default):
-        if key not in raw:
-            return default
+    def point(key):
         v = raw[key]
-        return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
+        if not isinstance(v, list):
+            return complex(_number("crawler", key, v))
+        if len(v) != 2:
+            raise UsageError(f"crawler parameter {key!r} must be a number or "
+                             f"[re, im], got {v!r}")
+        return complex(_number("crawler", key, v[0]),
+                       _number("crawler", key, v[1]))
 
-    base = CrawlerParams()
-    return CrawlerParams(l1=c("l1", base.l1), l2=c("l2", base.l2),
-                         h1=c("h1", base.h1), h2=c("h2", base.h2))
+    values = {k: point(k) for k in raw}
+    try:
+        return CrawlerParams(**values)
+    except ValueError as exc:
+        raise UsageError(f"crawler parameter(s) {sorted(raw)}: {exc}")
 
 
-def cmd_crawler(args) -> int:
-    t_start = time.perf_counter()
+def _learn(args, params: CrawlerParams, traj: Trajectory):
+    """Learn the template rows back from ``traj``; writes learned.json."""
+    phase = PhaseEstimator.fit(shape_features(traj.x))
+    lc = learn_constraints(template_encoding_map(params), TEMPLATE_FORMS, traj,
+                           phase, order=args.order,
+                           phase_features=shape_features)
+    with open(os.path.join(args.out, "learned.json"), "w") as fh:
+        fh.write(learned_to_json(lc))
+    return lc
+
+
+def cmd_crawler(args) -> dict:
     if not 0 <= args.jam <= N_JOINTS:
         raise UsageError(f"--jam must be in 0..{N_JOINTS}, got {args.jam}")
-    out = _ensure_out(args.out)
+    out = args.out
     params = _crawler_params(args.params)
 
     reference = reference_gait(params, period=args.period, dt=args.dt)
     full = reference.full_grid()
     full.to_csv(os.path.join(out, "reference.csv"))
-
-    # learn the template constraints back from the generated gait
-    emap = template_encoding_map(params)
-    phase = PhaseEstimator.fit(shape_features(full.x))
-    lc = learn_constraints(emap, TEMPLATE_FORMS, full, phase,
-                           order=args.order, phase_features=shape_features)
-    try:
-        with open(os.path.join(out, "learned.json"), "w") as fh:
-            fh.write(learned_to_json(lc))
-    except OSError as exc:
-        raise IOFailure(f"cannot write learned.json: {exc}")
+    lc = _learn(args, params, full)
 
     rec = recover(params, reference, args.jam)
     rec.trajectory.to_csv(os.path.join(out, "recovered.csv"))
@@ -196,13 +181,10 @@ def cmd_crawler(args) -> int:
         metrics["identical_to_reference"] = bool(
             np.array_equal(rec.trajectory.x, full.x))
 
-    metrics["runtime_seconds"] = time.perf_counter() - t_start
-    _write_json(os.path.join(out, "metrics.json"), metrics)
     save_svg(fig, os.path.join(out, "traces.svg"))
-    _write_manifest(out, "crawler", args.params, args.seed, t_start)
     print(f"crawler jam={args.jam}: template rms "
           f"r={metrics['rms_r']:.3e} alpha={metrics['rms_alpha']:.3e}")
-    return EXIT_OK
+    return metrics
 
 
 # ----------------------------------------------------------------- ctslip
@@ -214,13 +196,15 @@ _PLANT_KEYS = ("eta", "mu", "L", "t_s", "K", "gravity", "kp", "kd")
 def _ctslip_params(path: str | None) -> CTSlipParams:
     if path is None:
         return CTSlipParams()
-    raw = _load_json(path)
-    unknown = set(raw) - set(_CLOCK_KEYS) - set(_PLANT_KEYS)
-    if unknown:
-        raise UsageError(f"unknown ctslip parameter(s): {sorted(unknown)}")
-    clock = BuehlerClock(**{k: float(raw[k]) for k in _CLOCK_KEYS if k in raw})
-    plant = {k: float(raw[k]) for k in _PLANT_KEYS if k in raw}
-    return CTSlipParams(clock=clock, **plant)
+    raw = _load_params(path, "ctslip", _CLOCK_KEYS + _PLANT_KEYS)
+    values = {k: _number("ctslip", k, v) for k, v in raw.items()}
+    try:
+        clock = BuehlerClock(**{k: values[k] for k in _CLOCK_KEYS
+                                if k in values})
+        return CTSlipParams(clock=clock, **{k: values[k] for k in _PLANT_KEYS
+                                            if k in values})
+    except ValueError as exc:
+        raise UsageError(f"ctslip parameter(s) {sorted(raw)}: {exc}")
 
 
 def _params_dict(p: CTSlipParams) -> dict:
@@ -229,65 +213,52 @@ def _params_dict(p: CTSlipParams) -> dict:
     return d
 
 
-def cmd_ctslip(args) -> int:
-    t_start = time.perf_counter()
-    out = _ensure_out(args.out)
+def cmd_ctslip(args) -> dict:
+    out = args.out
     params = _ctslip_params(args.params)
     cfg = SimConfig(dt=args.dt)
 
     if args.action == "simulate":
         res = simulate_hybrid(params, nominal_ic(params), args.T, cfg)
-        _write_csv(os.path.join(out, "com.csv"),
-                   "t,x,y,xdot,ydot,zeta,psi,mode",
-                   [res.t, res.com[:, 0], res.com[:, 1], res.com[:, 2],
-                    res.com[:, 3], res.zeta, res.psi, res.mode])
+        write_csv(os.path.join(out, "com.csv"),
+                  "t,x,y,xdot,ydot,zeta,psi,mode",
+                  [res.t, res.com, res.zeta, res.psi, res.mode])
         elastic, total = energy_outputs(params, res)
-        _write_csv(os.path.join(out, "energy.csv"), "t,elastic,total",
-                   [res.t, elastic, total])
+        write_csv(os.path.join(out, "energy.csv"), "t,elastic,total",
+                  [res.t, elastic, total])
         metrics = {
             "strides": res.strides,
             "crashed": res.crashed,
             "touchdowns": sum(1 for e in res.events if e.kind == "touchdown"),
             "final_time": float(res.t[-1]),
-            "runtime_seconds": time.perf_counter() - t_start,
         }
         fig = Figure(title="hopper height", xlabel="t", ylabel="y",
                      xlim=(0.0, args.T), ylim=(0.0, 100.0))
         fig.add(res.t, res.com[:, 1], label="y")
         save_svg(fig, os.path.join(out, "hop.svg"))
-        _write_json(os.path.join(out, "metrics.json"), metrics)
-        _write_manifest(out, "ctslip simulate", args.params, args.seed, t_start)
         print(f"ctslip simulate: strides={res.strides} crashed={res.crashed}")
-        return EXIT_OK
+        return metrics
 
     damaged = replace(params, t_s=args.ts)
     ensemble = make_ensemble(params, n=10, seed=args.seed)
 
     if args.action == "damage":
-        rows = []
-        for label, p in (("nominal", params), ("damaged", damaged)):
-            for i, ic in enumerate(ensemble):
-                r = simulate_hybrid(p, ic, args.T, cfg)
-                rows.append((label, i, r.strides, r.crashed))
-        _write_csv(os.path.join(out, "strides.csv"),
-                   "member,nominal_strides,damaged_strides",
-                   [np.arange(10),
-                    np.array([r[2] for r in rows[:10]]),
-                    np.array([r[2] for r in rows[10:]])])
-        nominal_count = sum(1 for r in rows[:10] if r[2] >= args.strides)
-        damaged_count = sum(1 for r in rows[10:] if r[2] >= args.strides)
+        strides = [[simulate_hybrid(p, ic, args.T, cfg).strides
+                    for ic in ensemble] for p in (params, damaged)]
+        write_csv(os.path.join(out, "strides.csv"),
+                  "member,nominal_strides,damaged_strides",
+                  [np.arange(len(ensemble)), *strides])
+        nominal_count, damaged_count = (
+            sum(1 for s in run if s >= args.strides) for run in strides)
         metrics = {
             "t_s_nominal": params.t_s, "t_s_damaged": args.ts,
             "strides_required": args.strides,
             "nominal_completing": nominal_count,
             "damaged_completing": damaged_count,
-            "runtime_seconds": time.perf_counter() - t_start,
         }
-        _write_json(os.path.join(out, "metrics.json"), metrics)
-        _write_manifest(out, "ctslip damage", args.params, args.seed, t_start)
         print(f"ctslip damage: completing {args.strides} strides: "
               f"nominal {nominal_count}/10, damaged {damaged_count}/10")
-        return EXIT_OK
+        return metrics
 
     # recover
     reference = build_reference(params, ensemble, T=args.T, cfg=cfg)
@@ -310,27 +281,22 @@ def cmd_ctslip(args) -> int:
         "damaged_completing": counts["damaged"],
         "recovered_completing": counts["recovered"],
         "nm_iterations": trace.iterations,
-        "runtime_seconds": time.perf_counter() - t_start,
     }
-    _write_json(os.path.join(out, "metrics.json"), metrics)
     fig = Figure(title="recovery cost", xlabel="evaluation",
                  ylabel="log10 best cost", xlim=(0.0, float(len(trace.costs))),
                  ylim=(-4.0, 8.0))
     best = np.maximum(np.array(trace.best_so_far), 1e-300)
     fig.add(np.arange(len(best), dtype=float), np.log10(best), label="best")
     save_svg(fig, os.path.join(out, "cost.svg"))
-    _write_manifest(out, "ctslip recover", args.params, args.seed, t_start)
     print(f"ctslip recover: cost {initial_cost:.4g} -> {final_cost:.4g} "
           f"({100.0 * metrics['cost_ratio']:.1f}%), completing "
           f"{counts['damaged']} -> {counts['recovered']}")
-    return EXIT_OK
+    return metrics
 
 
 # ------------------------------------------------------------ manipulator
 
-def cmd_manipulator(args) -> int:
-    t_start = time.perf_counter()
-    out = _ensure_out(args.out)
+def cmd_manipulator(args) -> dict:
     model = point_mass_toy()
     perturbed = rescaled_constraint(
         model, lambda q: (1.0 + 0.5 * math.sin(q[0] + 0.7),
@@ -348,34 +314,29 @@ def cmd_manipulator(args) -> int:
                                  q0=(0.3, 0.0), qd0=(0.4, -0.4 * math.sin(0.3)),
                                  T=args.T, dt=args.dt, gauge=Q)
     des, red = outcome.desired, outcome.redesigned
-    _write_csv(os.path.join(out, "tracking.csv"),
-               "t,q0_des,q1_des,q0_red,q1_red",
-               [red.t, des.x[::2, 0], des.x[::2, 1], red.x[:, 0], red.x[:, 1]])
+    write_csv(os.path.join(args.out, "tracking.csv"),
+              "t,q0_des,q1_des,q0_red,q1_red",
+              [red.t, des.x[::2, :2], red.x[:, :2]])
     metrics = {
         "tracking_error": outcome.tracking_error,
         "worst_match_residual": outcome.worst_match_residual,
         "gauge_ok": outcome.gauge_ok,
-        "runtime_seconds": time.perf_counter() - t_start,
     }
-    _write_json(os.path.join(out, "metrics.json"), metrics)
     fig = Figure(title="force matching", xlabel="t", ylabel="q",
                  xlim=(0.0, args.T), ylim=(-1.5, 1.5))
     fig.add(red.t, des.x[::2, 0], label="q0 des")
     fig.add(red.t, red.x[:, 0], label="q0 red")
     fig.add(red.t, des.x[::2, 1], label="q1 des")
     fig.add(red.t, red.x[:, 1], label="q1 red")
-    save_svg(fig, os.path.join(out, "tracking.svg"))
-    _write_manifest(out, "manipulator", args.params, args.seed, t_start)
+    save_svg(fig, os.path.join(args.out, "tracking.svg"))
     print(f"manipulator: tracking error {outcome.tracking_error:.3e}, "
           f"gauge_ok={outcome.gauge_ok}")
-    return EXIT_OK
+    return metrics
 
 
 # ------------------------------------------------------------------ learn
 
-def cmd_learn(args) -> int:
-    t_start = time.perf_counter()
-    out = _ensure_out(args.out)
+def cmd_learn(args) -> dict:
     try:
         traj = Trajectory.from_csv(args.traj)
     except FileNotFoundError:
@@ -385,20 +346,12 @@ def cmd_learn(args) -> int:
             f"expected a crawler trajectory with {STATE_DIM} state columns, "
             f"got {traj.dim}")
     params = _crawler_params(args.params)
-    emap = template_encoding_map(params)
-    feats = shape_features(traj.x)
-    phase = PhaseEstimator.fit(feats)
-    lc = learn_constraints(emap, TEMPLATE_FORMS, traj, phase,
-                           order=args.order, phase_features=shape_features)
-    try:
-        with open(os.path.join(out, "learned.json"), "w") as fh:
-            fh.write(learned_to_json(lc))
-    except OSError as exc:
-        raise IOFailure(f"cannot write learned.json: {exc}")
+    lc = _learn(args, params, traj)
 
     # worst-case bound of the fit vs rms of re-evaluating the learned rows
-    series = record_eta(emap, TEMPLATE_FORMS, traj)
-    phases = np.mod(phase.training_phases(feats), 2.0 * math.pi)
+    series = record_eta(template_encoding_map(params), TEMPLATE_FORMS, traj)
+    phases = np.mod(lc.phase_model.training_phases(shape_features(traj.x)),
+                    2.0 * math.pi)
     fit_max = 0.0
     self_sq = np.zeros(len(traj))
     for s, model in zip(series, lc.eta_models):
@@ -412,24 +365,19 @@ def cmd_learn(args) -> int:
         "self_below_fit": self_rms < fit_max,
         "order": args.order,
         "samples": len(traj),
-        "runtime_seconds": time.perf_counter() - t_start,
     }
-    _write_json(os.path.join(out, "metrics.json"), metrics)
-    _write_manifest(out, "learn", args.params, args.seed, t_start)
     print(f"learn: self-residual {self_rms:.3e} < fit residual {fit_max:.3e}"
           f": {self_rms < fit_max}")
-    return EXIT_OK
+    return metrics
 
 
 # ------------------------------------------------------------------- rank
 
-def cmd_rank(args) -> int:
-    t_start = time.perf_counter()
+def cmd_rank(args) -> dict:
     if not 1 <= args.k < args.n:
         raise UsageError(f"need 1 <= k < n, got n={args.n} k={args.k}")
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    out = _ensure_out(args.out)
     n, k = args.n, args.k
     bound = n / (n - k)
     minimal = int(math.floor(bound)) + 1
@@ -448,19 +396,15 @@ def cmd_rank(args) -> int:
                                    seed=args.seed * 7919 + N, trials=per)
         rates.append(rate)
         print(f"{N:2d}   {rate:7.4f}   {'yes' if N > bound else 'no'}")
-    _write_csv(os.path.join(out, "rank_table.csv"),
-               "N,success_rate,exceeds_bound",
-               [np.array(n_values, dtype=float), np.array(rates),
-                np.array([float(N > bound) for N in n_values])])
-    _write_json(os.path.join(out, "metrics.json"), {
+    write_csv(os.path.join(args.out, "rank_table.csv"),
+              "N,success_rate,exceeds_bound",
+              [n_values, rates, [N > bound for N in n_values]])
+    return {
         "n": n, "k": k, "bound": bound, "minimal_N": minimal,
         "trials_per_N": per * len(samples),
         "success_rates": dict(zip(map(str, n_values), rates)),
         "rate_at_minimal": rates[n_values.index(minimal)],
-        "runtime_seconds": time.perf_counter() - t_start,
-    })
-    _write_manifest(out, "rank", args.params, args.seed, t_start)
-    return EXIT_OK
+    }
 
 
 # ------------------------------------------------------------------- main
@@ -473,11 +417,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    common.add_argument("--params", default=None, help="parameter JSON file")
+    with_params = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_params.add_argument("--params", default=None,
+                             help="parameter JSON file")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("crawler", parents=[common],
+    p = sub.add_parser("crawler", parents=[with_params],
                        help="reference gait, jam, baseline, recovery")
     p.add_argument("--jam", type=int, default=1,
                    help="joint to jam (1..6), 0 for no damage")
@@ -487,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="Fourier order for the learned rows")
     p.set_defaults(func=cmd_crawler)
 
-    p = sub.add_parser("ctslip", parents=[common],
+    p = sub.add_parser("ctslip", parents=[with_params],
                        help="hopper simulation, damage study, recovery")
     p.add_argument("action", choices=("simulate", "damage", "recover"))
     p.add_argument("--T", type=float, default=12.0, help="horizon")
@@ -506,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.set_defaults(func=cmd_manipulator)
 
-    p = sub.add_parser("learn", parents=[common],
+    p = sub.add_parser("learn", parents=[with_params],
                        help="learn constraints from a trajectory CSV")
     p.add_argument("--traj", required=True, help="trajectory CSV file")
     p.add_argument("--order", type=int, default=4)
@@ -529,14 +475,25 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     fresh_out = not os.path.exists(args.out)
     try:
-        return args.func(args)
+        t_start = time.perf_counter()
+        os.makedirs(args.out, exist_ok=True)
+        metrics = args.func(args)
+        metrics["runtime_seconds"] = time.perf_counter() - t_start
+        _write_json(os.path.join(args.out, "metrics.json"), metrics)
+        action = getattr(args, "action", None)
+        _write_json(os.path.join(args.out, "manifest.json"), {
+            "subcommand": f"{args.command} {action}" if action else args.command,
+            "params": getattr(args, "params", None),
+            "seed": args.seed,
+            "out_dir": os.path.abspath(args.out),
+            "tool_version": __version__,
+            "duration_seconds": time.perf_counter() - t_start,
+        })
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TrajectoryFormatError, IOFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (TrajectoryFormatError, IOFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (IntegrationError, RankDeficiencyError, np.linalg.LinAlgError,

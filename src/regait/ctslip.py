@@ -506,9 +506,8 @@ class NominalReference:
     cfg: SimConfig            # simulator settings of every scored run
 
 
-def _member_cost(params, reference, ic):
-    """Cost of one ensemble member; None signals a crash/degenerate run."""
-    res = simulate_hybrid(params, ic, reference.T, reference.cfg)
+def _member_cost(params, reference, res):
+    """Cost of one member's run; None signals a crash/degenerate run."""
     if res.crashed or res.strides < 2 or len(res.t) < 32:
         return None
     E, E_T = energy_outputs(params, res)
@@ -536,7 +535,8 @@ def recovery_cost(params: CTSlipParams, ensemble: Sequence[HybridState],
     n = len(ensemble)
     total = 0.0
     for ic in ensemble:
-        c = _member_cost(params, reference, ic)
+        c = _member_cost(params, reference, simulate_hybrid(
+            params, ic, reference.T, reference.cfg))
         total += reference.crash_penalty * n if c is None else c
     return total / n
 
@@ -586,7 +586,8 @@ def build_reference(params: CTSlipParams, ensemble: Sequence[HybridState],
     """Train the phase estimator and energy model on the nominal plant.
 
     Uses the first ensemble member's run as training data, then scores every
-    member against the fitted model to set the self-cost and crash penalty.
+    member (that run included) against the fitted model to set the self-cost
+    and crash penalty.
     """
     cfg = cfg if cfg is not None else SimConfig()
     res = simulate_hybrid(params, ensemble[0], T, cfg)
@@ -602,12 +603,12 @@ def build_reference(params: CTSlipParams, ensemble: Sequence[HybridState],
     e_model = fit_fourier(wrapped, e_hat, ENERGY_ORDER)
     proto = NominalReference(params=params, phase=est, e_model=e_model,
                              self_cost=0.0, crash_penalty=1.0, T=T, cfg=cfg)
-    costs = []
-    for ic in ensemble:
-        c = _member_cost(params, proto, ic)
-        if c is None:
-            raise ValueError("nominal parameters crashed on an ensemble member")
-        costs.append(c)
+    # member 0's training run is scored as it is, not simulated again
+    costs = [_member_cost(params, proto, res)]
+    costs += [_member_cost(params, proto, simulate_hybrid(params, ic, T, cfg))
+              for ic in ensemble[1:]]
+    if None in costs:
+        raise ValueError("nominal parameters crashed on an ensemble member")
     worst = max(costs)
     return replace(proto, self_cost=float(np.mean(costs)),
                    crash_penalty=10.0 * worst)

@@ -223,19 +223,26 @@ def _velocity_constraint(model: ManipulatorModel):
     return c
 
 
-def simulate_with_input(model: ManipulatorModel, u_of_t: Callable,
-                        q0, qd0, t1: float, dt: float = 1e-3) -> Trajectory:
-    """Integrate the constrained plant under u(t, state); records inputs.
+def _integrate(model: ManipulatorModel, u_of_t: Callable, q0, qd0,
+               t1: float, dt: float) -> Trajectory:
+    """Integrate the constrained plant under u(t, state); no inputs kept.
 
     The Pfaffian constraint is enforced at acceleration level by the saddle
     solve and corrected at velocity level by Newton projection each step.
     """
     x0 = np.concatenate([np.asarray(q0, dtype=float),
                          np.asarray(qd0, dtype=float)])
-    cfg = ProjectedIntegratorConfig(dt=dt)
     traj, _ = integrate_projected(_constrained_field(model, u_of_t),
                                   _velocity_constraint(model), 0.0, x0, t1,
-                                  cfg)
+                                  ProjectedIntegratorConfig(dt=dt))
+    return traj
+
+
+def simulate_with_input(model: ManipulatorModel, u_of_t: Callable,
+                        q0, qd0, t1: float, dt: float = 1e-3) -> Trajectory:
+    """Integrate the constrained plant under u(t, state); records the input
+    at every output sample."""
+    traj = _integrate(model, u_of_t, q0, qd0, t1, dt)
     u = np.array([np.asarray(u_of_t(traj.t[k], traj.x[k]), dtype=float)
                   for k in range(len(traj))])
     return Trajectory(t=traj.t, x=traj.x, u=u)
@@ -247,7 +254,7 @@ class ForceMatchingOutcome:
 
     desired: Trajectory
     signal: ForceSignal
-    redesigned: Trajectory
+    redesigned: Trajectory        # closed-loop motion; u is not recorded
     tracking_error: float
     worst_match_residual: float
     gauge_ok: bool
@@ -280,7 +287,7 @@ def run_force_matching(model: ManipulatorModel, perturbed_A: Callable,
                              state[:n], state[n:], gauge=gauge)
         return out.u
 
-    redone = simulate_with_input(model, u_star, q0, qd0, T, dt=dt)
+    redone = _integrate(model, u_star, q0, qd0, T, dt)
     n = model.dof
     desired_q = fine.x[::2, :n]
     err = float(np.max(np.linalg.norm(redone.x[:, :n] - desired_q, axis=1)))

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constraints import ConstraintStack, Priority, residual
+from .trajectory import write_csv
 
 log = logging.getLogger(__name__)
 
@@ -53,12 +54,9 @@ class CostTrace:
 
     def to_csv(self, path) -> None:
         n = len(self.candidates[0]) if self.candidates else 0
-        with open(path, "w") as fh:
-            fh.write("iter,cost,best" + "".join(f",x{j}" for j in range(n)))
-            for i, (c, b, x) in enumerate(zip(self.costs, self.best_so_far,
-                                              self.candidates)):
-                fh.write(f"\n{i}," + ",".join(f"{v:.17g}" for v in (c, b, *x)))
-            fh.write("\n")
+        write_csv(path, "iter,cost,best" + "".join(f",x{j}" for j in range(n)),
+                  [np.arange(len(self.costs)), self.costs, self.best_so_far,
+                   np.reshape(self.candidates, (len(self.costs), n))])
 
 
 def _clip(x: np.ndarray, bounds) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Uniformly sampled trajectories: the universal I/O object.
 
 CSV layout is ``t,q_0,...,q_{n-1}`` with one row per sample at full double
-precision, so files round-trip bit-for-bit.
+precision, so files round-trip bit-for-bit. ``write_csv`` writes this and
+every other numeric table of the package.
 """
 
 from __future__ import annotations
@@ -13,6 +14,20 @@ import numpy as np
 
 class TrajectoryFormatError(ValueError):
     """Malformed trajectory CSV; message carries the offending line number."""
+
+
+def write_csv(path, header: str, columns) -> None:
+    """Write ``header`` and one row per sample, every value as %.17g.
+
+    ``columns`` are equally long 1-D columns or 2-D blocks of columns (as
+    ``np.column_stack`` takes them); integers and booleans are written as
+    the floats they equal, which %.17g prints without a decimal point.
+    """
+    table = np.asarray(np.column_stack(columns), dtype=float)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in table.tolist():
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 @dataclass
@@ -66,13 +81,8 @@ class Trajectory:
         return v
 
     def to_csv(self, path) -> None:
-        n = self.dim
-        header = "t," + ",".join(f"q_{i}" for i in range(n))
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for k in range(len(self.t)):
-                row = [self.t[k]] + list(self.x[k])
-                fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
+        header = "t," + ",".join(f"q_{i}" for i in range(self.dim))
+        write_csv(path, header, [self.t, self.x])
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -69,12 +70,24 @@ class TestCrawlerCommand:
         assert "line" in capsys.readouterr().err
 
     def test_unknown_param_key(self, tmp_path, capsys):
+        # unknown keys, a top level that is not an object, values of the
+        # wrong type or length and values the params dataclass rejects are
+        # usage errors; the message names the key where there is one
         bad = tmp_path / "params.json"
-        bad.write_text('{"l5": 1.0}\n')
-        code = main(["crawler", "--params", str(bad),
-                     "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "unknown crawler parameter" in capsys.readouterr().err
+        cases = ((("crawler",), '{"l5": 1.0}', "unknown crawler parameter"),
+                 (("crawler",), '{"l1": null}', "'l1'"),
+                 (("crawler",), '["l1"]', "JSON object"),
+                 (("crawler",), '{"l1": "abc"}', "'l1'"),
+                 (("crawler",), '{"l1": [2.5, 2.0, 99]}', "'l1'"),
+                 (("ctslip", "simulate"), '{"K": null}', "'K'"),
+                 (("ctslip", "simulate"), '{"K": "x"}', "'K'"),
+                 (("ctslip", "simulate"), '{"L": -1}', "'L'"))
+        for argv, text, message in cases:
+            bad.write_text(text + "\n")
+            code = main([*argv, "--params", str(bad),
+                         "--out", str(tmp_path / "x")])
+            assert code == 2, text
+            assert message in capsys.readouterr().err, text
 
     def test_missing_params_file(self, tmp_path, capsys):
         code = main(["crawler", "--params", str(tmp_path / "nope.json"),
@@ -137,6 +150,13 @@ class TestRankCommand:
         assert m["minimal_N"] == 3
         assert m["rate_at_minimal"] >= 0.95
 
+    def test_params_flag_rejected(self, tmp_path, capsys):
+        # rank reads no parameter file, so it takes no --params flag
+        code = main(["rank", "--params", "x.json",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "--params" in capsys.readouterr().err
+
     def test_invalid_rank_arguments(self, tmp_path, capsys):
         code = main(["rank", "--n", "5", "--k", "5",
                      "--out", str(tmp_path / "x")])
@@ -175,15 +195,21 @@ class TestCtslipCommand:
         assert kept.is_dir()
 
     def test_recover_is_deterministic(self, tmp_path):
-        outs = []
-        for name in ("rec_a", "rec_b"):
-            out = tmp_path / name
+        # both runs write to the same --out (the manifest records it) and
+        # every file must match byte for byte once the run times are dropped
+        timing = re.compile(r'("(runtime|duration)_seconds": )[^,\n]+')
+        outs, files = [tmp_path / "rec_a", tmp_path / "rec_b"], []
+        for moved in outs:
+            out = tmp_path / "rec"
             code = main(["ctslip", "recover", "--T", "3", "--iters", "1",
                          "--seed", "7", "--out", str(out)])
             assert code == 0
-            outs.append(out)
-        assert (read(outs[0] / "cost_trace.csv")
-                == read(outs[1] / "cost_trace.csv"))
+            files.append({p.name: timing.sub(r"\1", read(p))
+                          for p in out.iterdir()})
+            out.rename(moved)
+        assert files[0] == files[1]
+        assert {"cost_trace.csv", "metrics.json",
+                "manifest.json"} <= set(files[0])
         m = metrics_of(outs[0])
         assert m["final_cost"] <= m["initial_cost"]
         assert (outs[0] / "recovered_params.json").exists()
