@@ -9,13 +9,13 @@ complex foot velocities).
 
 The encoding template is the polar form (r, alpha) of the body-frame midpoint
 of the two feet; ``template_encoding_map`` gives it to the learning pipeline
-as its Jacobian, and ``template_traces`` gives its values. Like the
-kinematics and the constraint blocks, both take one state or a block of
-states. Designed rows keep that midpoint stationary in the world
-(rows 1-2, implied by the pinned feet), drive (r, alpha) along recorded gait
-rates (rows 3-4), and lock x to theta0 (row 5). Jamming a joint adds one
-physical row (that joint's velocity is zero); recovery re-solves the joint
-rates so the template still tracks the recorded gait.
+as its Jacobian, and ``template_traces`` gives its values. Both, the
+designed rows and the recovery field read one record, ``_template``, at one
+state or a block of states. Designed rows keep that midpoint stationary in
+the world (rows 1-2, implied by the pinned feet), drive (r, alpha) along
+recorded gait rates (rows 3-4), and lock x to theta0 (row 5). Jamming a joint
+adds one physical row (that joint's velocity is zero); recovery re-solves the
+joint rates so the template still tracks the recorded gait.
 
 Sign conventions: with beta = theta0 + alpha, the world midpoint of the feet
 is x + iy + r e^{i beta}, so pinned feet give
@@ -26,6 +26,7 @@ those rows plus row 5 given (rdot_d, alphadot_d); all other signs follow.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -125,33 +126,23 @@ def foot_residual(params: CrawlerParams, state) -> np.ndarray:
     return _feet(params, np.asarray(state, dtype=float))[0]
 
 
-def _midpoint(kin, tol: float = 1e-12) -> tuple:
-    """Body-frame foot midpoint w, its radius r (the template's r) and the
-    joint-angle gradient of w (..., 6), over the kinematics' leading dims."""
+def _template(kin, tol: float = 1e-12) -> tuple:
+    """The encoding template over the kinematics' leading dims: the
+    body-frame foot midpoint w, its radius r (the template's r) and the
+    (..., 2, 6) joint-angle Jacobian of (r, alpha).
+
+    ``np.hypot`` gives one state and a block the same bits; ``abs`` of a
+    complex scalar and ``np.abs`` over an array do not always agree."""
     _, p1, s1, p2, s2 = kin
     w = 0.5 * (p1 + p2)
-    r = abs(w)
+    r = np.hypot(w.real, w.imag)
     if np.count_nonzero(r < tol):   # cheaper than .any() on one state
         raise ValueError("template undefined: limb midpoint at the body origin")
-    return w, r, 0.5j * np.concatenate([s1, s2], axis=-1)
-
-
-def _shape_jacobian(w, r, dw) -> np.ndarray:
-    """(..., 2, 6) Jacobian of (r, alpha) from a ``_midpoint`` record."""
-    prod = np.conj(w)[..., None] * dw
-    out = np.empty(prod.shape[:-1] + (2, prod.shape[-1]))
-    out[..., 0, :] = prod.real / r[..., None]
-    out[..., 1, :] = prod.imag / (r**2)[..., None]
-    return out
-
-
-def _pullback(jac_shape: np.ndarray) -> np.ndarray:
-    """(..., 5, 9) Jacobian of (x, y, theta0, r, alpha) given that of
-    (r, alpha)."""
-    out = np.zeros(jac_shape.shape[:-2] + (5, STATE_DIM))
-    out[..., :3, :3] = np.eye(3)
-    out[..., 3:, 3:] = jac_shape
-    return out
+    prod = np.conj(w)[..., None] * (0.5j * np.concatenate([s1, s2], axis=-1))
+    jac = np.empty(prod.shape[:-1] + (2, N_JOINTS))
+    jac[..., 0, :] = prod.real / r[..., None]
+    jac[..., 1, :] = prod.imag / (r**2)[..., None]
+    return w, r, jac
 
 
 def template_encoding_map(params: CrawlerParams) -> Callable:
@@ -159,8 +150,10 @@ def template_encoding_map(params: CrawlerParams) -> Callable:
     state, (..., 2, 9) at a block of states."""
 
     def dphi(state):
-        kin = _kinematics(params, np.asarray(state, dtype=float))
-        return _pullback(_shape_jacobian(*_midpoint(kin)))[..., G_DIM:, :]
+        jac = _template(_kinematics(params, np.asarray(state, dtype=float)))[2]
+        out = np.zeros(jac.shape[:-1] + (STATE_DIM,))
+        out[..., G_DIM:] = jac
+        return out
 
     return dphi
 
@@ -168,15 +161,6 @@ def template_encoding_map(params: CrawlerParams) -> Callable:
 def shape_features(x) -> np.ndarray:
     """Joint-angle part of states; the phase estimator's feature space."""
     return np.asarray(x, dtype=float)[..., 3:]
-
-
-@dataclass(frozen=True)
-class DesignedRows:
-    """The five gait rows in template coordinates (xd, yd, theta0d, rd,
-    alphad), pulled back to the nine-dimensional state, and their values."""
-
-    gamma: np.ndarray          # (..., 5)
-    rows: np.ndarray           # (..., 5, 9)
 
 
 # the state-independent entries of the template rows; rows 1-2, columns
@@ -205,18 +189,24 @@ def _template_rows(state, w, r) -> np.ndarray:
 
 
 def design_constraints(params: CrawlerParams, state,
-                       rates: Sequence = (0.0, 0.0)) -> DesignedRows:
-    """The designed rows at one state or an (N, 9) block of states.
+                       rates: Sequence = (0.0, 0.0),
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The five designed rows (..., 5, 9) and their values (..., 5) at one
+    state or an (N, 9) block of states: the rows in template coordinates
+    (xd, yd, theta0d, rd, alphad) pulled back to the nine-dimensional state.
 
     ``rates`` is (rdot, alphadot), each a float or one value per state, as
     ``ReferenceGait.rates_at`` returns them for a time or an array of times.
     """
     state = np.asarray(state, dtype=float)
-    w, r, dw = _midpoint(_kinematics(params, state))
+    w, r, jac = _template(_kinematics(params, state))
+    tmpl = _template_rows(state, w, r)
+    omega = np.empty(tmpl.shape[:-1] + (STATE_DIM,))
+    omega[..., :G_DIM] = tmpl[..., :G_DIM]
+    omega[..., G_DIM:] = tmpl[..., G_DIM:] @ jac
     gamma = np.zeros(state.shape[:-1] + (5,))
     gamma[..., 2], gamma[..., 3] = rates[1], rates[0]
-    rows = _template_rows(state, w, r) @ _pullback(_shape_jacobian(w, r, dw))
-    return DesignedRows(gamma=gamma, rows=rows)
+    return omega, gamma
 
 
 _IK_GUESSES = (
@@ -366,21 +356,26 @@ def reference_gait(params: CrawlerParams, period: float = 1.0,
     n = len(traj)
     r, alpha, rates = np.empty(n), np.empty(n), np.empty((n, 2))
     for k in range(n):
-        w, r[k], dw = _midpoint(_kinematics(params, traj.x[k]))
+        w, r[k], jac = _template(_kinematics(params, traj.x[k]))
         alpha[k] = np.angle(w)
-        rates[k] = _shape_jacobian(w, r[k], dw) @ v[k, G_DIM:]
+        rates[k] = jac @ v[k, G_DIM:]
     return ReferenceGait(params=params, period=period, dt=dt, t=traj.t,
                          x=traj.x, v=v, r=r, alpha=alpha, rdot=rates[:, 0],
                          alphadot=rates[:, 1])
 
 
 def _jam_index(jam, none_allowed: bool = True) -> int:
-    """``jam`` as a joint index in 1..N_JOINTS, or 0 (no jam) if allowed."""
-    jam = int(jam)
-    if not (1 <= jam <= N_JOINTS or (none_allowed and jam == 0)):
-        raise ValueError(f"jam joint index must be in 1..{N_JOINTS}"
-                         + (" or 0 for no jam" if none_allowed else ""))
-    return jam
+    """``jam`` as a joint index in 1..N_JOINTS, or 0 (no jam) if allowed;
+    a non-integer such as 2.9 or True is rejected, not truncated."""
+    try:
+        index = -1 if isinstance(jam, bool) else operator.index(jam)
+    except TypeError:
+        index = -1
+    if not (1 <= index <= N_JOINTS or (none_allowed and index == 0)):
+        raise ValueError(f"jam joint index must be an integer in 1..{N_JOINTS}"
+                         + (" or 0 for no jam" if none_allowed else "")
+                         + f", got {jam!r}")
+    return index
 
 
 def apply_jam(joint_index: int) -> np.ndarray:
@@ -409,8 +404,7 @@ def physical_block(params: CrawlerParams, jam: int | None = None,
 def designed_block(params: CrawlerParams, reference: ReferenceGait,
                    ) -> ConstraintBlock:
     def rows(t, state):
-        des = design_constraints(params, state, rates=reference.rates_at(t))
-        return des.rows, des.gamma
+        return design_constraints(params, state, rates=reference.rates_at(t))
 
     return ConstraintBlock(priority=Priority.DESIGNED, rows=rows,
                            label="template gait")
@@ -436,16 +430,16 @@ def recovery_field(params: CrawlerParams, reference: ReferenceGait,
     def field(t, state):
         rates = np.asarray(reference.rates_at(t))
         kin = _kinematics(params, state)
-        w, r, dw = _midpoint(kin)
-        tmpl = _template_rows(state, w, r)
-        omega_g, omega_ra = tmpl[[0, 1, 4], :3], tmpl[[0, 1, 4], 3:]
+        w, r, jac = _template(kin)
+        tmpl = _template_rows(state, w, r)[[0, 1, 4]]
+        omega_g, omega_ra = tmpl[:, :G_DIM], tmpl[:, G_DIM:]
         svals = np.linalg.svd(omega_g, compute_uv=False)
         if svals[-1] < 1e-10 * svals[0]:
             raise IntegrationError(
                 f"pose block of the template rows lost rank at t={t}")
         gd = np.linalg.solve(omega_g, -omega_ra @ rates)
         A = _feet(params, state, kin)[1]
-        stacked = np.vstack([A[:, G_DIM:], _shape_jacobian(w, r, dw), e_jam])
+        stacked = np.vstack([A[:, G_DIM:], jac, e_jam])
         rhs = np.concatenate([-A[:, :G_DIM] @ gd, rates, [0.0]])
         theta_dot = np.linalg.pinv(stacked, rcond=1e-10) @ rhs
         return np.concatenate([gd, theta_dot])
@@ -555,9 +549,12 @@ def gait_perturbation_provider(params: CrawlerParams,
 
     def provider(mu):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
+        if len(mu) > len(free):
+            raise ValueError(f"{len(mu)} amplitudes for {len(free)} free "
+                             "joints")
         thetas = base.copy()
-        for i, j in enumerate(free[:len(mu)]):
-            thetas[:, j] += mu[i] * lobe
+        for j, amplitude in zip(free, mu):
+            thetas[:, j] += amplitude * lobe
         if jam:
             thetas[:, jam - 1] = base[0, jam - 1]
         return Trajectory(t=t.copy(),
@@ -568,9 +565,9 @@ def gait_perturbation_provider(params: CrawlerParams,
 
 def template_traces(params: CrawlerParams, X) -> tuple[np.ndarray, np.ndarray]:
     """Batched (r, alpha) over an (N, 9) block of states."""
-    _, p1, _, p2, _ = _kinematics(params, np.atleast_2d(np.asarray(X, float)))
-    w = 0.5 * (p1 + p2)
-    return np.abs(w), np.angle(w)
+    w, r, _ = _template(_kinematics(params,
+                                    np.atleast_2d(np.asarray(X, float))))
+    return r, np.angle(w)
 
 
 def foot_residual_series(params: CrawlerParams, X) -> np.ndarray:

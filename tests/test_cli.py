@@ -15,6 +15,21 @@ def metrics_of(out_dir):
     return json.loads(read(out_dir / "metrics.json"))
 
 
+def run_twice(tmp_path, argv):
+    """Run ``argv`` twice into one --out path (the manifest records it),
+    moving each output aside; return both directories and their files with
+    the run times dropped, which must match byte for byte."""
+    timing = re.compile(r'("(runtime|duration)_seconds": )[^,\n]+')
+    outs, files = [tmp_path / "run_a", tmp_path / "run_b"], []
+    for moved in outs:
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 0
+        files.append({p.name: timing.sub(r"\1", read(p))
+                      for p in out.iterdir()})
+        out.rename(moved)
+    return outs, files
+
+
 @pytest.fixture(scope="module")
 def crawler_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("crawler_jam1")
@@ -48,6 +63,12 @@ class TestCrawlerCommand:
         assert m["max_foot_residual_recovered"] < 1e-9
         assert m["max_foot_residual_reference"] < 1e-9
         assert m["group_velocity_ratio"] < 0.05
+
+    def test_run_is_deterministic(self, tmp_path):
+        _, files = run_twice(tmp_path, ["crawler", "--jam", "1"])
+        assert files[0] == files[1]
+        assert {"recovered.csv", "learned.json", "metrics.json",
+                "manifest.json"} <= set(files[0])
 
     def test_no_jam_is_identity(self, tmp_path):
         out = tmp_path / "jam0"
@@ -195,18 +216,8 @@ class TestCtslipCommand:
         assert kept.is_dir()
 
     def test_recover_is_deterministic(self, tmp_path):
-        # both runs write to the same --out (the manifest records it) and
-        # every file must match byte for byte once the run times are dropped
-        timing = re.compile(r'("(runtime|duration)_seconds": )[^,\n]+')
-        outs, files = [tmp_path / "rec_a", tmp_path / "rec_b"], []
-        for moved in outs:
-            out = tmp_path / "rec"
-            code = main(["ctslip", "recover", "--T", "3", "--iters", "1",
-                         "--seed", "7", "--out", str(out)])
-            assert code == 0
-            files.append({p.name: timing.sub(r"\1", read(p))
-                          for p in out.iterdir()})
-            out.rename(moved)
+        outs, files = run_twice(tmp_path, ["ctslip", "recover", "--T", "3",
+                                           "--iters", "1", "--seed", "7"])
         assert files[0] == files[1]
         assert {"cost_trace.csv", "metrics.json",
                 "manifest.json"} <= set(files[0])

@@ -132,8 +132,10 @@ class TestTemplateMap:
     def test_midpoint_at_origin_rejected(self, cparams):
         state = np.zeros(9)
         state[3] = np.pi  # arm 1 folds to -2, arm 2 reaches +2
-        with pytest.raises(ValueError, match="midpoint"):
-            template_encoding_map(cparams)(state)
+        for template in (template_encoding_map(cparams),
+                         lambda s: template_traces(cparams, s)):
+            with pytest.raises(ValueError, match="midpoint"):
+                template(state)
 
     def test_jacobians_match_finite_difference(self, cparams):
         rng = np.random.default_rng(4)
@@ -160,6 +162,13 @@ class TestTemplateMap:
         assert np.allclose(r, np.abs(w), rtol=0.0, atol=1e-12)
         assert np.allclose(a, np.angle(w), rtol=0.0, atol=1e-12)
 
+    def test_traces_match_recorded_gait(self, cparams, gait):
+        # the recorded gait evaluates one state at a time; a block must give
+        # the same bits
+        r, alpha = template_traces(cparams, gait.x)
+        assert np.array_equal(r, gait.r)
+        assert np.array_equal(alpha, gait.alpha)
+
     def test_jacobian_block_slices_match_single_states(self, cparams, gait):
         dphi = template_encoding_map(cparams)
         X = gait.x[::97]
@@ -184,30 +193,30 @@ class TestTemplateMap:
 class TestDesignRows:
     def test_symmetry_direction_annihilated(self, cparams, gait):
         x0 = gait.initial_state
-        des = design_constraints(cparams, x0)
+        rows, _ = design_constraints(cparams, x0)
         v = np.zeros(9)
         v[0] = 1.0  # unit x-velocity
         v[2] = 1.0  # with equal theta0 rate: the x-theta0 symmetry direction
-        assert abs(des.rows[4] @ v) < 1e-12
+        assert abs(rows[4] @ v) < 1e-12
 
     def test_template_rate_rows_definitional(self, cparams, gait):
         rng = np.random.default_rng(6)
         x0 = gait.initial_state
         v = rng.standard_normal(9)
         rdot, alphadot = template_encoding_map(cparams)(x0) @ v
-        des = design_constraints(cparams, x0, rates=(rdot, alphadot))
-        assert abs(des.rows[2] @ v - des.gamma[2]) < 1e-12
-        assert abs(des.rows[3] @ v - des.gamma[3]) < 1e-12
+        rows, gamma = design_constraints(cparams, x0, rates=(rdot, alphadot))
+        assert abs(rows[2] @ v - gamma[2]) < 1e-12
+        assert abs(rows[3] @ v - gamma[3]) < 1e-12
 
     def test_pose_block_rank_three_along_reference(self, cparams, gait):
         for k in range(0, len(gait.t), len(gait.t) // 16):
-            pose = design_constraints(cparams, gait.x[k]).rows[[0, 1, 4], :3]
+            pose = design_constraints(cparams, gait.x[k])[0][[0, 1, 4], :3]
             svals = np.linalg.svd(pose, compute_uv=False)
             assert svals[-1] > 1e-3
 
     def test_pose_block_determinant_at_start(self, cparams, gait):
-        des = design_constraints(cparams, gait.initial_state)
-        pose = des.rows[[0, 1, 4], :3]  # pose block of rows 1, 2, 5
+        rows, _ = design_constraints(cparams, gait.initial_state)
+        pose = rows[[0, 1, 4], :3]  # pose block of rows 1, 2, 5
         assert np.linalg.det(pose) == pytest.approx(1.0, abs=1e-9)
 
     def test_midpoint_rows_are_foot_row_averages(self, cparams, gait):
@@ -215,9 +224,9 @@ class TestDesignRows:
         # midpoint, so they must equal the mean of the matching foot rows.
         for k in (0, len(gait.t) // 3, 2 * len(gait.t) // 3):
             A = foot_matrix(cparams, gait.x[k])
-            des = design_constraints(cparams, gait.x[k])
-            assert np.allclose(des.rows[0], 0.5 * (A[0] + A[2]), atol=1e-12)
-            assert np.allclose(des.rows[1], 0.5 * (A[1] + A[3]), atol=1e-12)
+            rows, _ = design_constraints(cparams, gait.x[k])
+            assert np.allclose(rows[0], 0.5 * (A[0] + A[2]), atol=1e-12)
+            assert np.allclose(rows[1], 0.5 * (A[1] + A[3]), atol=1e-12)
 
 
 class TestInitialConfiguration:
@@ -284,8 +293,9 @@ class TestJam:
         assert np.array_equal(gamma, np.zeros(5))
 
     def test_index_validation(self):
-        for bad in (0, 7, -1):
-            with pytest.raises(ValueError):
+        # a non-integer index is rejected, not truncated to a joint
+        for bad in (0, 7, -1, 2.9, 1.7, True):
+            with pytest.raises(ValueError, match=f"got {bad!r}"):
                 apply_jam(bad)
 
     def test_solve_velocity_freezes_joint(self, cparams, gait):
@@ -359,8 +369,9 @@ class TestRecovery:
         assert np.array_equal(out.r, gait.r[::2])
 
     def test_invalid_jam_rejected(self, cparams, gait):
-        with pytest.raises(ValueError, match="1..6"):
-            recover(cparams, gait, jam=7)
+        for bad in (7, 2.9):
+            with pytest.raises(ValueError, match="1..6"):
+                recover(cparams, gait, jam=bad)
 
     def test_rank_loss_detected(self, cparams, gait):
         # beta = theta0 + alpha with r*sin(beta) = 1 makes the pose block
@@ -421,6 +432,16 @@ class TestPerturbationProvider:
         provider = gait_perturbation_provider(cparams, gait, jam=0, stride=4)
         base = playback_baseline(cparams, gait, jam=0)
         assert np.array_equal(provider(np.zeros(6)).x, base.x[::4])
+
+    def test_extra_amplitudes_rejected(self, cparams, gait):
+        # at most one amplitude per free joint: a surplus raises, not dropped
+        for jam, count in ((1, 6), (0, 7)):
+            provider = gait_perturbation_provider(cparams, gait, jam=jam,
+                                                  stride=8)
+            with pytest.raises(ValueError,
+                               match=f"{count} amplitudes for {count - 1} "
+                                     "free joints"):
+                provider(np.full(count, 9.0))
 
     def test_invalid_jam_rejected_when_built(self, cparams, gait):
         with pytest.raises(ValueError, match="1..6"):
