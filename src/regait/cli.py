@@ -31,8 +31,7 @@ from .crawler import (N_JOINTS, STATE_DIM, TEMPLATE_FORMS, CrawlerParams,
 from .ctslip import (FREE_PARAM_BOUNDS, FREE_PARAM_STEPS, BuehlerClock,
                      CTSlipParams, SimConfig, build_reference,
                      count_completing, energy_outputs, make_ensemble,
-                     nominal_ic, recover_parameters, recovery_cost,
-                     simulate_hybrid)
+                     nominal_ic, recover_parameters, simulate_hybrid)
 from .encoding import learn_constraints, learned_to_json, record_eta
 from .integrate import IntegrationError
 from .manipulator import point_mass_toy, rescaled_constraint, run_force_matching
@@ -84,6 +83,19 @@ def _number(kind: str, key: str, value) -> float:
         raise UsageError(f"{kind} parameter {key!r} must be a number, "
                          f"got {value!r}")
     return float(value)
+
+
+def _step_width(text: str) -> float:
+    """argparse type of ``--dt``: a finite positive number, so that a bad
+    value is a usage error that names the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def _rms(arr) -> float:
@@ -262,12 +274,13 @@ def cmd_ctslip(args) -> dict:
 
     # recover
     reference = build_reference(params, ensemble, T=args.T, cfg=cfg)
-    initial_cost = recovery_cost(damaged, ensemble, reference)
     nm = NMConfig(initial_step=np.asarray(FREE_PARAM_STEPS),
                   max_iters=args.iters, f_tol=0.0, x_tol=0.0,
                   bounds=FREE_PARAM_BOUNDS)
     recovered, trace = recover_parameters(damaged, reference, ensemble,
                                           nm_config=nm)
+    # the search's first evaluation is the damaged plant, clipped to bounds
+    initial_cost = trace.costs[0]
     trace.to_csv(os.path.join(out, "cost_trace.csv"))
     _write_json(os.path.join(out, "recovered_params.json"),
                 _params_dict(recovered))
@@ -428,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jam", type=int, default=1,
                    help="joint to jam (1..6), 0 for no damage")
     p.add_argument("--period", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=_step_width, default=1e-3)
     p.add_argument("--order", type=int, default=4,
                    help="Fourier order for the learned rows")
     p.set_defaults(func=cmd_crawler)
@@ -437,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="hopper simulation, damage study, recovery")
     p.add_argument("action", choices=("simulate", "damage", "recover"))
     p.add_argument("--T", type=float, default=12.0, help="horizon")
-    p.add_argument("--dt", type=float, default=2e-3)
+    p.add_argument("--dt", type=_step_width, default=2e-3)
     p.add_argument("--ts", type=float, default=0.02,
                    help="damaged hip gain t_s")
     p.add_argument("--strides", type=int, default=10,
@@ -449,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("manipulator", parents=[common],
                        help="force matching on the constrained point mass")
     p.add_argument("--T", type=float, default=2.0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=_step_width, default=1e-3)
     p.set_defaults(func=cmd_manipulator)
 
     p = sub.add_parser("learn", parents=[with_params],

@@ -143,19 +143,21 @@ def hill_force(params: CTSlipParams, zeta: float, zeta_dot: float) -> float:
             - params.mu * zeta_dot)
 
 
-def _stance_law(params: CTSlipParams, chi0: float, leg: int) -> Callable:
-    """``stance_dynamics`` of one leg at a fixed clock phase."""
-    clock = params.clock.signal(chi0, leg)
+def _stance_law(params: CTSlipParams) -> Callable:
+    """The stance accelerations of ``stance_dynamics`` at the clock's
+    commanded angle psi_c and rate psi_c_dot, which the caller evaluates
+    (once per distinct stage time of a step), with ``hill_force`` inline."""
+    K, L, eta, mu = params.K, params.L, params.eta, params.mu
     t_s, kp, kd, g = params.t_s, params.kp, params.kd, params.gravity
     cos, sin = math.cos, math.sin
 
-    def accel(t, zeta, psi, zeta_dot, psi_dot):
+    def accel(zeta, psi, zeta_dot, psi_dot, psi_c, psi_c_dot):
         if zeta <= 0.0:
-            raise CrashSignal(f"leg collapsed (zeta={zeta}) at t={t}")
-        psi_c, psi_c_dot, _ = clock(t)
+            raise CrashSignal(f"leg collapsed (zeta={zeta})")
         tau = t_s * (kp * (psi_c - psi) + kd * (psi_c_dot - psi_dot))
         zeta_dd = (zeta * psi_dot * psi_dot
-                   + hill_force(params, zeta, zeta_dot) - g * cos(psi))
+                   + (K * (L - zeta) * (1.0 + eta * zeta_dot) - mu * zeta_dot)
+                   - g * cos(psi))
         psi_dd = (tau + g * zeta * sin(psi)
                   - 2.0 * zeta * zeta_dot * psi_dot) / (zeta * zeta)
         return zeta_dd, psi_dd
@@ -168,7 +170,8 @@ def stance_dynamics(params: CTSlipParams, zeta: float, psi: float,
                     chi0: float = 0.0, leg: int = 0) -> tuple[float, float]:
     """Radial/angular accelerations of the stance Lagrangian plus the
     non-conservative Hill terms and the clock-tracking hip torque."""
-    return _stance_law(params, chi0, leg)(t, zeta, psi, zeta_dot, psi_dot)
+    psi_c, psi_c_dot, _ = params.clock.command(t, chi0, leg)
+    return _stance_law(params)(zeta, psi, zeta_dot, psi_dot, psi_c, psi_c_dot)
 
 
 @dataclass(frozen=True)
@@ -178,8 +181,9 @@ class SimConfig:
     max_events_per_step: int = 8
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.bisect_tol <= 0.0:
-            raise ValueError("dt and bisect_tol must be positive")
+        # written so that NaN fails every comparison
+        if not (0.0 < self.dt < math.inf and 0.0 < self.bisect_tol < math.inf):
+            raise ValueError("dt and bisect_tol must be finite and positive")
         if self.max_events_per_step < 1:
             raise ValueError("max_events_per_step must be at least 1")
 
@@ -237,13 +241,14 @@ def _liftoff_map(u: Sequence[float], foot: tuple) -> tuple:
             zd * cp - zeta * pd * sp)
 
 
-def _modes(params: CTSlipParams, chi0: float, dt: float,
-           ) -> tuple[dict, Callable]:
-    """Mode -> (RK4 step(t, u, h), guards, guard values), built once per run,
-    and the flight block advance on the grid of width dt.
+def _modes(params: CTSlipParams, chi0: float, dt: float) -> dict:
+    """Mode -> (RK4 step(t, u, h), guards, guard values, block advance),
+    built once per run on the grid of width dt.
 
     A guard is (kind, leg, value, armed); an event fires when value crosses
     from > 0 to <= 0 inside a step (and the armed predicate holds, if any).
+    A block advance takes full grid steps in one loop and stops before the
+    first step on which an event may fire (see ``simulate_hybrid``).
     """
     L, ng = params.L, -params.gravity
     ng_sum = ng + 2.0 * ng + 2.0 * ng + ng
@@ -251,7 +256,8 @@ def _modes(params: CTSlipParams, chi0: float, dt: float,
     floor = 1e-3 * L
     margin = 1e-9 * L  # far above numpy's cos error in a guard value
     half_cycle = math.ceil(0.5 / (params.clock.frequency * dt))
-    cos = math.cos
+    accel = _stance_law(params)
+    cos, sin = math.cos, math.sin
 
     def flight(t, u, h):
         # stage positions are dead; += 0.0 maps -0.0 to 0.0 as the stages do
@@ -288,26 +294,59 @@ def _modes(params: CTSlipParams, chi0: float, dt: float,
         rows[:, 2], rows[:, 4:] = xd, (L, math.nan, Mode.FLIGHT.value)
         return rows, (float(xs[c]), float(ys[c]), xd, float(yds[c]))
 
+    landed = (("crash", None, lambda t, u: u[0] * cos(u[1]), None),
+              ("crash", None, lambda t, u: u[0] - floor, None),
+              ("liftoff", None, lambda t, u: L - u[0], None))
+    values = [g[2] for g in landed]
+
     def stance(leg):
-        accel = _stance_law(params, chi0, leg)
+        clock = params.clock.signal(chi0, leg)
+        value = (Mode.STANCE_LEFT, Mode.STANCE_RIGHT)[leg].value
 
         def step(t, u, h):
+            # stages 2 and 3 share the time t + h/2 and its clock values
             z, p, zd, pd = u
             hh = 0.5 * h
-            a1, b1 = accel(t, z, p, zd, pd)
+            c, r, _ = clock(t)
+            a1, b1 = accel(z, p, zd, pd, c, r)
             zd2, pd2 = zd + hh * a1, pd + hh * b1
-            a2, b2 = accel(t + hh, z + hh * zd, p + hh * pd, zd2, pd2)
+            c, r, _ = clock(t + hh)
+            a2, b2 = accel(z + hh * zd, p + hh * pd, zd2, pd2, c, r)
             zd3, pd3 = zd + hh * a2, pd + hh * b2
-            a3, b3 = accel(t + hh, z + hh * zd2, p + hh * pd2, zd3, pd3)
+            a3, b3 = accel(z + hh * zd2, p + hh * pd2, zd3, pd3, c, r)
             zd4, pd4 = zd + h * a3, pd + h * b3
-            a4, b4 = accel(t + h, z + h * zd3, p + h * pd3, zd4, pd4)
+            c, r, _ = clock(t + h)
+            a4, b4 = accel(z + h * zd3, p + h * pd3, zd4, pd4, c, r)
             s = h / 6.0
             return (z + s * (zd + 2.0 * zd2 + 2.0 * zd3 + zd4),
                     p + s * (pd + 2.0 * pd2 + 2.0 * pd3 + pd4),
                     zd + s * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
                     pd + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
-        return step
+        def block(k, u, va, n, foot):
+            """Full stance steps from grid step k, whose state u has the
+            guard values va, at most n: the sample rows of the leading
+            steps on which no guard fires and no stage raises, the state
+            after the last of them and its guard values."""
+            rows, (va0, va1, va2), x0 = [], va, foot[0]
+            try:
+                for j in range(k, k + n):
+                    t = j * dt
+                    u_end = step(t, u, (j + 1) * dt - t)
+                    z, p, zd, pd = u_end
+                    # cos(psi) gives both the guard z*cos(psi) and the COM y
+                    sp, cp = sin(p), cos(p)
+                    y, vb1, vb2 = z * cp, z - floor, L - z
+                    if va0 > 0.0 >= y or va1 > 0.0 >= vb1 or va2 > 0.0 >= vb2:
+                        break
+                    rows.append((x0 - z * sp, y, -zd * sp - z * pd * cp,
+                                 zd * cp - z * pd * sp, z, p, value))
+                    u, va0, va1, va2 = u_end, y, vb1, vb2
+            except CrashSignal:
+                pass
+            return rows, u, (va0, va1, va2)
+
+        return step, landed, values, block
 
     def touchdown(leg):
         clock = params.clock.signal(chi0, leg)
@@ -321,13 +360,9 @@ def _modes(params: CTSlipParams, chi0: float, dt: float,
 
     airborne = (("crash", None, lambda t, u: u[1], None),
                 touchdown(0), touchdown(1))
-    landed = (("crash", None, lambda t, u: u[0] * cos(u[1]), None),
-              ("crash", None, lambda t, u: u[0] - floor, None),
-              ("liftoff", None, lambda t, u: L - u[0], None))
-    values = [g[2] for g in landed]
-    return ({Mode.FLIGHT: (flight, airborne, [g[2] for g in airborne]),
-             Mode.STANCE_LEFT: (stance(0), landed, values),
-             Mode.STANCE_RIGHT: (stance(1), landed, values)}, flight_block)
+    return {Mode.FLIGHT: (flight, airborne, [g[2] for g in airborne],
+                          flight_block),
+            Mode.STANCE_LEFT: stance(0), Mode.STANCE_RIGHT: stance(1)}
 
 
 def _sample_rows(samples: list) -> np.ndarray:
@@ -383,6 +418,16 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
     cosine in the touchdown guards, so the first step that may fire is left
     to the scalar loop, which makes every event decision, bisection and
     post-event remainder as before.
+
+    A full grid step that starts in stance with the guard values of its
+    start state at hand (any step but the first of the run and the one
+    after an event that ended at the grid point) starts a block of stance
+    steps: one Python loop of the scalar RK4 step with the landed guards
+    and the sample row computed inline, cos(psi) shared by the zeta*cos(psi)
+    guard and the COM height. The block keeps its steps while no guard goes
+    from > 0 to <= 0 and no stage raises ``CrashSignal``; the step that
+    does is left to the scalar loop, which repeats it from the same state
+    and guard values, so every event is found as before.
     """
     cfg = cfg if cfg is not None else SimConfig()
     dt, tol = cfg.dt, cfg.bisect_tol
@@ -405,8 +450,8 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
     else:
         raise ValueError("initial condition must be flight or stance")
 
-    modes, flight_block = _modes(params, chi0, dt)
-    step, guards, (v0, v1, v2) = modes[mode]
+    modes = _modes(params, chi0, dt)
+    step, guards, (v0, v1, v2), block = modes[mode]
     flight_tail = (params.L, math.nan, Mode.FLIGHT.value)
     stance_value = mode.value
     samples = [u + flight_tail if foot is None
@@ -418,13 +463,18 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
     k = 0
     while k < nsteps:
         if mode is Mode.FLIGHT:
-            rows, u_next = flight_block(k, u, nsteps - k)
+            rows, u_next = block(k, u, nsteps - k)
             if len(rows):
                 blocks += (_sample_rows(samples), rows)
                 samples, u, va = [], u_next, None
-                k += len(rows)
-                if k == nsteps:
-                    break
+        elif va is not None:
+            rows, u, va = block(k, u, va, nsteps - k, foot)
+            samples += rows
+        else:
+            rows = ()
+        k += len(rows)
+        if k == nsteps:
+            break
         ta, tb = k * dt, (k + 1) * dt
         for _ in range(cfg.max_events_per_step):
             if va is None:
@@ -452,7 +502,7 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
                 stance_value = mode.value
             else:  # liftoff
                 u, foot, mode = _liftoff_map(u_ev, foot), None, Mode.FLIGHT
-            step, guards, (v0, v1, v2) = modes[mode]
+            step, guards, (v0, v1, v2), block = modes[mode]
             ta, va = t_ev, None
             if tb - ta <= tol:
                 break

@@ -23,8 +23,12 @@ class ProjectedIntegratorConfig:
     max_newton_iters: int = 50
 
     def __post_init__(self):
-        if self.dt <= 0 or self.projection_tol <= 0 or self.max_newton_iters < 1:
-            raise ValueError("dt > 0, projection_tol > 0, max_newton_iters >= 1")
+        # written so that NaN fails every comparison
+        if not (0.0 < self.dt < math.inf
+                and 0.0 < self.projection_tol < math.inf
+                and self.max_newton_iters >= 1):
+            raise ValueError("dt and projection_tol must be finite and "
+                             "positive, max_newton_iters >= 1")
 
 
 class IntegrationError(RuntimeError):

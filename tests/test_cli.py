@@ -215,6 +215,18 @@ class TestCtslipCommand:
         assert "span T=-1.0" in capsys.readouterr().err
         assert kept.is_dir()
 
+    def test_bad_step_width_is_a_usage_error(self, tmp_path, capsys):
+        # a step width that is not finite and positive never reaches the
+        # simulator or the integrator, and no output directory is left
+        out = tmp_path / "x"
+        for argv in (("ctslip", "simulate", "--T", "12"),
+                     ("ctslip", "recover"), ("crawler",), ("manipulator",)):
+            for dt in ("inf", "nan", "0", "-1", "abc"):
+                assert main([*argv, "--dt", dt, "--out", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert "--dt" in err and repr(dt) in err, (argv, dt)
+                assert not out.exists()
+
     def test_recover_is_deterministic(self, tmp_path):
         outs, files = run_twice(tmp_path, ["ctslip", "recover", "--T", "3",
                                            "--iters", "1", "--seed", "7"])
@@ -223,6 +235,9 @@ class TestCtslipCommand:
                 "manifest.json"} <= set(files[0])
         m = metrics_of(outs[0])
         assert m["final_cost"] <= m["initial_cost"]
+        # the reported start cost is the search's first evaluation
+        first = read(outs[0] / "cost_trace.csv").splitlines()[1].split(",")
+        assert m["initial_cost"] == float(first[1])
         assert (outs[0] / "recovered_params.json").exists()
         assert read(outs[0] / "cost.svg").startswith("<svg")
 

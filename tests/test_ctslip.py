@@ -185,6 +185,14 @@ class TestFlight:
         with pytest.raises(ValueError, match=f"span T={T}"):
             simulate_hybrid(params, nominal_ic(params), T=T)
 
+    @pytest.mark.parametrize("kw", [
+        {"dt": 0.0}, {"dt": -2e-3}, {"dt": math.inf}, {"dt": math.nan},
+        {"bisect_tol": 0.0}, {"bisect_tol": math.inf},
+        {"bisect_tol": math.nan}])
+    def test_step_and_tolerance_must_be_finite_positive(self, kw):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SimConfig(**kw)
+
     def test_event_budget_must_allow_one_event(self):
         with pytest.raises(ValueError, match="max_events_per_step"):
             SimConfig(max_events_per_step=0)

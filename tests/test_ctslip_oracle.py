@@ -273,13 +273,19 @@ def _stance_drop(params, psi0=0.25):
     return HybridState(mode=Mode.STANCE_LEFT, com=com, foot=(0.0, 0.0))
 
 
+def _stance_start(zeta, psi, zeta_dot, psi_dot):
+    """Left-leg stance start at the leg state (zeta, psi, zeta_dot,
+    psi_dot), foot at the origin."""
+    sp, cp = math.sin(psi), math.cos(psi)
+    com = (-zeta * sp, zeta * cp, -zeta_dot * sp - zeta * psi_dot * cp,
+           zeta_dot * cp - zeta * psi_dot * sp)
+    return HybridState(mode=Mode.STANCE_LEFT, com=com, foot=(0.0, 0.0))
+
+
 def _stance_liftoff(params, psi0=-0.1, gap=1e-3, speed=5.0):
     """Stance start a little inside the rest length, extending fast enough
     to lift off inside the first step."""
-    zeta = params.L - gap
-    sp, cp = math.sin(psi0), math.cos(psi0)
-    com = (-zeta * sp, zeta * cp, -speed * sp, speed * cp)
-    return HybridState(mode=Mode.STANCE_LEFT, com=com, foot=(0.0, 0.0))
+    return _stance_start(params.L - gap, psi0, speed, 0.0)
 
 
 ENSEMBLE = make_ensemble(HEALTHY)
@@ -314,6 +320,21 @@ GRID = {
                     4.0, None),
     # the first flight starts after a liftoff inside the first step
     "liftoff-first-step": (HEALTHY, _stance_liftoff(HEALTHY), 2.0, None),
+    # stance steps after the first one run as a block until an exit:
+    # the span ends in stance
+    "stance-span-end": (HEALTHY, _stance_drop(HEALTHY), 0.05, None),
+    # the leg lifts off after a few dozen steps
+    "stance-liftoff": (HEALTHY, _stance_liftoff(HEALTHY, gap=0.5), 0.5, None),
+    # a stage of the seventh step drives the leg through zero
+    "stance-collapse": (HEALTHY, _stance_start(5.0, 0.0, -500.0, 0.0), 0.2,
+                        None),
+    # the leg tips over to the horizontal: zeta*cos(psi) reaches zero
+    "stance-tip-over": (HEALTHY, _stance_start(40.0, 1.2, 0.0, 5.0), 0.5,
+                        None),
+    # with a weak spring and no hip torque the leg compresses slowly
+    # through the floor length 1e-3 L, ending a step above zero
+    "stance-floor": (replace(HEALTHY, K=1e-3, t_s=0.0),
+                     _stance_start(1.0, 0.0, -5.0, 0.0), 0.5, None),
 }
 
 
@@ -333,6 +354,32 @@ def test_grid_covers_every_outcome():
     assert runs["freefall-crash"].crashed
     assert runs["leg-collapse"].events == [Event("crash", 0.0)]
     assert runs["stance-drop"].mode[0] == Mode.STANCE_LEFT.value
+
+    dt = SimConfig().dt
+    stance = Mode.STANCE_LEFT.value
+    end = runs["stance-span-end"]
+    assert not end.events and len(end.t) == 26
+    assert (end.mode == stance).all()
+    lift = runs["stance-liftoff"]
+    assert lift.events[0].kind == "liftoff" and lift.events[0].time > 3 * dt
+    assert lift.mode[3] == stance
+    # a stage's CrashSignal ends its step at the step's start
+    collapse = runs["stance-collapse"]
+    assert len(collapse.t) >= 3 and (collapse.mode == stance).all()
+    assert collapse.events == [Event("crash", (len(collapse.t) - 1) * dt)]
+    # guard crashes are bisected inside the step after the last sample: at
+    # zeta*cos(psi) with the leg long and near horizontal, at zeta - floor
+    # with the leg short and near vertical
+    floor = 1e-3 * HEALTHY.L
+    for case, leg in (("stance-tip-over", lambda z, p: z > 0.4 * HEALTHY.L
+                       and abs(p - 0.5 * math.pi) < 0.05),
+                      ("stance-floor", lambda z, p: floor < z < 4 * floor
+                       and abs(p) < 0.3)):
+        run = runs[case]
+        [crash] = run.events
+        assert crash.kind == "crash" and len(run.t) >= 3, case
+        assert 0.0 < crash.time - (len(run.t) - 1) * dt < dt, case
+        assert leg(run.zeta[-1], run.psi[-1]), case
 
 
 def test_flight_cases_have_their_shapes():

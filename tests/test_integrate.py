@@ -37,6 +37,11 @@ class TestStep:
             cfg(dt=0.0)
         with pytest.raises(ValueError):
             cfg(max_newton_iters=0)
+        # non-finite step widths and tolerances are rejected too
+        for kw in ({"dt": np.inf}, {"dt": np.nan}, {"projection_tol": 0.0},
+                   {"projection_tol": np.inf}, {"projection_tol": np.nan}):
+            with pytest.raises(ValueError, match="finite and positive"):
+                cfg(**kw)
 
 
 class TestProject:
