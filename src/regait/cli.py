@@ -85,17 +85,27 @@ def _number(kind: str, key: str, value) -> float:
     return float(value)
 
 
-def _step_width(text: str) -> float:
-    """argparse type of ``--dt``: a finite positive number, so that a bad
-    value is a usage error that names the flag."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite positive number, got {text!r}")
-    return value
+def _flag_type(convert, positive: bool, what: str):
+    """argparse type of a numeric flag: ``convert(text)``, finite and above
+    zero (at or above it unless ``positive``), so that a bad value is a
+    usage error that names the flag."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        # written so that NaN fails the comparison
+        if not ((0 < value if positive else 0 <= value) and value < math.inf):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive = _flag_type(float, True, "a finite positive number")
+_non_negative = _flag_type(float, False, "a finite non-negative number")
+_count = _flag_type(int, False, "a non-negative integer")
 
 
 def _rms(arr) -> float:
@@ -440,35 +450,35 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="reference gait, jam, baseline, recovery")
     p.add_argument("--jam", type=int, default=1,
                    help="joint to jam (1..6), 0 for no damage")
-    p.add_argument("--period", type=float, default=1.0)
-    p.add_argument("--dt", type=_step_width, default=1e-3)
-    p.add_argument("--order", type=int, default=4,
+    p.add_argument("--period", type=_positive, default=1.0)
+    p.add_argument("--dt", type=_positive, default=1e-3)
+    p.add_argument("--order", type=_count, default=4,
                    help="Fourier order for the learned rows")
     p.set_defaults(func=cmd_crawler)
 
     p = sub.add_parser("ctslip", parents=[with_params],
                        help="hopper simulation, damage study, recovery")
     p.add_argument("action", choices=("simulate", "damage", "recover"))
-    p.add_argument("--T", type=float, default=12.0, help="horizon")
-    p.add_argument("--dt", type=_step_width, default=2e-3)
-    p.add_argument("--ts", type=float, default=0.02,
+    p.add_argument("--T", type=_positive, default=12.0, help="horizon")
+    p.add_argument("--dt", type=_positive, default=2e-3)
+    p.add_argument("--ts", type=_non_negative, default=0.02,
                    help="damaged hip gain t_s")
-    p.add_argument("--strides", type=int, default=10,
+    p.add_argument("--strides", type=_count, default=10,
                    help="strides that count as completing")
-    p.add_argument("--iters", type=int, default=40,
+    p.add_argument("--iters", type=_count, default=40,
                    help="Nelder-Mead iteration budget for recover")
     p.set_defaults(func=cmd_ctslip)
 
     p = sub.add_parser("manipulator", parents=[common],
                        help="force matching on the constrained point mass")
-    p.add_argument("--T", type=float, default=2.0)
-    p.add_argument("--dt", type=_step_width, default=1e-3)
+    p.add_argument("--T", type=_positive, default=2.0)
+    p.add_argument("--dt", type=_positive, default=1e-3)
     p.set_defaults(func=cmd_manipulator)
 
     p = sub.add_parser("learn", parents=[with_params],
                        help="learn constraints from a trajectory CSV")
     p.add_argument("--traj", required=True, help="trajectory CSV file")
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--order", type=_count, default=4)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("rank", parents=[common],

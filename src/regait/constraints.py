@@ -321,22 +321,19 @@ def _fourier_feature_rows(rng: np.random.Generator, sample: np.ndarray,
 
 def augment_random_rank(A: Callable[[np.ndarray], np.ndarray], samples,
                         N: int, seed: int, trials: int = 1,
-                        row_sampler=None,
                         tol: float = DEFAULT_RANK_TOL) -> float:
     """Empirical rate at which N random rows raise the rank of A past k.
 
     For each trial a fresh bundle of N random smooth functions is drawn; at
     every sample the gradients are appended to A(sample) and success is
     recorded when the stacked matrix reaches rank >= k+1. Returns the success
-    fraction over trials x samples. ``row_sampler(rng, sample, n, N)``
-    overrides the row draw (used to exercise adversarial cases).
+    fraction over trials x samples.
     """
     samples = [np.atleast_1d(np.asarray(s, dtype=float)) for s in samples]
     if not samples:
         raise ValueError("need at least one sample")
     if N < 1:
         raise ValueError("N must be >= 1")
-    draw = row_sampler if row_sampler is not None else _fourier_feature_rows
     rng = np.random.default_rng(seed)
     hits = 0
     total = 0
@@ -348,7 +345,7 @@ def augment_random_rank(A: Callable[[np.ndarray], np.ndarray], samples,
             k, n = base.shape
             if k >= n:
                 raise ValueError(f"no room to augment: k={k} >= n={n}")
-            extra = draw(rng, s, n, N)
+            extra = _fourier_feature_rows(rng, s, n, N)
             stacked = np.vstack([base, extra]) if k else extra
             rank = np.linalg.matrix_rank(stacked, tol * _scale(stacked))
             hits += int(rank >= k + 1)

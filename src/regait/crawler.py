@@ -26,6 +26,7 @@ those rows plus row 5 given (rdot_d, alphadot_d); all other signs follow.
 
 from __future__ import annotations
 
+import cmath
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -53,6 +54,10 @@ class CrawlerParams:
     h2: complex = -1.0 + 0.0j
 
     def __post_init__(self):
+        for name in ("l1", "l2", "h1", "h2"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)}")
         if self.l1 == self.l2:
             raise ValueError("foot anchors must be distinct")
 
@@ -216,24 +221,24 @@ _IK_GUESSES = (
     (0.7, 0.8, 0.5, 2.4, -0.8, -0.5),
     (1.1, -0.5, 0.4, 2.0, 0.5, -0.4),
 )
+_IK_TOL = 1e-12        # foot residual (max norm) that counts as solved
+_IK_MAX_ITERS = 200    # Newton steps per guess
 
 
-def initial_configuration(params: CrawlerParams,
-                          guesses: Sequence[Sequence[float]] | None = None,
-                          tol: float = 1e-12, max_iters: int = 200,
-                          ) -> np.ndarray:
+def initial_configuration(params: CrawlerParams) -> np.ndarray:
     """Feasible zero-pose state via damped Newton on the foot residual.
 
-    The 4-equation, 6-unknown system is solved with pseudoinverse steps; the
-    first guess that converges wins (the elbow branch is a free choice).
+    The 4-equation, 6-unknown system is solved with pseudoinverse steps from
+    each of ``_IK_GUESSES`` in turn; the first guess that converges wins (the
+    elbow branch is a free choice).
     """
-    for guess in guesses if guesses is not None else _IK_GUESSES:
+    for guess in _IK_GUESSES:
         theta = np.array(guess, dtype=float)
-        for _ in range(max_iters):
+        for _ in range(_IK_MAX_ITERS):
             state = np.concatenate([np.zeros(G_DIM), theta])
             res, J = _feet(params, state)
             err = np.linalg.norm(res, ord=np.inf)
-            if err < tol:
+            if err < _IK_TOL:
                 return state
             full = np.linalg.pinv(J[:, G_DIM:], rcond=1e-10) @ res
             scale, base = 1.0, np.linalg.norm(res)
@@ -250,22 +255,15 @@ def initial_configuration(params: CrawlerParams,
     raise ValueError("inverse kinematics failed for every initial guess")
 
 
-@dataclass(frozen=True)
-class GaitProfile:
-    """Sinusoidal weights over the feet-pinned null-space directions.
-
-    The null space of [foot rows; x-theta0 row] is four-dimensional; its SVD
-    basis at each state is aligned to the basis at the start (orthogonal
-    Procrustes) so the field is a continuous pure function of (t, state).
-    """
-
-    amplitudes: tuple[float, ...] = (0.55, 0.45, 0.40, 0.35)
-    phases: tuple[float, ...] = (0.0, 1.7, 3.4, 5.1)
-    min_alignment: float = 0.2
-
-    def weights(self, t: float, period: float) -> np.ndarray:
-        ph = 2.0 * np.pi * t / period
-        return np.asarray(self.amplitudes) * np.sin(ph + np.asarray(self.phases))
+# The reference gait moves along sinusoidal weights over the feet-pinned
+# null-space directions. The null space of [foot rows; x-theta0 row] is
+# four-dimensional; its SVD basis at each state is aligned to the basis at
+# the start (orthogonal Procrustes) so the field is a continuous pure
+# function of (t, state). A frame whose alignment cosine drops below
+# GAIT_MIN_ALIGNMENT has drifted too far.
+GAIT_AMPLITUDES = np.array([0.55, 0.45, 0.40, 0.35])
+GAIT_PHASES = np.array([0.0, 1.7, 3.4, 5.1])
+GAIT_MIN_ALIGNMENT = 0.2
 
 
 # designed row 5 (x locked to theta0) pulled back to the state: constant
@@ -280,15 +278,17 @@ def _null_basis(params: CrawlerParams, state) -> np.ndarray:
     return vt[M.shape[0]:].T
 
 
-def _gait_field(params: CrawlerParams, profile: GaitProfile, period: float,
+def _gait_field(params: CrawlerParams, period: float,
                 basis0: np.ndarray) -> Callable:
     def field(t, state):
         N = _null_basis(params, state)
         U, sv, Vt = np.linalg.svd(N.T @ basis0)
-        if sv.min() < profile.min_alignment:
+        if sv.min() < GAIT_MIN_ALIGNMENT:
             raise IntegrationError(
                 f"null-space frame drifted too far from the start (cos {sv.min():.3f})")
-        return N @ ((U @ Vt) @ profile.weights(t, period))
+        weights = GAIT_AMPLITUDES * np.sin(2.0 * np.pi * t / period
+                                           + GAIT_PHASES)
+        return N @ ((U @ Vt) @ weights)
 
     return field
 
@@ -341,15 +341,11 @@ class ReferenceGait:
 
 
 def reference_gait(params: CrawlerParams, period: float = 1.0,
-                   dt: float = 1e-3, profile: GaitProfile | None = None,
-                   x0: np.ndarray | None = None) -> ReferenceGait:
-    """Generate and record the nominal gait by projected integration."""
-    profile = profile if profile is not None else GaitProfile()
-    if x0 is None:
-        x0 = initial_configuration(params)
-    else:
-        x0 = np.asarray(x0, dtype=float)
-    field = _gait_field(params, profile, period, _null_basis(params, x0))
+                   dt: float = 1e-3) -> ReferenceGait:
+    """Generate and record the nominal gait by projected integration from
+    ``initial_configuration``."""
+    x0 = initial_configuration(params)
+    field = _gait_field(params, period, _null_basis(params, x0))
     cfg = ProjectedIntegratorConfig(dt=0.5 * dt, projection_tol=1e-11)
     traj, v = integrate_projected(field, lambda s: _feet(params, s), 0.0, x0,
                                   period, cfg)
@@ -461,9 +457,10 @@ def _designed_residuals(params, reference, t, x, v) -> np.ndarray:
                                    classes=(Priority.DESIGNED,)), axis=-1)
 
 
-def recover(params: CrawlerParams, reference: ReferenceGait, jam: int,
-            cfg: ProjectedIntegratorConfig | None = None) -> RecoveryResult:
-    """Integrate the recovery law from the reference initial condition.
+def recover(params: CrawlerParams, reference: ReferenceGait,
+            jam: int) -> RecoveryResult:
+    """Integrate the recovery law from the reference initial condition, on
+    the reference's step width.
 
     Designed residuals use the field velocity the integrator returns at each
     sample (its RK4 first stage). With jam=0 there is nothing to recover: the
@@ -477,8 +474,7 @@ def recover(params: CrawlerParams, reference: ReferenceGait, jam: int,
                               designed_residual=_designed_residuals(
                                   params, reference, full.t, full.x,
                                   reference.v[::2]))
-    if cfg is None:
-        cfg = ProjectedIntegratorConfig(dt=reference.dt, projection_tol=1e-11)
+    cfg = ProjectedIntegratorConfig(dt=reference.dt, projection_tol=1e-11)
     x0 = reference.initial_state
     locked = x0[G_DIM - 1 + jam]
     jam_grad = apply_jam(jam)[None]

@@ -49,21 +49,20 @@ class BuehlerClock:
     frequency: float = 0.8
 
     def __post_init__(self):
+        # written so that NaN fails every comparison
         if not 0.0 < self.duty_factor < 1.0:
             raise ValueError("duty_factor must be in (0, 1)")
-        if self.sweep_angle <= 0.0 or self.frequency <= 0.0:
-            raise ValueError("sweep_angle and frequency must be positive")
-        if abs(self.touchdown_angle) > self.sweep_angle:
+        for name in ("sweep_angle", "frequency"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)}")
+        if not abs(self.touchdown_angle) <= self.sweep_angle:
             raise ValueError("touchdown_angle must lie inside the sweep")
 
-    def command(self, t: float, chi0: float, leg: int,
-                ) -> tuple[float, float, bool]:
-        """Commanded angle, its time derivative, and the descending flag."""
-        return self.signal(chi0, leg)(t)
-
     def signal(self, chi0: float, leg: int) -> Callable:
-        """``command`` of one leg at a fixed clock phase, as a function of
-        time alone, with the clock constants evaluated once."""
+        """One leg's command at a fixed clock phase, as a function of time:
+        t -> (commanded angle, its time derivative, descending flag), with
+        the clock constants evaluated once."""
         duty, sweep, f = self.duty_factor, self.sweep_angle, self.frequency
         omega, offset = TWO_PI * f, (math.pi if leg else 0.0)
         down_rate = -2.0 * sweep / duty * f
@@ -107,8 +106,15 @@ class CTSlipParams:
     clock: BuehlerClock = field(default_factory=BuehlerClock)
 
     def __post_init__(self):
-        if self.L <= 0.0 or self.K <= 0.0:
-            raise ValueError("L and K must be positive")
+        # written so that NaN fails every comparison
+        for name in ("L", "K"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)}")
+        for name in ("eta", "mu", "t_s", "gravity", "kp", "kd"):
+            if not abs(getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)}")
 
 
 class Mode(Enum):
@@ -138,15 +144,11 @@ class CrashSignal(RuntimeError):
     """Raised by the stance field when the leg has fully collapsed."""
 
 
-def hill_force(params: CTSlipParams, zeta: float, zeta_dot: float) -> float:
-    return (params.K * (params.L - zeta) * (1.0 + params.eta * zeta_dot)
-            - params.mu * zeta_dot)
-
-
 def _stance_law(params: CTSlipParams) -> Callable:
-    """The stance accelerations of ``stance_dynamics`` at the clock's
-    commanded angle psi_c and rate psi_c_dot, which the caller evaluates
-    (once per distinct stage time of a step), with ``hill_force`` inline."""
+    """Radial/angular accelerations of the stance Lagrangian plus the Hill
+    force and the clock-tracking hip torque, at the clock's commanded angle
+    psi_c and rate psi_c_dot, which the caller evaluates (once per distinct
+    stage time of a step)."""
     K, L, eta, mu = params.K, params.L, params.eta, params.mu
     t_s, kp, kd, g = params.t_s, params.kp, params.kd, params.gravity
     cos, sin = math.cos, math.sin
@@ -165,27 +167,18 @@ def _stance_law(params: CTSlipParams) -> Callable:
     return accel
 
 
-def stance_dynamics(params: CTSlipParams, zeta: float, psi: float,
-                    zeta_dot: float, psi_dot: float, t: float,
-                    chi0: float = 0.0, leg: int = 0) -> tuple[float, float]:
-    """Radial/angular accelerations of the stance Lagrangian plus the
-    non-conservative Hill terms and the clock-tracking hip torque."""
-    psi_c, psi_c_dot, _ = params.clock.command(t, chi0, leg)
-    return _stance_law(params)(zeta, psi, zeta_dot, psi_dot, psi_c, psi_c_dot)
+BISECT_TOL = 1e-10         # width at which event bisection stops
+MAX_EVENTS_PER_STEP = 8    # events one grid step may hold before it fails
 
 
 @dataclass(frozen=True)
 class SimConfig:
     dt: float = 2e-3
-    bisect_tol: float = 1e-10
-    max_events_per_step: int = 8
 
     def __post_init__(self):
-        # written so that NaN fails every comparison
-        if not (0.0 < self.dt < math.inf and 0.0 < self.bisect_tol < math.inf):
-            raise ValueError("dt and bisect_tol must be finite and positive")
-        if self.max_events_per_step < 1:
-            raise ValueError("max_events_per_step must be at least 1")
+        # written so that NaN fails the comparison
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -229,7 +222,7 @@ def _leg_state(com: Sequence[float], foot: tuple) -> tuple:
 
 def _touchdown_map(params: CTSlipParams, t: float, u: Sequence[float],
                    chi0: float, leg: int) -> tuple[tuple, tuple]:
-    psi_c, _, _ = params.clock.command(t, chi0, leg)
+    psi_c, _, _ = params.clock.signal(chi0, leg)(t)
     foot = (u[0] + params.L * math.sin(psi_c), 0.0)
     return _leg_state(u, foot), foot
 
@@ -430,7 +423,7 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
     and guard values, so every event is found as before.
     """
     cfg = cfg if cfg is not None else SimConfig()
-    dt, tol = cfg.dt, cfg.bisect_tol
+    dt, tol = cfg.dt, BISECT_TOL
     if not 0.0 <= T < math.inf:
         raise ValueError(f"span T={T} is negative or not finite")
     nsteps = int(round(T / dt))
@@ -476,7 +469,7 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
         if k == nsteps:
             break
         ta, tb = k * dt, (k + 1) * dt
-        for _ in range(cfg.max_events_per_step):
+        for _ in range(MAX_EVENTS_PER_STEP):
             if va is None:
                 va = (v0(ta, u), v1(ta, u), v2(ta, u))
             try:
@@ -508,7 +501,7 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
                 break
         else:
             raise RuntimeError(
-                f"event location failed: more than {cfg.max_events_per_step} "
+                f"event location failed: more than {MAX_EVENTS_PER_STEP} "
                 f"events inside [{ta}, {tb}]")
         if crashed:
             break

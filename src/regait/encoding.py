@@ -122,9 +122,9 @@ def learned_block(dphi: Callable, lc: LearnedConstraints,
     return ConstraintBlock(priority=Priority.LEARNED, rows=rows, label=label)
 
 
-def learned_to_json_dict(lc: LearnedConstraints) -> dict:
+def learned_to_json(lc: LearnedConstraints) -> str:
     pm = lc.phase_model
-    return {
+    return json.dumps({
         "kind": "learned",
         "forms": lc.forms.tolist(),
         "eta_models": [{"order": m.order, "a0": m.a0, "a": m.a.tolist(),
@@ -136,10 +136,11 @@ def learned_to_json_dict(lc: LearnedConstraints) -> dict:
             "offset": pm.offset,
             "min_radius": pm.min_radius,
         },
-    }
+    }, indent=2)
 
 
-def learned_from_json_dict(data: dict) -> LearnedConstraints:
+def learned_from_json(text: str) -> LearnedConstraints:
+    data = json.loads(text)
     pm = data["phase_model"]
     phase = PhaseEstimator(
         pca_basis=np.asarray(pm["pca_basis"], dtype=float),
@@ -154,11 +155,3 @@ def learned_from_json_dict(data: dict) -> LearnedConstraints:
         for m in data["eta_models"])
     forms = np.asarray(data["forms"], dtype=float)
     return LearnedConstraints(forms=forms, eta_models=models, phase_model=phase)
-
-
-def learned_to_json(lc: LearnedConstraints) -> str:
-    return json.dumps(learned_to_json_dict(lc), indent=2)
-
-
-def learned_from_json(text: str) -> LearnedConstraints:
-    return learned_from_json_dict(json.loads(text))

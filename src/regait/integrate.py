@@ -16,19 +16,20 @@ import numpy as np
 from .trajectory import Trajectory
 
 
+MAX_NEWTON_ITERS = 50   # Newton iterations one projection may take
+
+
 @dataclass(frozen=True)
 class ProjectedIntegratorConfig:
     dt: float = 1e-3
     projection_tol: float = 1e-10
-    max_newton_iters: int = 50
 
     def __post_init__(self):
         # written so that NaN fails every comparison
         if not (0.0 < self.dt < math.inf
-                and 0.0 < self.projection_tol < math.inf
-                and self.max_newton_iters >= 1):
+                and 0.0 < self.projection_tol < math.inf):
             raise ValueError("dt and projection_tol must be finite and "
-                             "positive, max_newton_iters >= 1")
+                             "positive")
 
 
 class IntegrationError(RuntimeError):
@@ -57,7 +58,7 @@ def project(c: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], x,
     minimum-norm correction; a Jacobian without full row rank is an error.
     """
     x = np.asarray(x, dtype=float).copy()
-    for _ in range(cfg.max_newton_iters):
+    for _ in range(MAX_NEWTON_ITERS):
         res, jac = c(x)
         res = np.asarray(res, dtype=float)
         if np.linalg.norm(res, ord=np.inf) < cfg.projection_tol:
@@ -72,7 +73,7 @@ def project(c: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], x,
             raise IntegrationError(f"projection diverged: x={x}")
     res, _ = c(x)
     raise IntegrationError(
-        f"projection did not converge in {cfg.max_newton_iters} iterations; "
+        f"projection did not converge in {MAX_NEWTON_ITERS} iterations; "
         f"residual {np.linalg.norm(res, ord=np.inf):.3e} at x={x}")
 
 

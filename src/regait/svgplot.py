@@ -8,11 +8,11 @@ caller; autoscaled axes would couple the output to solver noise).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 _PALETTE = ("#1f6f8b", "#c1403d", "#4e8a4e", "#8a6d3b", "#6b5b95")
+WIDTH, HEIGHT = 640, 400   # every figure's size in pixels
 
 
 @dataclass
@@ -20,7 +20,6 @@ class Series:
     x: np.ndarray
     y: np.ndarray
     label: str = ""
-    color: str | None = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -36,12 +35,10 @@ class Figure:
     ylabel: str
     xlim: tuple[float, float]
     ylim: tuple[float, float]
-    width: int = 640
-    height: int = 400
     series: list[Series] = field(default_factory=list)
 
-    def add(self, x, y, label: str = "", color: str | None = None) -> None:
-        self.series.append(Series(np.asarray(x), np.asarray(y), label, color))
+    def add(self, x, y, label: str = "") -> None:
+        self.series.append(Series(np.asarray(x), np.asarray(y), label))
 
     def render(self) -> str:
         return render_svg(self)
@@ -57,8 +54,8 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 def render_svg(fig: Figure) -> str:
     ml, mr, mt, mb = 62, 16, 34, 46
-    pw = fig.width - ml - mr
-    ph = fig.height - mt - mb
+    pw = WIDTH - ml - mr
+    ph = HEIGHT - mt - mb
     x0, x1 = fig.xlim
     y0, y1 = fig.ylim
     if not (x1 > x0 and y1 > y0):
@@ -71,10 +68,10 @@ def render_svg(fig: Figure) -> str:
         return mt + (y1 - v) / (y1 - y0) * ph
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fig.width}" '
-        f'height="{fig.height}" viewBox="0 0 {fig.width} {fig.height}">',
-        f'<rect width="{fig.width}" height="{fig.height}" fill="white"/>',
-        f'<text x="{fig.width / 2:.1f}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="monospace" font-size="13">{fig.title}</text>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="#444" stroke-width="1"/>',
@@ -92,7 +89,7 @@ def render_svg(fig: Figure) -> str:
                    f'y2="{py:.1f}" stroke="#444"/>')
         out.append(f'<text x="{ml - 7}" y="{py + 3:.1f}" text-anchor="end" '
                    f'font-family="monospace" font-size="10">{_fmt(ty)}</text>')
-    out.append(f'<text x="{ml + pw / 2:.1f}" y="{fig.height - 10}" '
+    out.append(f'<text x="{ml + pw / 2:.1f}" y="{HEIGHT - 10}" '
                f'text-anchor="middle" font-family="monospace" '
                f'font-size="11">{fig.xlabel}</text>')
     out.append(f'<text x="14" y="{mt + ph / 2:.1f}" text-anchor="middle" '
@@ -100,7 +97,7 @@ def render_svg(fig: Figure) -> str:
                f'14 {mt + ph / 2:.1f})">{fig.ylabel}</text>')
 
     for i, s in enumerate(fig.series):
-        color = s.color or _PALETTE[i % len(_PALETTE)]
+        color = _PALETTE[i % len(_PALETTE)]
         keep = np.isfinite(s.x) & np.isfinite(s.y)
         pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}"
                        for a, b in zip(s.x[keep], s.y[keep]))

@@ -11,19 +11,32 @@ def read(path):
         return fh.read()
 
 
+def strict_json(path):
+    """The JSON document at ``path``; NaN and Infinity, which Python's
+    ``json`` writes but strict parsers reject, raise."""
+
+    def reject(name):
+        raise ValueError(f"{path}: non-standard JSON constant {name}")
+
+    return json.loads(read(path), parse_constant=reject)
+
+
 def metrics_of(out_dir):
-    return json.loads(read(out_dir / "metrics.json"))
+    return strict_json(out_dir / "metrics.json")
 
 
 def run_twice(tmp_path, argv):
     """Run ``argv`` twice into one --out path (the manifest records it),
     moving each output aside; return both directories and their files with
-    the run times dropped, which must match byte for byte."""
+    the run times dropped, which must match byte for byte. Each run's
+    metrics.json and manifest.json must be strict JSON."""
     timing = re.compile(r'("(runtime|duration)_seconds": )[^,\n]+')
     outs, files = [tmp_path / "run_a", tmp_path / "run_b"], []
     for moved in outs:
         out = tmp_path / "run"
         assert main([*argv, "--out", str(out)]) == 0
+        for name in ("metrics.json", "manifest.json"):
+            strict_json(out / name)
         files.append({p.name: timing.sub(r"\1", read(p))
                       for p in out.iterdir()})
         out.rename(moved)
@@ -47,7 +60,7 @@ class TestCrawlerCommand:
         assert read(crawler_run / "traces.svg").startswith("<svg")
 
     def test_manifest_fields(self, crawler_run):
-        manifest = json.loads(read(crawler_run / "manifest.json"))
+        manifest = strict_json(crawler_run / "manifest.json")
         assert manifest["subcommand"] == "crawler"
         assert manifest["seed"] == 0
         assert manifest["params"] is None
@@ -200,8 +213,11 @@ class TestCtslipCommand:
         assert m["strides"] >= 2
 
     def test_negative_span_fails(self, tmp_path, capsys):
-        # a failed run removes the output directory it created, and only that
-        cases = ((("ctslip", "simulate", "--T", "-1"), "span T=-1.0"),
+        # a failed run removes the output directory it created, and only
+        # that; a negative span is a usage error (see TestHarness), so the
+        # numeric failure here is a span off the step grid
+        cases = ((("ctslip", "simulate", "--T", "0.0501"),
+                  "integer number of steps"),
                  (("crawler", "--dt", "0.3"), "integer number of steps"))
         for argv, message in cases:
             out = tmp_path / "sim"
@@ -210,10 +226,29 @@ class TestCtslipCommand:
             assert not out.exists()
         kept = tmp_path / "kept"
         kept.mkdir()
-        assert main(["ctslip", "simulate", "--T", "-1",
+        assert main(["ctslip", "simulate", "--T", "0.0501",
                      "--out", str(kept)]) == 3
-        assert "span T=-1.0" in capsys.readouterr().err
+        assert "integer number of steps" in capsys.readouterr().err
         assert kept.is_dir()
+
+    def test_non_finite_params_are_usage_errors(self, tmp_path, capsys):
+        # Python's json reads NaN and Infinity; the parameter classes
+        # reject them before anything is simulated or written
+        params, out = tmp_path / "params.json", tmp_path / "x"
+        for argv, text, name in (
+                (("ctslip", "simulate"), '{"K": NaN}', "K"),
+                (("ctslip", "damage"), '{"L": Infinity}', "L"),
+                (("ctslip", "simulate"), '{"t_s": NaN}', "t_s"),
+                (("ctslip", "simulate"), '{"frequency": Infinity}',
+                 "frequency"),
+                (("ctslip", "simulate"), '{"sweep_angle": NaN}',
+                 "sweep_angle"),
+                (("crawler",), '{"l1": [NaN, 1.0]}', "l1")):
+            params.write_text(text + "\n")
+            assert main([*argv, "--params", str(params),
+                         "--out", str(out)]) == 2, text
+            assert f"{name} must be finite" in capsys.readouterr().err, text
+            assert not out.exists(), text
 
     def test_bad_step_width_is_a_usage_error(self, tmp_path, capsys):
         # a step width that is not finite and positive never reaches the
@@ -260,3 +295,43 @@ class TestHarness:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize("argv", [
+        ("crawler", "--period", "0"), ("crawler", "--period", "-1"),
+        ("crawler", "--period", "nan"), ("crawler", "--order", "-1"),
+        ("ctslip", "simulate", "--T", "-1"),
+        ("ctslip", "simulate", "--T", "0"),
+        ("ctslip", "damage", "--ts", "nan"),
+        ("ctslip", "damage", "--ts", "-5"),
+        ("ctslip", "damage", "--ts", "inf"),
+        ("ctslip", "damage", "--strides", "-3"),
+        ("ctslip", "recover", "--iters", "-1"),
+        ("manipulator", "--T", "0"), ("manipulator", "--T", "inf"),
+        ("learn", "--traj", "traj.csv", "--order", "-2")],
+        ids=" ".join)
+    def test_flag_out_of_range_is_a_usage_error(self, tmp_path, capsys,
+                                                 argv):
+        # rejected while the arguments are parsed: nothing is run and no
+        # output directory is made
+        out = tmp_path / "x"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be" in err
+        assert repr(argv[-1]) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("ctslip", "simulate", "--T", "1"),
+        ("ctslip", "damage", "--T", "3", "--strides", "2"),
+        ("manipulator", "--T", "0.2"),
+        ("rank", "--n", "4", "--k", "2", "--trials", "20")], ids=" ".join)
+    def test_repeat_run_gives_same_bytes(self, tmp_path, argv):
+        _, files = run_twice(tmp_path, argv)
+        assert files[0] == files[1]
+        assert {"metrics.json", "manifest.json"} < set(files[0])
+
+    def test_repeat_learn_gives_same_bytes(self, crawler_run, tmp_path):
+        _, files = run_twice(tmp_path, ["learn", "--traj",
+                                        str(crawler_run / "reference.csv")])
+        assert files[0] == files[1]
+        assert "learned.json" in files[0]

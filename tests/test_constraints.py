@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from regait import constraints
 from regait.constraints import (ConstraintBlock, ConstraintStack, Priority,
                                 RankDeficiencyError, augment_random_rank,
                                 completion_check, constant_block,
@@ -248,16 +249,18 @@ class TestAugmentRandomRank:
                                    trials=20)
         assert rate >= 0.995
 
-    def test_adversarial_duplicate_rows(self):
+    def test_adversarial_duplicate_rows(self, monkeypatch):
         n, k = 4, 2
         base = np.eye(n)[:k]
 
         def duplicate_first(rng, sample, dim, count):
             return np.tile(base[0], (count, 1))
 
+        monkeypatch.setattr(constraints, "_fourier_feature_rows",
+                            duplicate_first)
         samples = np.random.default_rng(3).standard_normal((5, n))
         rate = augment_random_rank(lambda s: base, samples, N=3, seed=4,
-                                   trials=5, row_sampler=duplicate_first)
+                                   trials=5)
         assert rate == 0.0
 
     def test_no_room_to_augment(self):

@@ -242,6 +242,14 @@ class TestInitialConfiguration:
         with pytest.raises(ValueError, match="kinematics"):
             initial_configuration(far)
 
+    @pytest.mark.parametrize("kw", [{"l1": complex(np.nan, 1.0)},
+                                    {"l2": complex(2.0, np.inf)},
+                                    {"h1": np.inf}, {"h2": np.nan}])
+    def test_non_finite_points_rejected(self, kw):
+        [name] = kw
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            CrawlerParams(**kw)
+
 
 class TestReferenceGait:
     def test_feet_pinned_throughout(self, cparams, gait):

@@ -7,31 +7,31 @@ import pytest
 from regait.ctslip import (APEX_MARGIN, APEX_SPEED, FREE_PARAM_BOUNDS,
                            FREE_PARAM_STEPS, BuehlerClock, CrashSignal,
                            CTSlipParams, HybridState, Mode, SimConfig,
-                           _liftoff_map, _touchdown_map, apex_state,
-                           build_reference, count_completing, energy_outputs,
-                           hill_force, make_ensemble, nominal_ic,
+                           _liftoff_map, _stance_law, _touchdown_map,
+                           apex_state, build_reference, count_completing,
+                           energy_outputs, make_ensemble, nominal_ic,
                            phase_features, recover_parameters, recovery_cost,
-                           simulate_hybrid, stance_dynamics)
+                           simulate_hybrid)
 from regait.optimize import NMConfig
 
 
 class TestClock:
     def test_descending_segment(self):
         clk = BuehlerClock()
-        psi, rate, desc = clk.command(0.0, 0.0, 0)
+        psi, rate, desc = clk.signal(0.0, 0)(0.0)
         assert psi == pytest.approx(clk.sweep_angle)
         assert rate == pytest.approx(-2.0 * clk.sweep_angle
                                      / clk.duty_factor * clk.frequency)
         assert desc
         # quarter cycle in: halfway down the sweep
         t_quarter = 0.25 / clk.frequency
-        psi, _, desc = clk.command(t_quarter, 0.0, 0)
+        psi, _, desc = clk.signal(0.0, 0)(t_quarter)
         assert psi == pytest.approx(0.0, abs=1e-12)
         assert desc
 
     def test_ascending_segment(self):
         clk = BuehlerClock()
-        psi, rate, desc = clk.command(0.0, math.pi, 0)
+        psi, rate, desc = clk.signal(math.pi, 0)(0.0)
         assert psi == pytest.approx(-clk.sweep_angle)
         assert rate == pytest.approx(2.0 * clk.sweep_angle
                                      / (1.0 - clk.duty_factor)
@@ -44,15 +44,15 @@ class TestClock:
         for s_star in (clk.duty_factor, 1.0):
             t0 = (s_star - eps) / clk.frequency
             t1 = (s_star + eps) / clk.frequency
-            a, _, _ = clk.command(t0, 0.0, 0)
-            b, _, _ = clk.command(t1, 0.0, 0)
+            a, _, _ = clk.signal(0.0, 0)(t0)
+            b, _, _ = clk.signal(0.0, 0)(t1)
             assert b == pytest.approx(a, abs=1e-7)
 
     def test_leg_offset_is_half_cycle(self):
         clk = BuehlerClock()
         for t in (0.0, 0.17, 0.9, 2.3):
-            psi1, rate1, desc1 = clk.command(t, 0.4, 1)
-            psi0, rate0, desc0 = clk.command(t, 0.4 + math.pi, 0)
+            psi1, rate1, desc1 = clk.signal(0.4, 1)(t)
+            psi0, rate0, desc0 = clk.signal(0.4 + math.pi, 0)(t)
             assert psi1 == pytest.approx(psi0, abs=1e-12)
             assert rate1 == rate0
             assert desc1 == desc0
@@ -69,33 +69,58 @@ class TestClock:
         with pytest.raises(ValueError, match="sweep"):
             BuehlerClock(touchdown_angle=0.5, sweep_angle=0.4)
 
+    @pytest.mark.parametrize("kw", [
+        {"frequency": math.nan}, {"frequency": math.inf},
+        {"sweep_angle": math.nan}, {"touchdown_angle": math.nan},
+        {"duty_factor": math.nan}])
+    def test_non_finite_values_rejected(self, kw):
+        [name] = kw
+        with pytest.raises(ValueError, match=name):
+            BuehlerClock(**kw)
+
+
+@pytest.mark.parametrize("kw", [
+    {"K": math.nan}, {"K": math.inf}, {"L": math.inf}, {"L": math.nan},
+    {"t_s": math.nan}, {"eta": math.inf}, {"mu": math.nan},
+    {"gravity": -math.inf}, {"kp": math.nan}, {"kd": math.inf}])
+def test_non_finite_plant_parameters_rejected(kw):
+    [name] = kw
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        CTSlipParams(**kw)
+
 
 class TestStanceTerms:
+    # the stance law at zeta, psi, their rates and the clock's (psi_c,
+    # psi_c_dot); with no gravity, no hip gain and the leg vertical and not
+    # turning, the radial acceleration is the Hill force alone
     def test_spring_force_at_rest(self):
-        params = CTSlipParams(K=1.0, L=1.0)
-        assert hill_force(params, 0.9, 0.0) == pytest.approx(0.1)
+        params = CTSlipParams(K=1.0, L=1.0, gravity=0.0, t_s=0.0)
+        zdd, _ = _stance_law(params)(0.9, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert zdd == pytest.approx(0.1)
 
     def test_force_with_rate_terms(self):
-        params = CTSlipParams(K=2.0, L=1.0, eta=-0.1, mu=0.5)
+        params = CTSlipParams(K=2.0, L=1.0, eta=-0.1, mu=0.5, gravity=0.0,
+                              t_s=0.0)
         # 2*(1-0.8)*(1-0.1*0.3) - 0.5*0.3
-        assert hill_force(params, 0.8, 0.3) == pytest.approx(0.238)
+        zdd, _ = _stance_law(params)(0.8, 0.0, 0.3, 0.0, 0.0, 0.0)
+        assert zdd == pytest.approx(0.238)
 
     def test_equilibrium(self):
         params = CTSlipParams(gravity=0.0, t_s=0.0)
-        zdd, pdd = stance_dynamics(params, params.L, 0.37, 0.0, 0.0, 0.0)
+        zdd, pdd = _stance_law(params)(params.L, 0.37, 0.0, 0.0, 0.4, -1.28)
         assert zdd == pytest.approx(0.0, abs=1e-15)
         assert pdd == pytest.approx(0.0, abs=1e-15)
 
     def test_gravity_resolved_along_leg(self):
         params = CTSlipParams(t_s=0.0)
-        zdd, pdd = stance_dynamics(params, params.L, 0.0, 0.0, 0.0, 0.0)
+        zdd, pdd = _stance_law(params)(params.L, 0.0, 0.0, 0.0, 0.4, -1.28)
         assert zdd == pytest.approx(-params.gravity)
         assert pdd == pytest.approx(0.0)
 
     def test_collapsed_leg_raises(self):
         params = CTSlipParams()
         with pytest.raises(CrashSignal, match="collapsed"):
-            stance_dynamics(params, 0.0, 0.0, -1.0, 0.0, 0.2)
+            _stance_law(params)(0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
 
 
 class TestContactMaps:
@@ -113,7 +138,7 @@ class TestContactMaps:
 
     def test_touchdown_places_foot_by_clock_angle(self):
         params = CTSlipParams()
-        psi_c, _, _ = params.clock.command(0.0, 0.0, 0)
+        psi_c, _, _ = params.clock.signal(0.0, 0)(0.0)
         u, foot = _touchdown_map(params, 0.0, [1.0, 60.0, 3.0, -2.0],
                                  chi0=0.0, leg=0)
         assert foot[0] == pytest.approx(1.0 + params.L * math.sin(psi_c))
@@ -165,7 +190,7 @@ class TestFlight:
 
         def guard(t):
             y = ic.com[1] - 0.5 * params.gravity * t * t
-            return y - params.L * math.cos(clock.command(t, chi0, 0)[0])
+            return y - params.L * math.cos(clock.signal(chi0, 0)(t)[0])
 
         inside = np.linspace(dt, 2.0 * dt, 201)
         if not (guard(dt) > 0.0 < guard(2.0 * dt)
@@ -186,17 +211,10 @@ class TestFlight:
             simulate_hybrid(params, nominal_ic(params), T=T)
 
     @pytest.mark.parametrize("kw", [
-        {"dt": 0.0}, {"dt": -2e-3}, {"dt": math.inf}, {"dt": math.nan},
-        {"bisect_tol": 0.0}, {"bisect_tol": math.inf},
-        {"bisect_tol": math.nan}])
+        {"dt": 0.0}, {"dt": -2e-3}, {"dt": math.inf}, {"dt": math.nan}])
     def test_step_and_tolerance_must_be_finite_positive(self, kw):
         with pytest.raises(ValueError, match="finite and positive"):
             SimConfig(**kw)
-
-    def test_event_budget_must_allow_one_event(self):
-        with pytest.raises(ValueError, match="max_events_per_step"):
-            SimConfig(max_events_per_step=0)
-        assert SimConfig(max_events_per_step=1).max_events_per_step == 1
 
     def test_stance_start_requires_anchor(self):
         params = CTSlipParams()

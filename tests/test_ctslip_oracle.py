@@ -136,7 +136,7 @@ def _guards(params, mode, chi0):
     ]
 
 
-def _first_event(field, guards, ta, ua, tb, ub, cfg):
+def _first_event(field, guards, ta, ua, tb, ub):
     hits = []
     for kind, leg, value, armed in guards:
         va, vb = value(ta, ua), value(tb, ub)
@@ -146,7 +146,7 @@ def _first_event(field, guards, ta, ua, tb, ub, cfg):
             continue
         lo, hi = ta, tb
         u_hi = ub
-        while hi - lo > cfg.bisect_tol:
+        while hi - lo > ctslip.BISECT_TOL:
             mid = 0.5 * (lo + hi)
             um = _rk4(field, ta, ua, mid - ta)
             if value(mid, um) > 0.0:
@@ -159,7 +159,7 @@ def _first_event(field, guards, ta, ua, tb, ub, cfg):
     hits.sort(key=lambda h: (h[0], h[1]))
     best_t = hits[0][0]
     for h in hits:
-        if h[0] - best_t <= cfg.bisect_tol and h[2] == "crash":
+        if h[0] - best_t <= ctslip.BISECT_TOL and h[2] == "crash":
             return h
     return hits[0]
 
@@ -204,14 +204,14 @@ def oracle_simulate(params, ic, T, cfg=None):
 
     for k in range(nsteps):
         ta, tb = k * dt, (k + 1) * dt
-        for _ in range(cfg.max_events_per_step):
+        for _ in range(ctslip.MAX_EVENTS_PER_STEP):
             leg = legs.get(mode, 0)
             fld = (_flight_field(params) if mode is Mode.FLIGHT
                    else _stance_field(params, chi0, leg))
             try:
                 u_end = _rk4(fld, ta, u, tb - ta)
                 hit = _first_event(fld, _guards(params, mode, chi0),
-                                   ta, u, tb, u_end, cfg)
+                                   ta, u, tb, u_end)
             except CrashSignal:
                 hit = (ta, 0, "crash", None, u)
             if hit is None:
@@ -229,12 +229,12 @@ def oracle_simulate(params, ic, T, cfg=None):
                 u = _liftoff_map(u_ev, foot)
                 mode, foot = Mode.FLIGHT, None
             ta = t_ev
-            if tb - ta <= cfg.bisect_tol:
+            if tb - ta <= ctslip.BISECT_TOL:
                 break
         else:
             raise RuntimeError(
-                f"event location failed: more than {cfg.max_events_per_step} "
-                f"events inside [{ta}, {tb}]")
+                "event location failed: more than "
+                f"{ctslip.MAX_EVENTS_PER_STEP} events inside [{ta}, {tb}]")
         if mode is Mode.CRASHED:
             crashed = True
             break
@@ -305,7 +305,7 @@ GRID = {
     # a crash ends its step at once, even on a budget of one event
     "freefall-crash-budget-1": (FREEFALL, apex_state(y=5.0, xdot=0.0,
                                                      clock_phase=math.pi),
-                                1.5, SimConfig(max_events_per_step=1)),
+                                1.5, None),
     "stance-drop": (HEALTHY, _stance_drop(HEALTHY), 4.0, None),
     # the leg passes through zero inside one Runge-Kutta stage
     "leg-collapse": (HEALTHY, HybridState(mode=Mode.STANCE_RIGHT,
@@ -338,9 +338,16 @@ GRID = {
 }
 
 
+# cases run with ctslip.MAX_EVENTS_PER_STEP set to 1, in the simulator and
+# the oracle alike
+ONE_EVENT_BUDGET = {"freefall-crash-budget-1"}
+
+
 @pytest.mark.parametrize("case", sorted(GRID))
-def test_simulate_hybrid_matches_oracle(case):
+def test_simulate_hybrid_matches_oracle(case, monkeypatch):
     params, ic, T, cfg = GRID[case]
+    if case in ONE_EVENT_BUDGET:
+        monkeypatch.setattr(ctslip, "MAX_EVENTS_PER_STEP", 1)
     want = oracle_simulate(params, ic, T, cfg)
     assert_same_run(simulate_hybrid(params, ic, T, cfg), want)
 
@@ -416,22 +423,24 @@ def test_random_apex_starts_match_oracle(clearance, speed, phase, free):
                     oracle_simulate(params, ic, 2.0))
 
 
-def test_crash_alone_fits_a_one_event_budget():
+def test_crash_alone_fits_a_one_event_budget(monkeypatch):
     params, ic, T, cfg = GRID["freefall-crash-budget-1"]
+    full = simulate_hybrid(params, ic, T, cfg)
+    monkeypatch.setattr(ctslip, "MAX_EVENTS_PER_STEP", 1)
     one = simulate_hybrid(params, ic, T, cfg)
     assert one.crashed
-    assert one.events == simulate_hybrid(params, ic, T).events
+    assert one.events == full.events
     assert [e.kind for e in one.events] == ["crash"]
     assert one.events[0].time == pytest.approx(1.00964, abs=1e-5)
 
 
-def test_event_budget_failure_matches_oracle():
-    cfg = SimConfig(max_events_per_step=1)
+def test_event_budget_failure_matches_oracle(monkeypatch):
+    monkeypatch.setattr(ctslip, "MAX_EVENTS_PER_STEP", 1)
     ic = ENSEMBLE[0]
     with pytest.raises(RuntimeError, match="event location failed") as want:
-        oracle_simulate(HEALTHY, ic, 1.0, cfg)
+        oracle_simulate(HEALTHY, ic, 1.0)
     with pytest.raises(RuntimeError, match="event location failed") as got:
-        simulate_hybrid(HEALTHY, ic, 1.0, cfg)
+        simulate_hybrid(HEALTHY, ic, 1.0)
     assert str(got.value) == str(want.value)
 
 
