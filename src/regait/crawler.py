@@ -8,20 +8,21 @@ l1/l2, giving four real Pfaffian rows (real and imaginary parts of the two
 complex foot velocities).
 
 The encoding template is the polar form (r, alpha) of the body-frame midpoint
-of the two feet; ``template_encoding_map`` gives it to the learning pipeline
-as its Jacobian, and ``template_traces`` gives its values. Both, the
-designed rows and the recovery field read one record, ``_template``, at one
-state or a block of states. Designed rows keep that midpoint stationary in
-the world (rows 1-2, implied by the pinned feet), drive (r, alpha) along
-recorded gait rates (rows 3-4), and lock x to theta0 (row 5). Jamming a joint
-adds one physical row (that joint's velocity is zero); recovery re-solves the
-joint rates so the template still tracks the recorded gait.
+of the two feet, one record (``_template``) at one state or a block. Designed
+rows keep that midpoint stationary in the world (rows 1-2), drive (r, alpha)
+along recorded gait rates (rows 3-4), and lock x to theta0 (row 5). With
+beta = theta0 + alpha the world midpoint is z + r e^{i beta}, z = x + iy, so
+rows 1-2, d/dt [x + r cos beta] = 0 and d/dt [y + r sin beta] = 0, are the
+mean of the foot rows; all other signs follow.
 
-Sign conventions: with beta = theta0 + alpha, the world midpoint of the feet
-is x + iy + r e^{i beta}, so pinned feet give
-    d/dt [x + r cos beta] = 0  and  d/dt [y + r sin beta] = 0,
-which are rows 1-2 below. The recovery pose rate is the unique solution of
-those rows plus row 5 given (rdot_d, alphadot_d); all other signs follow.
+Jamming a joint adds one physical row (its velocity is zero). Recovery solves
+Physical > Designed in closed form. Rows 1, 2 and 5 give the pose rate:
+    theta0' = x' = (r sin(beta) alphadot - cos(beta) rdot) / (1 - r sin(beta))
+    y' = -(sin(beta) rdot + r cos(beta) alphadot) - r cos(beta) theta0'
+Given it, the foot rows impose rows 3-4, and the joint rates are the
+minimum-norm solution of the foot rows and the jam row, one arm at a time
+(the foot rows are block-diagonal): arm a, with endpoint p_a and tail sums
+s_aj, solves sum_j s_aj theta_aj' = u_a = i z' e^{-i theta0} - p_a theta0'.
 """
 
 from __future__ import annotations
@@ -97,14 +98,10 @@ def limb_endpoints(params: CrawlerParams, state) -> tuple[complex, complex]:
 _UNIT = np.array([1.0, 1j])   # d f / d(x, y) of either foot
 
 
-def _feet(params: CrawlerParams, state, kin=None,
-          ) -> tuple[np.ndarray, np.ndarray]:
+def _feet(params: CrawlerParams, state) -> tuple[np.ndarray, np.ndarray]:
     """Residual (..., 4) and velocity rows (..., 4, 9) of (Re f1, Im f1,
-    Re f2, Im f2) at one state or an (N, 9) block, from one kinematics
-    record (computed from the state unless given)."""
-    if kin is None:
-        kin = _kinematics(params, state)
-    rot, p1, s1, p2, s2 = kin
+    Re f2, Im f2) at one state or an (N, 9) block."""
+    rot, p1, s1, p2, s2 = _kinematics(params, state)
     lead = rot.shape
     z = state[..., 0] + 1j * state[..., 1]
     d = np.empty(lead + (2,), dtype=complex)
@@ -179,20 +176,6 @@ _TEMPLATE_FIXED = np.array([
 ])
 
 
-def _template_rows(state, w, r) -> np.ndarray:
-    """(..., 5, 5) designed rows in template coordinates at states whose
-    body-frame foot midpoint is w, of radius r."""
-    beta = state[..., 2] + np.angle(w)
-    cb, sb = np.cos(beta), np.sin(beta)
-    out = np.empty(beta.shape + (5, 5))
-    out[...] = _TEMPLATE_FIXED
-    out[..., 0, 2] = out[..., 0, 4] = -r * sb
-    out[..., 1, 2] = out[..., 1, 4] = r * cb
-    out[..., 0, 3] = cb
-    out[..., 1, 3] = sb
-    return out
-
-
 def design_constraints(params: CrawlerParams, state,
                        rates: Sequence = (0.0, 0.0),
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +188,14 @@ def design_constraints(params: CrawlerParams, state,
     """
     state = np.asarray(state, dtype=float)
     w, r, jac = _template(_kinematics(params, state))
-    tmpl = _template_rows(state, w, r)
+    beta = state[..., 2] + np.angle(w)
+    cb, sb = np.cos(beta), np.sin(beta)
+    tmpl = np.empty(beta.shape + (5, 5))
+    tmpl[...] = _TEMPLATE_FIXED
+    tmpl[..., 0, 2] = tmpl[..., 0, 4] = -r * sb
+    tmpl[..., 1, 2] = tmpl[..., 1, 4] = r * cb
+    tmpl[..., 0, 3] = cb
+    tmpl[..., 1, 3] = sb
     omega = np.empty(tmpl.shape[:-1] + (STATE_DIM,))
     omega[..., :G_DIM] = tmpl[..., :G_DIM]
     omega[..., G_DIM:] = tmpl[..., G_DIM:] @ jac
@@ -415,30 +405,40 @@ def crawler_stack(params: CrawlerParams, reference: ReferenceGait,
 
 def recovery_field(params: CrawlerParams, reference: ReferenceGait,
                    jam: int) -> Callable:
-    """Joint-rate law that tracks the recorded template under the jam.
-
-    Pose rate comes from the invertible 3x3 pose block of template rows 1, 2,
-    5; joint rates are the minimum-norm solution of the stacked foot rows,
-    template-rate rows, and the jam row. The arms are evaluated once per call.
+    """Joint-rate law that tracks the recorded template under the jam, as
+    derived in the module docstring. Arm a's rows Re s, Im s have the normal
+    n_j = Im(conj(s_j+1) s_j+2), with |n|^2 their Gram determinant, and the
+    minimum-norm solution (Re u Im s - Im u Re s) x n / |n|^2; zeroing the
+    jammed tail leaves Cramer's rule on the two free joints. A relative
+    determinant <= 1e-10 raises ``IntegrationError``: |1 - r sin(beta)| /
+    (1 + |r sin(beta)|) for the pose block, |n| / sum_j |s_j|^2 for an arm.
     """
-    e_jam = apply_jam(jam)[G_DIM:]
+    jam_arm, jam_joint = divmod(_jam_index(jam, none_allowed=False) - 1, 3)
 
     def field(t, state):
-        rates = np.asarray(reference.rates_at(t))
-        kin = _kinematics(params, state)
-        w, r, jac = _template(kin)
-        tmpl = _template_rows(state, w, r)[[0, 1, 4]]
-        omega_g, omega_ra = tmpl[:, :G_DIM], tmpl[:, G_DIM:]
-        svals = np.linalg.svd(omega_g, compute_uv=False)
-        if svals[-1] < 1e-10 * svals[0]:
-            raise IntegrationError(
-                f"pose block of the template rows lost rank at t={t}")
-        gd = np.linalg.solve(omega_g, -omega_ra @ rates)
-        A = _feet(params, state, kin)[1]
-        stacked = np.vstack([A[:, G_DIM:], jac, e_jam])
-        rhs = np.concatenate([-A[:, :G_DIM] @ gd, rates, [0.0]])
-        theta_dot = np.linalg.pinv(stacked, rcond=1e-10) @ rhs
-        return np.concatenate([gd, theta_dot])
+        rdot, adot = map(float, reference.rates_at(t))
+        rot, p1, s1, p2, s2 = kin = _kinematics(params, state)
+        w, r, _ = _template(kin)
+        m, r = complex(rot * w), float(r)          # m = r e^{i beta}
+        if not abs(1.0 - m.imag) > 1e-10 * (1.0 + abs(m.imag)):
+            raise IntegrationError(f"template pose block lost rank at t={t}")
+        th0 = (m.imag * adot - m.real * rdot / r) / (1.0 - m.imag)
+        yd = -(m.imag * rdot / r + m.real * adot) - m.real * th0
+        zi = 1j * complex(th0, yd) / complex(rot)    # i z' e^{-i theta0}
+        out = [th0, yd, th0]
+        for arm, (p, tails) in enumerate(((p1, s1), (p2, s2))):
+            s = tails.tolist()
+            if arm == jam_arm:
+                s[jam_joint] = 0j
+            u = (zi - complex(p) * th0).conjugate()
+            n = [(s[j - 2].conjugate() * s[j - 1]).imag for j in range(3)]
+            det = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
+            if not det > (1e-10 * sum([abs(z) ** 2 for z in s])) ** 2:
+                raise IntegrationError(f"arm {arm + 1} lost rank at t={t}")
+            v = [(u * z).imag for z in s]
+            out += [(v[j - 2] * n[j - 1] - v[j - 1] * n[j - 2]) / det
+                    for j in range(3)]
+        return np.array(out)
 
     return field
 
@@ -484,8 +484,8 @@ def recover(params: CrawlerParams, reference: ReferenceGait,
         return (np.concatenate([res, [state[G_DIM - 1 + jam] - locked]]),
                 np.vstack([rows, jam_grad]))
 
-    field = recovery_field(params, reference, jam)
-    traj, v = integrate_projected(field, c, 0.0, x0, reference.period, cfg)
+    traj, v = integrate_projected(recovery_field(params, reference, jam), c,
+                                  0.0, x0, reference.period, cfg)
     rr, aa = template_traces(params, traj.x)
     return RecoveryResult(trajectory=traj, r=rr, alpha=aa, jam=jam,
                           designed_residual=_designed_residuals(

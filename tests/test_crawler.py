@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regait import crawler
 from regait.constraints import (ConstraintStack, Priority, constant_block,
@@ -17,6 +19,9 @@ from regait.crawler import (CrawlerParams, angle_difference, apply_jam,
 from regait.integrate import IntegrationError
 from regait.optimize import _trapz, constraint_violation_cost
 from regait.signals import PhaseEstimator
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None,
+                             derandomize=True, database=None)
 
 
 def fd_rows(fn, state, h=1e-7):
@@ -317,8 +322,26 @@ class TestJam:
 
 
 @pytest.fixture(scope="module")
-def recovered(cparams, gait):
-    return recover(cparams, gait, jam=1)
+def recoveries(cparams, gait):
+    """jam -> its recovery, each computed once per module."""
+    cache = {}
+
+    def get(jam):
+        if jam not in cache:
+            cache[jam] = recover(cparams, gait, jam)
+        return cache[jam]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def recovered(recoveries):
+    return recoveries(1)
+
+
+# worst foot and designed row residual of the recovery field, relative to
+# max(1, |v|); measured at most 8.1e-16 over every reference sample and jam
+FIELD_ROW_TOL = 1e-14
 
 
 class TestRecovery:
@@ -330,11 +353,12 @@ class TestRecovery:
         assert rms_a < 1e-6
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "known limitation: under jam 3 the 7x6 joint-rate system of the "
-        "recovery field turns near-singular at t ~ 0.019 s and the template "
-        "r trace drifts to RMS 4.8e-4"))
-    def test_jam3_template_traces_reproduced(self, cparams, gait):
-        rec = recover(cparams, gait, jam=3)
+        "known limitation: under jam 3 the 2x2 determinant of arm 1's two "
+        "free tails passes through zero near t ~ 0.019 s (relative minimum "
+        "3.9e-5 on the run, sign changes between t = 0.018 and 0.024 s) and "
+        "the template r trace drifts to RMS 4.8e-4"))
+    def test_jam3_template_traces_reproduced(self, gait, recoveries):
+        rec = recoveries(3)
         assert np.sqrt(np.mean((rec.r - gait.r[::2]) ** 2)) < 1e-6
 
     def test_feet_and_jam_enforced(self, cparams, recovered):
@@ -349,19 +373,34 @@ class TestRecovery:
         drift = np.abs(recovered.trajectory.x[:, 4:] - gait.x[::2, 4:])
         assert drift.max() > 1e-3
 
-    def test_matches_stack_solve(self, cparams, gait, recovered):
+    @pytest.mark.parametrize("jam", range(1, 7))
+    def test_matches_stack_solve(self, cparams, gait, recoveries, jam):
         # The closed-form rate law must agree with the generic prioritized
-        # velocity solve on the damaged stack, state by state.
-        field = recovery_field(cparams, gait, 1)
-        stack = crawler_stack(cparams, gait, jam=1)
-        idx = range(0, len(recovered.trajectory.t),
-                    len(recovered.trajectory.t) // 8)
-        for k in idx:
-            t = float(recovered.trajectory.t[k])
-            x = recovered.trajectory.x[k]
-            v_field = field(t, x)
+        # velocity solve on the damaged stack, state by state, whichever arm
+        # is jammed (measured at most 4.0e-14, under jam 3).
+        field = recovery_field(cparams, gait, jam)
+        stack = crawler_stack(cparams, gait, jam=jam)
+        traj = recoveries(jam).trajectory
+        for k in range(0, len(traj.t), len(traj.t) // 8):
+            t, x = float(traj.t[k]), traj.x[k]
             out = solve_velocity(stack, t, x)
-            assert np.abs(v_field - out.velocity).max() < 1e-8
+            assert np.abs(field(t, x) - out.velocity).max() < 1e-12
+
+    @PROPERTY_SETTINGS
+    @given(k=st.integers(0, 2000), jam=st.integers(1, 6))
+    @example(k=526, jam=3)   # |v| = 4.7e4: jam 3's arm 1 near rank loss
+    def test_field_satisfies_stack_rows(self, cparams, gait, k, jam):
+        # Physical rows (feet, jam) and all five designed rows hold at the
+        # field velocity, although the field solves only designed rows 1, 2
+        # and 5: rows 3-4 hold because the template rows lie in the span of
+        # the foot rows, the identity the closed form rests on.
+        t, x = float(gait.t[k]), gait.x[k]
+        v = recovery_field(cparams, gait, jam)(t, x)
+        scale = max(1.0, np.abs(v).max())
+        assert v[2 + jam] == 0.0
+        assert np.abs(foot_matrix(cparams, x) @ v).max() <= FIELD_ROW_TOL * scale
+        omega, gamma = design_constraints(cparams, x, gait.rates_at(t))
+        assert np.abs(omega @ v - gamma).max() <= FIELD_ROW_TOL * scale
 
     def test_group_velocity_recovered(self, cparams, gait, recovered):
         desired = gait.v[::2, :3]
@@ -390,6 +429,25 @@ class TestRecovery:
         field = recovery_field(cparams, gait, 1)
         with pytest.raises(IntegrationError, match="rank"):
             field(0.0, x)
+
+    @pytest.mark.parametrize("bend", [0.0, 1e-12])
+    def test_jammed_arm_rank_loss_detected(self, cparams, gait, bend):
+        # jam 1 leaves arm 1 joints 2 and 3; theta3 = bend makes their tails
+        # parallel or nearly so (relative 2x2 determinant about bend / 5,
+        # below 1e-10 but not zero), so the jammed arm's system is singular
+        x = gait.initial_state.copy()
+        x[5] = bend
+        with pytest.raises(IntegrationError, match="arm 1 lost rank"):
+            recovery_field(cparams, gait, 1)(0.0, x)
+
+    @pytest.mark.parametrize("bend", [0.0, 1e-12])
+    def test_free_arm_rank_loss_detected(self, cparams, gait, bend):
+        # arm 2 stretched straight, or bent by 1e-12 at joint 5: its three
+        # tails are (nearly) parallel, so its two foot rows are dependent
+        x = gait.initial_state.copy()
+        x[7:9] = bend, 0.0
+        with pytest.raises(IntegrationError, match="arm 2 lost rank"):
+            recovery_field(cparams, gait, 1)(0.0, x)
 
 
 class TestBaseline:
