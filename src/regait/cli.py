@@ -112,6 +112,14 @@ def _rms(arr) -> float:
     return float(np.sqrt(np.mean(np.square(np.asarray(arr)))))
 
 
+@contextlib.contextmanager
+def _timed(seconds: dict, stage: str):
+    """Record the wall time of the ``with`` body as ``<stage>_seconds``."""
+    start = time.perf_counter()
+    yield
+    seconds[f"{stage}_seconds"] = time.perf_counter() - start
+
+
 # ---------------------------------------------------------------- crawler
 
 def _crawler_params(path: str | None) -> CrawlerParams:
@@ -153,12 +161,16 @@ def cmd_crawler(args) -> dict:
     out = args.out
     params = _crawler_params(args.params)
 
-    reference = reference_gait(params, period=args.period, dt=args.dt)
+    seconds = {}
+    with _timed(seconds, "reference"):
+        reference = reference_gait(params, period=args.period, dt=args.dt)
     full = reference.full_grid()
     full.to_csv(os.path.join(out, "reference.csv"))
-    lc = _learn(args, params, full)
+    with _timed(seconds, "learn"):
+        lc = _learn(args, params, full)
 
-    rec = recover(params, reference, args.jam)
+    with _timed(seconds, "recover"):
+        rec = recover(params, reference, args.jam)
     rec.trajectory.to_csv(os.path.join(out, "recovered.csv"))
 
     ref_r, ref_a = reference.r[::2], reference.alpha[::2]
@@ -183,7 +195,8 @@ def cmd_crawler(args) -> dict:
     fig.add(rec.trajectory.t, rec.alpha, label="a rec")
 
     if args.jam:
-        baseline = playback_baseline(params, reference, args.jam)
+        with _timed(seconds, "baseline"):
+            baseline = playback_baseline(params, reference, args.jam)
         baseline.to_csv(os.path.join(out, "baseline.csv"))
         gv_ref = group_velocity(full)
         err_rec = _rms(group_velocity(rec.trajectory) - gv_ref)
@@ -206,6 +219,7 @@ def cmd_crawler(args) -> dict:
     save_svg(fig, os.path.join(out, "traces.svg"))
     print(f"crawler jam={args.jam}: template rms "
           f"r={metrics['rms_r']:.3e} alpha={metrics['rms_alpha']:.3e}")
+    metrics.update(seconds)
     return metrics
 
 

@@ -23,11 +23,19 @@ Given it, the foot rows impose rows 3-4, and the joint rates are the
 minimum-norm solution of the foot rows and the jam row, one arm at a time
 (the foot rows are block-diagonal): arm a, with endpoint p_a and tail sums
 s_aj, solves sum_j s_aj theta_aj' = u_a = i z' e^{-i theta0} - p_a theta0'.
+
+The recovery loop runs on Python scalars: the field and the projection
+residual read one state's kinematics from ``_kinematics_one`` (complex
+endpoints and tail sums), and the field reads the recorded rates by grid
+index, because numpy calls on a handful of numbers cost more than the
+arithmetic. The projection builds the (5, 9) foot-and-jam Jacobian only
+when it takes a Newton step.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -87,6 +95,20 @@ def _kinematics(params: CrawlerParams, state: np.ndarray) -> tuple:
             tails[..., 1, :])
 
 
+def _kinematics_one(params: CrawlerParams, state: np.ndarray) -> tuple:
+    """``_kinematics`` of one state on Python scalars: (rot, p1, s1, p2, s2)
+    with complex endpoints and 3-tuples of complex tail sums, summed in the
+    order ``_arms`` sums them."""
+    _, _, theta0, *joints = state.tolist()
+    out = [cmath.exp(1j * theta0)]
+    for h, (a, b, c) in ((params.h1, joints[:3]), (params.h2, joints[3:])):
+        l1, l2, l3 = (cmath.exp(1j * a), cmath.exp(1j * (a + b)),
+                      cmath.exp(1j * (a + b + c)))
+        s2 = l3 + l2
+        out += [h + (l1 + l2 + l3), (s2 + l1, s2, l3)]
+    return tuple(out)
+
+
 def limb_endpoints(params: CrawlerParams, state) -> tuple[complex, complex]:
     """World positions of both feet, for one state or an (N, 9) block."""
     state = np.asarray(state, dtype=float)
@@ -128,7 +150,11 @@ def foot_residual(params: CrawlerParams, state) -> np.ndarray:
     return _feet(params, np.asarray(state, dtype=float))[0]
 
 
-def _template(kin, tol: float = 1e-12) -> tuple:
+_MIN_RADIUS = 1e-12   # template radius r below which alpha is undefined
+_NO_TEMPLATE = "template undefined: limb midpoint at the body origin"
+
+
+def _template(kin) -> tuple:
     """The encoding template over the kinematics' leading dims: the
     body-frame foot midpoint w, its radius r (the template's r) and the
     (..., 2, 6) joint-angle Jacobian of (r, alpha).
@@ -138,8 +164,8 @@ def _template(kin, tol: float = 1e-12) -> tuple:
     _, p1, s1, p2, s2 = kin
     w = 0.5 * (p1 + p2)
     r = np.hypot(w.real, w.imag)
-    if np.count_nonzero(r < tol):   # cheaper than .any() on one state
-        raise ValueError("template undefined: limb midpoint at the body origin")
+    if np.count_nonzero(r < _MIN_RADIUS):   # cheaper than .any() on one state
+        raise ValueError(_NO_TEMPLATE)
     prod = np.conj(w)[..., None] * (0.5j * np.concatenate([s1, s2], axis=-1))
     jac = np.empty(prod.shape[:-1] + (2, N_JOINTS))
     jac[..., 0, :] = prod.real / r[..., None]
@@ -283,6 +309,9 @@ def _gait_field(params: CrawlerParams, period: float,
     return field
 
 
+_GRID_TOL = 1e-9   # how far a time may sit from its recorded grid point
+
+
 @dataclass(frozen=True)
 class ReferenceGait:
     """Recorded gait on a half-resolution grid.
@@ -310,11 +339,19 @@ class ReferenceGait:
         half = 0.5 * self.dt
         k = np.rint(t / half)
         # written so that a NaN time counts as off the grid
-        off = (k < 0) | (k >= len(self.t)) | ~(abs(t - k * half) <= 1e-9)
+        off = (k < 0) | (k >= len(self.t)) | ~(abs(t - k * half) <= _GRID_TOL)
         if np.count_nonzero(off):
             raise ValueError(f"time {np.asarray(t)[off][0]} is not on the "
                              "recorded gait grid")
         return k.astype(np.intp)
+
+    def _grid_index(self, t: float) -> int:
+        """``_index`` of one time on Python scalars, as an int."""
+        half = 0.5 * self.dt
+        k = round(t / half) if math.isfinite(t) else -1
+        if not (0 <= k < len(self.t) and abs(t - k * half) <= _GRID_TOL):
+            raise ValueError(f"time {t} is not on the recorded gait grid")
+        return k
 
     def rates_at(self, t) -> tuple:
         """(rdot, alphadot) at a time on the grid, or two arrays at an array
@@ -337,8 +374,9 @@ def reference_gait(params: CrawlerParams, period: float = 1.0,
     x0 = initial_configuration(params)
     field = _gait_field(params, period, _null_basis(params, x0))
     cfg = ProjectedIntegratorConfig(dt=0.5 * dt, projection_tol=1e-11)
-    traj, v = integrate_projected(field, lambda s: _feet(params, s), 0.0, x0,
-                                  period, cfg)
+    traj, v = integrate_projected(
+        field, (lambda s: foot_residual(params, s),
+                lambda s: foot_matrix(params, s)), 0.0, x0, period, cfg)
     n = len(traj)
     r, alpha, rates = np.empty(n), np.empty(n), np.empty((n, 2))
     for k in range(n):
@@ -412,25 +450,30 @@ def recovery_field(params: CrawlerParams, reference: ReferenceGait,
     jammed tail leaves Cramer's rule on the two free joints. A relative
     determinant <= 1e-10 raises ``IntegrationError``: |1 - r sin(beta)| /
     (1 + |r sin(beta)|) for the pose block, |n| / sum_j |s_j|^2 for an arm.
+    A time off the recorded grid raises ``ValueError`` naming it.
     """
     jam_arm, jam_joint = divmod(_jam_index(jam, none_allowed=False) - 1, 3)
+    rates = list(zip(reference.rdot.tolist(), reference.alphadot.tolist()))
 
     def field(t, state):
-        rdot, adot = map(float, reference.rates_at(t))
-        rot, p1, s1, p2, s2 = kin = _kinematics(params, state)
-        w, r, _ = _template(kin)
-        m, r = complex(rot * w), float(r)          # m = r e^{i beta}
+        rdot, adot = rates[reference._grid_index(t)]
+        rot, p1, s1, p2, s2 = _kinematics_one(params, state)
+        w = 0.5 * (p1 + p2)
+        r = math.hypot(w.real, w.imag)
+        if r < _MIN_RADIUS:
+            raise ValueError(_NO_TEMPLATE)
+        m = rot * w                                 # m = r e^{i beta}
         if not abs(1.0 - m.imag) > 1e-10 * (1.0 + abs(m.imag)):
             raise IntegrationError(f"template pose block lost rank at t={t}")
         th0 = (m.imag * adot - m.real * rdot / r) / (1.0 - m.imag)
         yd = -(m.imag * rdot / r + m.real * adot) - m.real * th0
-        zi = 1j * complex(th0, yd) / complex(rot)    # i z' e^{-i theta0}
+        zi = 1j * complex(th0, yd) / rot            # i z' e^{-i theta0}
         out = [th0, yd, th0]
         for arm, (p, tails) in enumerate(((p1, s1), (p2, s2))):
-            s = tails.tolist()
+            s = list(tails)
             if arm == jam_arm:
                 s[jam_joint] = 0j
-            u = (zi - complex(p) * th0).conjugate()
+            u = (zi - p * th0).conjugate()
             n = [(s[j - 2].conjugate() * s[j - 1]).imag for j in range(3)]
             det = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
             if not det > (1e-10 * sum([abs(z) ** 2 for z in s])) ** 2:
@@ -476,16 +519,24 @@ def recover(params: CrawlerParams, reference: ReferenceGait,
                                   reference.v[::2]))
     cfg = ProjectedIntegratorConfig(dt=reference.dt, projection_tol=1e-11)
     x0 = reference.initial_state
-    locked = x0[G_DIM - 1 + jam]
+    col = G_DIM - 1 + jam
+    locked = float(x0[col])
     jam_grad = apply_jam(jam)[None]
 
+    # the projection residual: both feet off their anchors, then the
+    # jammed joint's drift
     def c(state):
-        res, rows = _feet(params, state)
-        return (np.concatenate([res, [state[G_DIM - 1 + jam] - locked]]),
-                np.vstack([rows, jam_grad]))
+        rot, p1, _, p2, _ = _kinematics_one(params, state)
+        z = complex(state[0], state[1])
+        f1 = z + rot * p1 - params.l1
+        f2 = z + rot * p2 - params.l2
+        return [f1.real, f1.imag, f2.real, f2.imag, state[col] - locked]
 
-    traj, v = integrate_projected(recovery_field(params, reference, jam), c,
-                                  0.0, x0, reference.period, cfg)
+    def dc(state):
+        return np.vstack([foot_matrix(params, state), jam_grad])
+
+    traj, v = integrate_projected(recovery_field(params, reference, jam),
+                                  (c, dc), 0.0, x0, reference.period, cfg)
     rr, aa = template_traces(params, traj.x)
     return RecoveryResult(trajectory=traj, r=rr, alpha=aa, jam=jam,
                           designed_residual=_designed_residuals(

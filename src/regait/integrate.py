@@ -50,28 +50,30 @@ def step(f: Callable[[float, np.ndarray], np.ndarray], t: float, x, k1,
     return out
 
 
-def project(c: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], x,
+def project(c: Callable[[np.ndarray], np.ndarray],
+            jac: Callable[[np.ndarray], np.ndarray], x,
             cfg: ProjectedIntegratorConfig) -> np.ndarray:
     """Newton iteration x <- x - J+(x) c(x) until ||c|| < projection_tol.
 
-    ``c`` returns (residual, jacobian). The pseudoinverse update is the
-    minimum-norm correction; a Jacobian without full row rank is an error.
+    ``c`` returns the residual and ``jac`` its Jacobian, which is evaluated
+    only before a Newton step: a feasible x never calls it. The pseudoinverse
+    update is the minimum-norm correction; a Jacobian without full row rank
+    is an error.
     """
     x = np.asarray(x, dtype=float).copy()
     for _ in range(MAX_NEWTON_ITERS):
-        res, jac = c(x)
-        res = np.asarray(res, dtype=float)
+        res = np.asarray(c(x), dtype=float)
         if np.linalg.norm(res, ord=np.inf) < cfg.projection_tol:
             return x
-        jac = np.atleast_2d(np.asarray(jac, dtype=float))
-        svals = np.linalg.svd(jac, compute_uv=False)
+        J = np.atleast_2d(np.asarray(jac(x), dtype=float))
+        svals = np.linalg.svd(J, compute_uv=False)
         if svals[-1] <= 1e-12 * svals[0] or svals[0] == 0.0:
             raise IntegrationError(
                 f"rank-deficient constraint Jacobian during projection at x={x}")
-        x = x - np.linalg.pinv(jac, rcond=1e-12) @ res
+        x = x - np.linalg.pinv(J, rcond=1e-12) @ res
         if not np.all(np.isfinite(x)):
             raise IntegrationError(f"projection diverged: x={x}")
-    res, _ = c(x)
+    res = c(x)
     raise IntegrationError(
         f"projection did not converge in {MAX_NEWTON_ITERS} iterations; "
         f"residual {np.linalg.norm(res, ord=np.inf):.3e} at x={x}")
@@ -84,13 +86,14 @@ def integrate_projected(f, c, t0: float, x0, t1: float,
 
     Returns the trajectory and the field velocity f(t_k, x_k) at every sample:
     the RK4 first stage of the step leaving it (one extra evaluation at the
-    last sample). ``c`` may be None for plain unconstrained integration.
+    last sample). ``c`` is the pair (residual, Jacobian) of callbacks that
+    ``project`` takes, or None for plain unconstrained integration.
     """
     if not (math.isfinite(t0) and t0 <= t1 < math.inf):
         raise ValueError(f"span [{t0}, {t1}] is negative or not finite")
     x = np.asarray(x0, dtype=float)
     if c is not None:
-        res0, _ = c(x)
+        res0 = c[0](x)
         if np.linalg.norm(np.asarray(res0), ord=np.inf) >= cfg.projection_tol:
             raise IntegrationError(
                 f"initial state violates constraints: {res0}")
@@ -107,7 +110,7 @@ def integrate_projected(f, c, t0: float, x0, t1: float,
             vs[k] = f(t, x)
             x = step(f, t, x, vs[k], cfg)
             if c is not None:
-                x = project(c, x, cfg)
+                x = project(*c, x, cfg)
         except IntegrationError as exc:
             raise IntegrationError(f"t={t + cfg.dt}: {exc}") from exc
         t = t0 + (k + 1) * cfg.dt

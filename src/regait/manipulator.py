@@ -212,15 +212,19 @@ def _constrained_field(model: ManipulatorModel, u_of_t: Callable):
 
 
 def _velocity_constraint(model: ManipulatorModel):
-    """Pfaffian residual A(q) qd as a projectable constraint on (q, qd)."""
+    """Pfaffian residual A(q) qd and its Jacobian on (q, qd), the callback
+    pair ``integrate_projected`` takes."""
     n = model.dof
 
-    def c(state):
+    def residual(state):
+        return model.constraint_at(state[:n])[0] @ state[n:]
+
+    def jacobian(state):
         q, qd = state[:n], state[n:]
         A, dA = model.constraint_at(q)
-        return A @ qd, np.hstack([np.einsum("jki,k->ji", dA, qd), A])
+        return np.hstack([np.einsum("jki,k->ji", dA, qd), A])
 
-    return c
+    return residual, jacobian
 
 
 def _integrate(model: ManipulatorModel, u_of_t: Callable, q0, qd0,

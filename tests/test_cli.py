@@ -28,9 +28,9 @@ def metrics_of(out_dir):
 def run_twice(tmp_path, argv):
     """Run ``argv`` twice into one --out path (the manifest records it),
     moving each output aside; return both directories and their files with
-    the run times dropped, which must match byte for byte. Each run's
-    metrics.json and manifest.json must be strict JSON."""
-    timing = re.compile(r'("(runtime|duration)_seconds": )[^,\n]+')
+    every ``*_seconds`` value dropped, which must match byte for byte. Each
+    run's metrics.json and manifest.json must be strict JSON."""
+    timing = re.compile(r'("\w+_seconds": )[^,\n]+')
     outs, files = [tmp_path / "run_a", tmp_path / "run_b"], []
     for moved in outs:
         out = tmp_path / "run"
@@ -76,6 +76,13 @@ class TestCrawlerCommand:
         assert m["max_foot_residual_recovered"] < 1e-9
         assert m["max_foot_residual_reference"] < 1e-9
         assert m["group_velocity_ratio"] < 0.05
+
+    def test_stage_times(self, crawler_run):
+        m = metrics_of(crawler_run)
+        stages = [m[f"{stage}_seconds"]
+                  for stage in ("reference", "learn", "recover", "baseline")]
+        assert all(t > 0.0 for t in stages)
+        assert sum(stages) < m["runtime_seconds"]
 
     def test_run_is_deterministic(self, tmp_path):
         _, files = run_twice(tmp_path, ["crawler", "--jam", "1"])

@@ -402,6 +402,14 @@ class TestRecovery:
         omega, gamma = design_constraints(cparams, x, gait.rates_at(t))
         assert np.abs(omega @ v - gamma).max() <= FIELD_ROW_TOL * scale
 
+    # between grid points, NaN, half a step past either end of the record
+    @pytest.mark.parametrize("t", [0.0018, np.nan, 1.0005, -0.0005])
+    def test_field_time_off_grid_rejected(self, cparams, gait, t):
+        # the field reads the recorded rates by grid index, as rates_at does
+        with pytest.raises(ValueError,
+                           match=f"time {t} is not on the recorded gait grid"):
+            recovery_field(cparams, gait, 1)(t, gait.x[3])
+
     def test_group_velocity_recovered(self, cparams, gait, recovered):
         desired = gait.v[::2, :3]
         achieved = group_velocity(recovered.trajectory)
@@ -580,6 +588,11 @@ def learned(cparams, gait):
                          phase_features=crawler.shape_features)
 
 
+# endpoints and tails of the scalar record against the numpy record: a few
+# ulps of values of magnitude at most 4
+RECORD_TOL = 2e-15
+
+
 class TestBatchedBlocks:
     @pytest.mark.parametrize("kind", ["constant", "feet", "feet + jam 1",
                                       "designed", "learned"])
@@ -603,6 +616,19 @@ class TestBatchedBlocks:
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
             assert classes == one[2]
+
+    def test_scalar_record_matches_kinematics(self, cparams, gait):
+        # the recovery loop's Python-scalar record against the numpy record
+        # of the whole block and of each state: measured bit-equal at all
+        # 2,001 states; the bound leaves room for a libm whose sin and cos
+        # round differently from numpy's complex exp
+        block = crawler._kinematics(cparams, gait.x)
+        for k, x in enumerate(gait.x):
+            one = crawler._kinematics(cparams, x)
+            got = crawler._kinematics_one(cparams, x)
+            for i, part in enumerate(got):
+                for want in (one[i], block[i][k]):
+                    assert np.abs(np.asarray(part) - want).max() <= RECORD_TOL
 
 
 class TestStackDiagnostics:

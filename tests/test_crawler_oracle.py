@@ -167,7 +167,7 @@ def _integrate_projected(f, c, t0, x0, t1, cfg):
     t = t0
     for k in range(nsteps):
         x = _step(f, t, x, cfg)
-        x = project(c, x, cfg)
+        x = project(lambda s: c(s)[0], lambda s: c(s)[1], x, cfg)
         t = t0 + (k + 1) * cfg.dt
         ts.append(t)
         xs.append(x.copy())

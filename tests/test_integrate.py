@@ -43,52 +43,95 @@ class TestStep:
                 cfg(**kw)
 
 
+# residual and Jacobian callbacks of a few constraints on the plane
+def first_coordinate(x):
+    return np.array([x[0]])
+
+
+def first_coordinate_rows(x):
+    return np.array([[1.0, 0.0]])
+
+
+def unit_circle(x):
+    return np.array([x @ x - 1.0])
+
+
+def unit_circle_rows(x):
+    return 2.0 * x[None, :]
+
+
 class TestProject:
     def test_linear_constraint_one_step(self):
-        c = lambda x: (np.array([x[0]]), np.array([[1.0, 0.0]]))
-        out = project(c, np.array([0.5, 3.0]), cfg())
+        out = project(first_coordinate, first_coordinate_rows,
+                      np.array([0.5, 3.0]), cfg())
         assert np.allclose(out, [0.0, 3.0], atol=1e-12)
 
     def test_radial_projection(self):
-        c = lambda x: (np.array([x @ x - 1.0]), 2.0 * x[None, :])
-        out = project(c, np.array([1.1, 0.0]), cfg())
+        out = project(unit_circle, unit_circle_rows, np.array([1.1, 0.0]),
+                      cfg())
         assert np.allclose(out, [1.0, 0.0], atol=1e-9)
 
     def test_feasible_point_unchanged(self):
-        c = lambda x: (np.array([x[0]]), np.array([[1.0, 0.0]]))
         x = np.array([0.0, 42.0])
-        out = project(c, x, cfg())
+        out = project(first_coordinate, first_coordinate_rows, x, cfg())
         assert np.array_equal(out, x)
 
     def test_idempotent_to_tolerance(self):
-        c = lambda x: (np.array([x @ x - 1.0]), 2.0 * x[None, :])
         conf = cfg()
-        once = project(c, np.array([1.3, -0.4]), conf)
-        twice = project(c, once, conf)
+        once = project(unit_circle, unit_circle_rows, np.array([1.3, -0.4]),
+                       conf)
+        twice = project(unit_circle, unit_circle_rows, once, conf)
         assert np.linalg.norm(twice - once) < conf.projection_tol
 
     def test_rank_deficient_jacobian(self):
-        c = lambda x: (np.array([1.0]), np.array([[0.0, 0.0]]))
         with pytest.raises(IntegrationError, match="rank"):
-            project(c, np.array([1.0, 2.0]), cfg())
+            project(lambda x: np.array([1.0]),
+                    lambda x: np.array([[0.0, 0.0]]), np.array([1.0, 2.0]),
+                    cfg())
+
+    @pytest.mark.parametrize("c, jac, x0, steps", [
+        # a feasible start takes no Newton step
+        (first_coordinate, first_coordinate_rows, [0.0, 42.0], 0),
+        # one step lands on a linear constraint
+        (first_coordinate, first_coordinate_rows, [0.5, 3.0], 1),
+        # radius 2 -> 1.25 -> 1.025 -> 1.0003 -> 1 + 5e-8 -> 1 + 1e-15
+        (unit_circle, unit_circle_rows, [2.0, 0.0], 5),
+    ])
+    def test_jacobian_read_only_for_newton_steps(self, c, jac, x0, steps):
+        calls = {c: 0, jac: 0}
+
+        def counted(fn):
+            def call(x):
+                calls[fn] += 1
+                return fn(x)
+            return call
+
+        project(counted(c), counted(jac), np.array(x0), cfg())
+        assert calls[jac] == steps
+        assert calls[c] == steps + 1
 
     def test_non_convergence_reported(self, monkeypatch):
         # Residual independent of the state: Newton can never reduce it.
         monkeypatch.setattr(integrate, "MAX_NEWTON_ITERS", 5)
-        calls = []
+        calls, jac_calls = [], []
 
         def c(x):
             calls.append(x)
-            return np.array([1.0]), np.array([[1.0, 0.0]])
+            return np.array([1.0])
+
+        def jac(x):
+            jac_calls.append(x)
+            return np.array([[1.0, 0.0]])
 
         with pytest.raises(IntegrationError, match="did not converge in 5 "):
-            project(c, np.array([0.0, 0.0]), cfg())
+            project(c, jac, np.array([0.0, 0.0]), cfg())
         assert len(calls) == 5 + 1  # five iterations, then the final report
+        assert len(jac_calls) == 5
 
 
 class TestIntegrateProjected:
     def test_zero_field_constant(self):
-        c = lambda x: (np.array([x[0] - 1.0]), np.array([[1.0, 0.0]]))
+        c = (lambda x: np.array([x[0] - 1.0]), first_coordinate_rows)
         traj, _ = integrate_projected(lambda t, x: np.zeros(2), c, 0.0,
                                       np.array([1.0, 2.0]), 0.5, cfg(dt=0.05))
         assert np.allclose(traj.x, [1.0, 2.0], atol=1e-12)
@@ -96,10 +139,9 @@ class TestIntegrateProjected:
 
     def test_circle_radius_preserved(self):
         field = lambda t, x: np.array([-x[1], x[0]])
-        c = lambda x: (np.array([x @ x - 1.0]), 2.0 * x[None, :])
         conf = cfg(dt=1e-3, projection_tol=1e-12)
-        traj, _ = integrate_projected(field, c, 0.0, np.array([1.0, 0.0]),
-                                      1.0, conf)
+        traj, _ = integrate_projected(field, (unit_circle, unit_circle_rows),
+                                      0.0, np.array([1.0, 0.0]), 1.0, conf)
         radii = np.linalg.norm(traj.x, axis=1)
         assert np.abs(radii - 1.0).max() < 1e-10
 
@@ -109,7 +151,7 @@ class TestIntegrateProjected:
         assert abs(traj.x[-1, 0] - np.e) < 1e-10
 
     def test_infeasible_start_rejected(self):
-        c = lambda x: (np.array([x[0]]), np.array([[1.0]]))
+        c = (first_coordinate, lambda x: np.array([[1.0]]))
         with pytest.raises(IntegrationError, match="initial"):
             integrate_projected(lambda t, x: np.zeros(1), c, 0.0,
                                 np.array([0.5]), 1.0, cfg(dt=0.1))
@@ -132,9 +174,9 @@ class TestIntegrateProjected:
             calls.append(t)
             return np.array([-x[1], x[0]])
 
-        c = lambda x: (np.array([x @ x - 1.0]), 2.0 * x[None, :])
-        traj, v = integrate_projected(field, c, 0.0, np.array([1.0, 0.0]),
-                                      0.5, cfg(dt=0.05))
+        traj, v = integrate_projected(field, (unit_circle, unit_circle_rows),
+                                      0.0, np.array([1.0, 0.0]), 0.5,
+                                      cfg(dt=0.05))
         # three stages per step plus one evaluation per stored sample
         assert len(calls) == 3 * 10 + 11
         assert v.shape == traj.x.shape
