@@ -25,11 +25,11 @@ minimum-norm solution of the foot rows and the jam row, one arm at a time
 s_aj, solves sum_j s_aj theta_aj' = u_a = i z' e^{-i theta0} - p_a theta0'.
 
 The recovery loop runs on Python scalars: the field and the projection
-residual read one state's kinematics from ``_kinematics_one`` (complex
-endpoints and tail sums), and the field reads the recorded rates by grid
-index, because numpy calls on a handful of numbers cost more than the
-arithmetic. The projection builds the (5, 9) foot-and-jam Jacobian only
-when it takes a Newton step.
+residual (the reference gait's too) read one state's kinematics from
+``_kinematics_one`` (complex endpoints and tail sums), and the field reads
+the recorded rates by grid index, because numpy calls on a handful of
+numbers cost more than the arithmetic. The projection builds the (5, 9)
+foot-and-jam Jacobian only when it takes a Newton step.
 """
 
 from __future__ import annotations
@@ -148,6 +148,15 @@ def foot_matrix(params: CrawlerParams, state) -> np.ndarray:
 
 def foot_residual(params: CrawlerParams, state) -> np.ndarray:
     return _feet(params, np.asarray(state, dtype=float))[0]
+
+
+def _foot_residual_one(params: CrawlerParams, state: np.ndarray) -> list:
+    """``foot_residual`` of one state on Python scalars."""
+    rot, p1, _, p2, _ = _kinematics_one(params, state)
+    z = complex(state[0], state[1])
+    f1 = z + rot * p1 - params.l1
+    f2 = z + rot * p2 - params.l2
+    return [f1.real, f1.imag, f2.real, f2.imag]
 
 
 _MIN_RADIUS = 1e-12   # template radius r below which alpha is undefined
@@ -375,7 +384,7 @@ def reference_gait(params: CrawlerParams, period: float = 1.0,
     field = _gait_field(params, period, _null_basis(params, x0))
     cfg = ProjectedIntegratorConfig(dt=0.5 * dt, projection_tol=1e-11)
     traj, v = integrate_projected(
-        field, (lambda s: foot_residual(params, s),
+        field, (lambda s: _foot_residual_one(params, s),
                 lambda s: foot_matrix(params, s)), 0.0, x0, period, cfg)
     n = len(traj)
     r, alpha, rates = np.empty(n), np.empty(n), np.empty((n, 2))
@@ -526,11 +535,7 @@ def recover(params: CrawlerParams, reference: ReferenceGait,
     # the projection residual: both feet off their anchors, then the
     # jammed joint's drift
     def c(state):
-        rot, p1, _, p2, _ = _kinematics_one(params, state)
-        z = complex(state[0], state[1])
-        f1 = z + rot * p1 - params.l1
-        f2 = z + rot * p2 - params.l2
-        return [f1.real, f1.imag, f2.real, f2.imag, state[col] - locked]
+        return _foot_residual_one(params, state) + [state[col] - locked]
 
     def dc(state):
         return np.vstack([foot_matrix(params, state), jam_grad])

@@ -4,8 +4,14 @@ data-driven recovery cost, and parameter recovery with a frozen hip gain.
 A point-mass hip bounces on massless springy legs driven by a Hill-type force
 law F = K(L - zeta)(1 + eta*zetadot) - mu*zetadot and a hip torque that PD
 tracks a Buehler clock, scaled by the gain t_s. Two legs run the clock half a
-cycle apart; whichever leg's commanded foot point reaches the ground first
-takes the next stance.
+cycle apart. A leg touches down where its commanded foot height
+y - L*cos(psi_c) falls from > 0 to <= 0 while the leg is armed: its clock
+descends, psi_c <= touchdown_angle + 1e-12 and ydot < 0, all judged at that
+crossing. A foot that is below the ground when its leg becomes armed must
+rise above it first. Flight is ballistic, so every flight guard is a
+closed-form function of time; crossings are located between grid points
+under a curvature bound, and a touchdown that grazes the ground inside one
+step still fires.
 
 Conventions: during stance the COM sits at foot + zeta*(-sin psi, cos psi),
 psi measured from the downward vertical at the foot (positive = foot ahead of
@@ -76,15 +82,6 @@ class BuehlerClock:
             return -sweep + 2.0 * sweep * q, up_rate, False
 
         return at
-
-    def angles(self, t: np.ndarray, chi0: float) -> np.ndarray:
-        """Commanded angles of legs 0 and 1 (rows) at a 1-D array of times,
-        with the operations of ``signal`` elementwise."""
-        duty, sweep = self.duty_factor, self.sweep_angle
-        omega, offset = TWO_PI * self.frequency, np.array([[0.0], [math.pi]])
-        s = ((chi0 + omega * t + offset) / TWO_PI) % 1.0
-        return np.where(s < duty, sweep * (1.0 - 2.0 * s / duty),
-                        -sweep + 2.0 * sweep * ((s - duty) / (1.0 - duty)))
 
 
 @dataclass(frozen=True)
@@ -234,282 +231,275 @@ def _liftoff_map(u: Sequence[float], foot: tuple) -> tuple:
             zd * cp - zeta * pd * sp)
 
 
-def _modes(params: CTSlipParams, chi0: float, dt: float) -> dict:
-    """Mode -> (RK4 step(t, u, h), guards, guard values, block advance),
-    built once per run on the grid of width dt.
+def _floor_time(y0: float, yd0: float, g: float) -> float:
+    """Time at which the height y0 + yd0*s - g*s*s/2 first falls from > 0
+    to <= 0, or inf: its root (yd0 + sqrt(disc))/g, where the slope is
+    -sqrt(disc), if the height is > 0 somewhere before it."""
+    disc = yd0 * yd0 + 2.0 * g * y0
+    if g == 0.0 or disc < 0.0:
+        return -y0 / yd0 if g == 0.0 and y0 > 0.0 > yd0 else math.inf
+    s = (yd0 + math.sqrt(disc)) / g
+    return s if s > 0.0 and (y0 > 0.0 or disc > 0.0) else math.inf
 
-    A guard is (kind, leg, value, armed); an event fires when value crosses
-    from > 0 to <= 0 inside a step (and the armed predicate holds, if any).
-    A block advance takes full grid steps in one loop and stops before the
-    first step on which an event may fire (see ``simulate_hybrid``).
+
+def _first_fall(guard: Callable, a: float, b: float, fa: float, fb: float,
+                bound: float) -> float | None:
+    """First time in (a, b] at which ``guard`` falls from > 0 to <= 0, or
+    None, given |guard''| <= bound on [a, b].
+
+    Between its end values such a function stays within bound*(b - a)**2/8
+    of the chord, so an interval whose end values clear zero by that much
+    on one side keeps one sign; any other is halved, left half first, down
+    to BISECT_TOL.
     """
-    L, ng = params.L, -params.gravity
-    ng_sum = ng + 2.0 * ng + 2.0 * ng + ng
-    armed_below = params.clock.touchdown_angle + 1e-12
-    floor = 1e-3 * L
-    margin = 1e-9 * L  # far above numpy's cos error in a guard value
-    half_cycle = math.ceil(0.5 / (params.clock.frequency * dt))
+    slack = 0.125 * bound * (b - a) * (b - a)
+    if min(fa, fb) - slack > 0.0 or max(fa, fb) + slack <= 0.0:
+        return None
+    if b - a <= BISECT_TOL:
+        return b if fa > 0.0 >= fb else None
+    m = 0.5 * (a + b)
+    fm = guard(m)
+    hit = _first_fall(guard, a, m, fa, fm, bound)
+    return hit if hit is not None else _first_fall(guard, m, b, fm, fb, bound)
+
+
+def _flight_advance(params: CTSlipParams, chi0: float, dt: float,
+                    nsteps: int) -> Callable:
+    """advance(k, t0, u) from COM state u at time t0 >= k*dt: the sample
+    rows at grid points k+1 ... before the first event (up to nsteps if
+    none) and the event, (time, kind, leg, COM state) or None.
+
+    The floor crash is a root of the height's quadratic. Each clock cycle
+    arms a leg on one interval of its descending piece, where psi_c is
+    linear in t and |guard''| <= |gravity| + L*psi_c_dot**2. Each interval
+    is sampled at spacing <= dt, and ``_first_fall`` searches only the
+    pieces in which that bound allows a sign change.
+    """
+    clock, L, g = params.clock, params.L, params.gravity
+    sweep, duty, f = clock.sweep_angle, clock.duty_factor, clock.frequency
+    down = -2.0 * sweep / duty * f
+    bound = abs(g) + L * down * down
+    # the descending piece's fraction where psi_c <= touchdown angle + 1e-12
+    s_arm = max(0.0, 0.5 * duty * (1.0 - (clock.touchdown_angle + 1e-12)
+                                   / sweep))
+    cycle0 = (chi0 / TWO_PI, chi0 / TWO_PI + 0.5)   # legs' cycles at t = 0
+    t_end = nsteps * dt
+    tail = (L, math.nan, Mode.FLIGHT.value)
+
+    def touchdown(t0, y0, yd0, t_lo, t_hi):
+        """(time, leg) of the first touchdown in [t_lo, t_hi] or (inf, _)"""
+        def first(a, b, top):
+            # top: the time at which the piece starts, at psi_c = sweep
+            def guard(t, cos=math.cos):
+                s = t - t0
+                return (y0 + s * (yd0 - 0.5 * g * s)
+                        - L * cos(sweep + down * (t - top)))
+
+            n = math.ceil((b - a) / dt)
+            ts = np.linspace(a, b, n + 1)
+            gs = guard(ts, np.cos)
+            lo, hi = np.minimum(gs[:-1], gs[1:]), np.maximum(gs[:-1], gs[1:])
+            slack = 0.125 * bound * ((b - a) / n) ** 2
+            ts, gs = ts.tolist(), gs.tolist()
+            for i in np.flatnonzero((lo - slack <= 0.0)
+                                    & (hi + slack > 0.0)).tolist():
+                hit = _first_fall(guard, ts[i], ts[i + 1], gs[i], gs[i + 1],
+                                  bound)
+                if hit is not None:
+                    return hit
+            return math.inf
+
+        best = (math.inf, None)
+        for leg, c in enumerate(cycle0):   # each leg's windows in order
+            for n in range(math.floor(c + f * t_lo),
+                           math.floor(c + f * t_hi) + 1):
+                a = max(t_lo, (n + s_arm - c) / f)
+                b = min(t_hi, best[0], (n + duty - c) / f)
+                if a < b and (hit := first(a, b, (n - c) / f)) < best[0]:
+                    best = (hit, leg)
+                    break
+        return best
+
+    def advance(k, t0, u):
+        x0, y0, xd, yd0 = u
+        t_ev = t0 + _floor_time(y0, yd0, g)
+        # armed needs ydot < 0 as well
+        t_lo, t_hi = t0, min(t_end, t_ev)
+        if g > 0.0:
+            t_lo = max(t_lo, t0 + yd0 / g)
+        elif g < 0.0:
+            t_hi = min(t_hi, t0 + yd0 / g)
+        elif yd0 >= 0.0:
+            t_hi = t_lo
+        t_td, leg = touchdown(t0, y0, yd0, t_lo, t_hi)
+        if t_ev - t_td > BISECT_TOL:   # else the crash wins ties
+            t_ev, kind = t_td, "touchdown"
+        else:
+            kind, leg = "crash", None
+
+        def at(s):   # the COM state s after t0
+            return x0 + xd * s, y0 + s * (yd0 - 0.5 * g * s), xd, yd0 - g * s
+
+        last = nsteps if t_ev > t_end else max(k, math.ceil(t_ev / dt) - 1)
+        rows = np.empty((last - k, 7))
+        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = at(
+            np.arange(k + 1, last + 1) * dt - t0)
+        rows[:, 4:] = tail
+        return rows, (None if t_ev > t_end
+                      else (t_ev, kind, leg, at(t_ev - t0)))
+
+    return advance
+
+
+def _stance_advance(params: CTSlipParams, chi0: float, dt: float,
+                    nsteps: int, leg: int) -> Callable:
+    """advance(k, t0, u, foot) from leg state u at time t0 >= k*dt, as
+    ``_flight_advance``'s, by one RK4 step per grid step (the first from
+    t0). The guards zeta*cos(psi), zeta - 1e-3*L (crashes) and L - zeta
+    (liftoff) are tested at step ends; one that falls from > 0 to <= 0 is
+    bisected on RK4 substeps from the step's start. A stage that raises
+    ``CrashSignal`` crashes at the step's start.
+    """
+    L, floor = params.L, 1e-3 * params.L
     accel = _stance_law(params)
+    clock = params.clock.signal(chi0, leg)
+    value = (Mode.STANCE_LEFT, Mode.STANCE_RIGHT)[leg].value
     cos, sin = math.cos, math.sin
 
-    def flight(t, u, h):
-        # stage positions are dead; += 0.0 maps -0.0 to 0.0 as the stages do
-        x, y, xd, yd = u
-        xd += 0.0
-        yd_mid, yd_end, s = yd + 0.5 * h * ng, yd + h * ng, h / 6.0
-        return (x + s * (xd + 2.0 * xd + 2.0 * xd + xd),
-                y + s * (yd + 2.0 * yd_mid + 2.0 * yd_mid + yd_end),
-                xd, yd + s * ng_sum)
+    def guards(u):
+        return u[0] * cos(u[1]), u[0] - floor, L - u[0]
 
-    def flight_block(k, u, n):
-        """Full flight steps from grid step k, at most n and at most half a
-        clock cycle, as arrays: the sample rows of the leading steps no
-        guard can fire on, and the state after the last of them."""
-        n = min(n, half_cycle)
-        t = np.arange(k, k + n + 1) * dt
-        h = t[1:] - t[:-1]
-        x, y, xd, yd = u
-        xd += 0.0
+    def step(t, u, h):
+        # stages 2 and 3 share the time t + h/2 and its clock values
+        z, p, zd, pd = u
+        hh = 0.5 * h
+        c, r, _ = clock(t)
+        a1, b1 = accel(z, p, zd, pd, c, r)
+        zd2, pd2 = zd + hh * a1, pd + hh * b1
+        c, r, _ = clock(t + hh)
+        a2, b2 = accel(z + hh * zd, p + hh * pd, zd2, pd2, c, r)
+        zd3, pd3 = zd + hh * a2, pd + hh * b2
+        a3, b3 = accel(z + hh * zd2, p + hh * pd2, zd3, pd3, c, r)
+        zd4, pd4 = zd + h * a3, pd + h * b3
+        c, r, _ = clock(t + h)
+        a4, b4 = accel(z + h * zd3, p + h * pd3, zd4, pd4, c, r)
         s = h / 6.0
-        yds = np.add.accumulate(np.concatenate(((yd,), s * ng_sum)))
-        yd0 = yds[:-1]
-        yd_mid, yd_end = yd0 + 0.5 * h * ng, yd0 + h * ng
-        ys = np.add.accumulate(np.concatenate((
-            (y,), s * (yd0 + 2.0 * yd_mid + 2.0 * yd_mid + yd_end))))
-        xs = np.add.accumulate(np.concatenate((
-            (x,), s * (xd + 2.0 * xd + 2.0 * xd + xd))))
-        v = np.vstack((ys, ys - L * np.cos(params.clock.angles(t, chi0))))
-        safe = ((v[:, 1:] > margin) | (v[:, :-1] < -margin)).all(axis=0)
-        c = n if safe.all() else int(safe.argmin())
-        rows = np.empty((c, 7))
-        rows[:, 0], rows[:, 1] = xs[1:c + 1], ys[1:c + 1]
-        rows[:, 3] = yds[1:c + 1]
-        rows[:, 2], rows[:, 4:] = xd, (L, math.nan, Mode.FLIGHT.value)
-        return rows, (float(xs[c]), float(ys[c]), xd, float(yds[c]))
+        return (z + s * (zd + 2.0 * zd2 + 2.0 * zd3 + zd4),
+                p + s * (pd + 2.0 * pd2 + 2.0 * pd3 + pd4),
+                zd + s * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                pd + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
-    landed = (("crash", None, lambda t, u: u[0] * cos(u[1]), None),
-              ("crash", None, lambda t, u: u[0] - floor, None),
-              ("liftoff", None, lambda t, u: L - u[0], None))
-    values = [g[2] for g in landed]
-
-    def stance(leg):
-        clock = params.clock.signal(chi0, leg)
-        value = (Mode.STANCE_LEFT, Mode.STANCE_RIGHT)[leg].value
-
-        def step(t, u, h):
-            # stages 2 and 3 share the time t + h/2 and its clock values
-            z, p, zd, pd = u
-            hh = 0.5 * h
-            c, r, _ = clock(t)
-            a1, b1 = accel(z, p, zd, pd, c, r)
-            zd2, pd2 = zd + hh * a1, pd + hh * b1
-            c, r, _ = clock(t + hh)
-            a2, b2 = accel(z + hh * zd, p + hh * pd, zd2, pd2, c, r)
-            zd3, pd3 = zd + hh * a2, pd + hh * b2
-            a3, b3 = accel(z + hh * zd2, p + hh * pd2, zd3, pd3, c, r)
-            zd4, pd4 = zd + h * a3, pd + h * b3
-            c, r, _ = clock(t + h)
-            a4, b4 = accel(z + h * zd3, p + h * pd3, zd4, pd4, c, r)
-            s = h / 6.0
-            return (z + s * (zd + 2.0 * zd2 + 2.0 * zd3 + zd4),
-                    p + s * (pd + 2.0 * pd2 + 2.0 * pd3 + pd4),
-                    zd + s * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-                    pd + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
-
-        def block(k, u, va, n, foot):
-            """Full stance steps from grid step k, whose state u has the
-            guard values va, at most n: the sample rows of the leading
-            steps on which no guard fires and no stage raises, the state
-            after the last of them and its guard values."""
-            rows, (va0, va1, va2), x0 = [], va, foot[0]
-            try:
-                for j in range(k, k + n):
-                    t = j * dt
-                    u_end = step(t, u, (j + 1) * dt - t)
-                    z, p, zd, pd = u_end
-                    # cos(psi) gives both the guard z*cos(psi) and the COM y
-                    sp, cp = sin(p), cos(p)
-                    y, vb1, vb2 = z * cp, z - floor, L - z
-                    if va0 > 0.0 >= y or va1 > 0.0 >= vb1 or va2 > 0.0 >= vb2:
-                        break
-                    rows.append((x0 - z * sp, y, -zd * sp - z * pd * cp,
-                                 zd * cp - z * pd * sp, z, p, value))
-                    u, va0, va1, va2 = u_end, y, vb1, vb2
-            except CrashSignal:
-                pass
-            return rows, u, (va0, va1, va2)
-
-        return step, landed, values, block
-
-    def touchdown(leg):
-        clock = params.clock.signal(chi0, leg)
-
-        def armed(t, u):
-            psi_c, _, desc = clock(t)
-            return desc and psi_c <= armed_below and u[3] < 0.0
-
-        return ("touchdown", leg, lambda t, u: u[1] - L * cos(clock(t)[0]),
-                armed)
-
-    airborne = (("crash", None, lambda t, u: u[1], None),
-                touchdown(0), touchdown(1))
-    return {Mode.FLIGHT: (flight, airborne, [g[2] for g in airborne],
-                          flight_block),
-            Mode.STANCE_LEFT: stance(0), Mode.STANCE_RIGHT: stance(1)}
-
-
-def _sample_rows(samples: list) -> np.ndarray:
-    """(N, 7) array of a list of 7-tuple samples."""
-    return np.fromiter(chain.from_iterable(samples), float,
-                       7 * len(samples)).reshape(-1, 7)
-
-
-def _first_event(step, guards, ta, ua, va, tb, ub, vb, tol):
-    hits = []
-    for (kind, leg, value, armed), a, b in zip(guards, va, vb):
-        if not (a > 0.0 >= b) or (armed is not None and not armed(tb, ub)):
-            continue
-        lo, hi, u_hi = ta, tb, ub
-        while hi - lo > tol:
+    def locate(ta, ua, tb, ub, va, vb):
+        # the first time at which a guard that crossed is <= 0; a crash
+        # there wins a tie with the liftoff
+        crossed = [i for i in (0, 1, 2) if va[i] > 0.0 >= vb[i]]
+        lo, hi = ta, tb
+        while hi - lo > BISECT_TOL:
             mid = 0.5 * (lo + hi)
             um = step(ta, ua, mid - ta)
-            if value(mid, um) > 0.0:
+            vm = guards(um)
+            if all(vm[i] > 0.0 for i in crossed):
                 lo = mid
             else:
-                hi, u_hi = mid, um
-        hits.append((hi, 0 if kind == "crash" else 1, kind, leg, u_hi))
-    if not hits:
-        return None
-    hits.sort(key=lambda h: (h[0], h[1]))
-    best_t = hits[0][0]
-    for h in hits:
-        if h[0] - best_t <= tol and h[2] == "crash":
-            return h
-    return hits[0]
+                hi, ub, vb = mid, um, vm
+        lift = all(i == 2 or vb[i] > 0.0 for i in crossed)
+        return hi, "liftoff" if lift else "crash", None, ub
+
+    def advance(k, t, u, foot):
+        x0, rows, hit = foot[0], [], None
+        va0, va1, va2 = guards(u)
+        try:
+            for j in range(k + 1, nsteps + 1):
+                tb = j * dt
+                u_end = step(t, u, tb - t)
+                z, p, zd, pd = u_end
+                # cos(psi) gives both the guard z*cos(psi) and the COM y
+                sp, cp = sin(p), cos(p)
+                y, vb1, vb2 = z * cp, z - floor, L - z
+                if va0 > 0.0 >= y or va1 > 0.0 >= vb1 or va2 > 0.0 >= vb2:
+                    hit = locate(t, u, tb, u_end, (va0, va1, va2),
+                                 (y, vb1, vb2))
+                    break
+                rows.append((x0 - z * sp, y, -zd * sp - z * pd * cp,
+                             zd * cp - z * pd * sp, z, p, value))
+                t, u, va0, va1, va2 = tb, u_end, y, vb1, vb2
+        except CrashSignal:
+            hit = (t, "crash", None, u)
+        return np.fromiter(chain.from_iterable(rows), float,
+                           7 * len(rows)).reshape(-1, 7), hit
+
+    return advance
 
 
 def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
                     cfg: SimConfig | None = None) -> SimResult:
     """Integrate the hybrid system on the fixed grid t_k = k*dt.
 
-    Events are located inside a step by bisection on fresh Runge-Kutta
-    substeps from the pre-step state, the transition is applied, and the
-    remainder of the step is integrated in the new mode, so samples stay on
-    the uniform grid. The run stops at the first crash (absorbing mode).
-    Guards are tested only at step ends, so a guard that crosses zero and
-    back inside one step (a grazing touchdown) fires no event.
+    One loop alternates a flight advance (closed form) and a stance advance
+    (RK4). Each runs from its mode's start, a grid point or an event time,
+    to the mode's first event and returns the grid samples before it; the
+    transition map is applied there, and the next mode's advance takes the
+    rest of the step. A crash wins a tie with another event. The run stops
+    at the first crash and fails if more than MAX_EVENTS_PER_STEP events
+    fall in one grid step.
 
-    A full grid step that starts in flight starts a block of up to half a
-    clock cycle of flight steps, computed with numpy. Each step's width is
-    (k+1)*dt - k*dt and its increments take the scalar step's operations in
-    the same order, elementwise; x, y and ydot are summed left to right by
-    ``np.add.accumulate``. numpy rounds each IEEE +, -, * and / as Python
-    does, so every stored state has the scalar loop's bits. The block
-    keeps only its leading steps on which no guard can fire: each
-    guard's value is above a margin at the step's end or below minus the
-    margin at its start. The margin is far above the rounding of numpy's
-    cosine in the touchdown guards, so the first step that may fire is left
-    to the scalar loop, which makes every event decision, bisection and
-    post-event remainder as before.
-
-    A full grid step that starts in stance with the guard values of its
-    start state at hand (any step but the first of the run and the one
-    after an event that ended at the grid point) starts a block of stance
-    steps: one Python loop of the scalar RK4 step with the landed guards
-    and the sample row computed inline, cos(psi) shared by the zeta*cos(psi)
-    guard and the COM height. The block keeps its steps while no guard goes
-    from > 0 to <= 0 and no stage raises ``CrashSignal``; the step that
-    does is left to the scalar loop, which repeats it from the same state
-    and guard values, so every event is found as before.
+    A leg touches down where its guard y - L*cos(psi_c) falls from > 0 to
+    <= 0 at a time when the leg is armed: its clock descends, psi_c <=
+    touchdown_angle + 1e-12 and ydot < 0, all judged at that crossing. A
+    foot that is below the ground when its leg becomes armed must rise
+    above it first.
     """
     cfg = cfg if cfg is not None else SimConfig()
-    dt, tol = cfg.dt, BISECT_TOL
+    dt = cfg.dt
     if not 0.0 <= T < math.inf:
         raise ValueError(f"span T={T} is negative or not finite")
     nsteps = int(round(T / dt))
     if abs(nsteps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError("span must be an integer number of steps")
     chi0 = ic.clock_phase
-    mode = ic.mode
-    if mode is Mode.FLIGHT:
-        u, foot = tuple(ic.com), None
-    elif mode in (Mode.STANCE_LEFT, Mode.STANCE_RIGHT):
+    if ic.mode is Mode.FLIGHT:
+        u, foot, leg = tuple(ic.com), None, None
+    elif ic.mode in (Mode.STANCE_LEFT, Mode.STANCE_RIGHT):
         if ic.foot is None:
             raise ValueError("stance initial condition requires a foot anchor")
         foot = (float(ic.foot[0]), float(ic.foot[1]))
         u = _leg_state(ic.com, foot)
+        leg = (Mode.STANCE_LEFT, Mode.STANCE_RIGHT).index(ic.mode)
         if u[0] > params.L * (1.0 + 1e-9):
             raise ValueError("stance initial condition: leg longer than L")
     else:
         raise ValueError("initial condition must be flight or stance")
 
-    modes = _modes(params, chi0, dt)
-    step, guards, (v0, v1, v2), block = modes[mode]
-    flight_tail = (params.L, math.nan, Mode.FLIGHT.value)
-    stance_value = mode.value
-    samples = [u + flight_tail if foot is None
-               else _liftoff_map(u, foot) + (u[0], u[1], stance_value)]
-    blocks = []  # sample arrays before `samples`, in order
-    events, crashed = [], False
-    va = None  # guard values at (ta, u), carried over from the last step end
-
-    k = 0
-    while k < nsteps:
-        if mode is Mode.FLIGHT:
-            rows, u_next = block(k, u, nsteps - k)
-            if len(rows):
-                blocks += (_sample_rows(samples), rows)
-                samples, u, va = [], u_next, None
-        elif va is not None:
-            rows, u, va = block(k, u, va, nsteps - k, foot)
-            samples += rows
-        else:
-            rows = ()
-        k += len(rows)
-        if k == nsteps:
+    flight = _flight_advance(params, chi0, dt, nsteps)
+    stance = [_stance_advance(params, chi0, dt, nsteps, i) for i in (0, 1)]
+    blocks, events, crashed = [], [], False
+    # the last sample (none before grid point 0), the mode's start and the
+    # events since that sample
+    k, t, in_step = -1, 0.0, 0
+    while True:
+        rows, hit = (flight(k, t, u) if foot is None
+                     else stance[leg](k, t, u, foot))
+        blocks.append(rows)
+        if hit is None:
             break
-        ta, tb = k * dt, (k + 1) * dt
-        for _ in range(MAX_EVENTS_PER_STEP):
-            if va is None:
-                va = (v0(ta, u), v1(ta, u), v2(ta, u))
-            try:
-                u_end = step(ta, u, tb - ta)
-                vb = (v0(tb, u_end), v1(tb, u_end), v2(tb, u_end))
-                hit = (_first_event(step, guards, ta, u, va, tb, u_end, vb,
-                                    tol)
-                       if (va[0] > 0.0 >= vb[0] or va[1] > 0.0 >= vb[1]
-                           or va[2] > 0.0 >= vb[2]) else None)
-            except CrashSignal:
-                hit = (ta, 0, "crash", None, u)
-            if hit is None:
-                u, va = u_end, vb
-                break
-            t_ev, _, kind, ev_leg, u_ev = hit
-            events.append(Event(kind=kind, time=t_ev, leg=ev_leg))
-            if kind == "crash":
-                crashed = True
-                break
-            if kind == "touchdown":
-                u, foot = _touchdown_map(params, t_ev, u_ev, chi0, ev_leg)
-                mode = Mode.STANCE_LEFT if ev_leg == 0 else Mode.STANCE_RIGHT
-                stance_value = mode.value
-            else:  # liftoff
-                u, foot, mode = _liftoff_map(u_ev, foot), None, Mode.FLIGHT
-            step, guards, (v0, v1, v2), block = modes[mode]
-            ta, va = t_ev, None
-            if tb - ta <= tol:
-                break
-        else:
+        in_step = 1 if len(rows) else in_step + 1
+        k += len(rows)
+        t, kind, ev_leg, u = hit
+        events.append(Event(kind=kind, time=t, leg=ev_leg))
+        if in_step > MAX_EVENTS_PER_STEP:
             raise RuntimeError(
                 f"event location failed: more than {MAX_EVENTS_PER_STEP} "
-                f"events inside [{ta}, {tb}]")
-        if crashed:
+                f"events inside [{k * dt}, {(k + 1) * dt}]")
+        if kind == "crash":
+            crashed = True
             break
-        samples.append(u + flight_tail if foot is None
-                       else _liftoff_map(u, foot) + (u[0], u[1], stance_value))
-        k += 1
+        if kind == "touchdown":
+            u, foot = _touchdown_map(params, t, u, chi0, ev_leg)
+            leg = ev_leg
+        else:  # liftoff
+            u, foot = _liftoff_map(u, foot), None
 
-    arr = np.concatenate(blocks + [_sample_rows(samples)])
+    arr = np.concatenate(blocks)
     return SimResult(params=params, t=np.arange(len(arr)) * dt,
                      com=arr[:, :4], zeta=arr[:, 4], psi=arr[:, 5],
                      mode=arr[:, 6].astype(int), events=events,

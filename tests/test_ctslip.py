@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regait.ctslip import (APEX_MARGIN, APEX_SPEED, FREE_PARAM_BOUNDS,
                            FREE_PARAM_STEPS, BuehlerClock, CrashSignal,
@@ -174,9 +176,6 @@ class TestFlight:
         assert len(res.t) < int(round(1.5 / 2e-3)) + 1
         assert res.t[-1] <= math.sqrt(2.0 * 5.0 / params.gravity) + 2e-3
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "known limitation: guards are tested only at step ends, so a touchdown "
-        "guard that dips below zero and back inside one step fires no event"))
     def test_grazing_touchdown_inside_one_step(self):
         # A fast clock swings leg 0 through the vertical in the middle of the
         # second step while the hip hangs 0.004 below the rest length: the
@@ -197,7 +196,29 @@ class TestFlight:
                 and min(map(guard, inside)) < 0.0):
             raise ValueError("the construction no longer grazes one step")
         res = simulate_hybrid(params, ic, T=5 * dt, cfg=SimConfig(dt=dt))
-        assert [e.kind for e in res.events][:1] == ["touchdown"]
+        assert [(e.kind, e.leg) for e in res.events][:1] == [("touchdown", 0)]
+        assert dt < res.events[0].time < 2.0 * dt
+
+    @settings(max_examples=50, deadline=None)
+    @given(clearance=st.floats(0.01, 10.0), speed=st.floats(0.0, 30.0),
+           phase=st.floats(0.0, 2.0 * math.pi), duty=st.floats(0.2, 0.8),
+           sweep=st.floats(0.1, 0.6), td=st.floats(-0.9, 0.9),
+           frequency=st.floats(0.2, 4.0))
+    def test_first_event_matches_dense_scan_at_every_dt(
+            self, clearance, speed, phase, duty, sweep, td, frequency):
+        clock = BuehlerClock(duty_factor=duty, sweep_angle=sweep,
+                             touchdown_angle=td * sweep, frequency=frequency)
+        params = CTSlipParams(clock=clock)
+        ic = apex_state(y=params.L * math.cos(clock.touchdown_angle)
+                        + clearance, xdot=speed, clock_phase=phase)
+        want = dense_first_event(params, ic, T=5.0)
+        for dt in (5e-4, 1e-3, 2e-3, 4e-3):
+            res = simulate_hybrid(params, ic, T=5.0, cfg=SimConfig(dt=dt))
+            got = res.events[0] if res.events else None
+            assert (got is None) == (want is None), dt
+            if want is not None:
+                assert (got.kind, got.leg) == want[:2], dt
+                assert got.time == pytest.approx(want[2], abs=1e-9), dt
 
     def test_span_must_align_with_grid(self):
         params = CTSlipParams()
@@ -229,6 +250,54 @@ class TestFlight:
                          foot=(0.0, 0.0))
         with pytest.raises(ValueError, match="longer"):
             simulate_hybrid(params, ic, T=0.1)
+
+
+def _bisect(f, lo, hi):
+    """The time in (lo, hi] at which f, > 0 at lo and <= 0 at hi, turns
+    <= 0, to 1e-13."""
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+    return hi
+
+
+def dense_first_event(params, ic, T, h=2e-5):
+    """(kind, leg, time) of the first event of a flight from the apex start
+    ``ic``, or None before T, by scanning the closed-form guards at spacing
+    h: the height for the floor crash, y - L*cos(psi_c) for each leg's
+    touchdown, fired at its first fall from > 0 to <= 0 at which the leg is
+    armed (descending clock, psi_c <= touchdown_angle + 1e-12, ydot < 0)."""
+    clock, L, g = params.clock, params.L, params.gravity
+    _, y0, _, yd0 = ic.com
+    ts = np.linspace(0.0, T, int(round(T / h)) + 1)
+
+    def height(t):
+        return y0 + yd0 * t - 0.5 * g * t * t
+
+    def falls(values):
+        return np.flatnonzero((values[:-1] > 0.0) & (values[1:] <= 0.0))
+
+    found = [(_bisect(height, ts[i], ts[i + 1]), "crash", None)
+             for i in falls(height(ts))[:1]]
+    duty, sweep = clock.duty_factor, clock.sweep_angle
+    for leg in (0, 1):
+        signal = clock.signal(ic.clock_phase, leg)
+        s = ((ic.clock_phase + 2.0 * math.pi * clock.frequency * ts
+              + leg * math.pi) / (2.0 * math.pi)) % 1.0
+        psi = np.where(s < duty, sweep * (1.0 - 2.0 * s / duty),
+                       sweep * (2.0 * (s - duty) / (1.0 - duty) - 1.0))
+        for i in falls(height(ts) - L * np.cos(psi)):
+            t = _bisect(lambda t: height(t) - L * math.cos(signal(t)[0]),
+                        ts[i], ts[i + 1])
+            psi_c, _, descending = signal(t)
+            if (descending and psi_c <= clock.touchdown_angle + 1e-12
+                    and yd0 - g * t < 0.0):
+                found.append((t, "touchdown", leg))
+                break
+    if not found:
+        return None
+    t, kind, leg = min(found, key=lambda e: e[0])
+    return kind, leg, t
 
 
 def stance_drop_ic(params, psi0=0.25):
