@@ -28,14 +28,13 @@ from .crawler import (N_JOINTS, STATE_DIM, TEMPLATE_FORMS, CrawlerParams,
                       angle_difference, foot_residual_series, group_velocity,
                       playback_baseline, recover, reference_gait,
                       shape_features, template_encoding_map)
-from .ctslip import (FREE_PARAM_BOUNDS, FREE_PARAM_STEPS, BuehlerClock,
-                     CTSlipParams, SimConfig, build_reference,
-                     count_completing, energy_outputs, make_ensemble,
-                     nominal_ic, recover_parameters, simulate_hybrid)
+from .ctslip import (RECOVERY_SEARCH, SIM_DT, BuehlerClock, CTSlipParams,
+                     build_reference, count_completing, energy_outputs,
+                     make_ensemble, nominal_ic, recover_parameters,
+                     simulate_hybrid)
 from .encoding import learn_constraints, learned_to_json, record_eta
 from .integrate import IntegrationError
 from .manipulator import point_mass_toy, rescaled_constraint, run_force_matching
-from .optimize import NMConfig
 from .signals import PhaseEstimator, eval_fourier
 from .svgplot import Figure, save_svg
 from .trajectory import Trajectory, TrajectoryFormatError, write_csv
@@ -252,10 +251,9 @@ def _params_dict(p: CTSlipParams) -> dict:
 def cmd_ctslip(args) -> dict:
     out = args.out
     params = _ctslip_params(args.params)
-    cfg = SimConfig(dt=args.dt)
 
     if args.action == "simulate":
-        res = simulate_hybrid(params, nominal_ic(params), args.T, cfg)
+        res = simulate_hybrid(params, nominal_ic(params), args.T, args.dt)
         write_csv(os.path.join(out, "com.csv"),
                   "t,x,y,xdot,ydot,zeta,psi,mode",
                   [res.t, res.com, res.zeta, res.psi, res.mode])
@@ -279,7 +277,7 @@ def cmd_ctslip(args) -> dict:
     ensemble = make_ensemble(params, n=10, seed=args.seed)
 
     if args.action == "damage":
-        strides = [[simulate_hybrid(p, ic, args.T, cfg).strides
+        strides = [[simulate_hybrid(p, ic, args.T, args.dt).strides
                     for ic in ensemble] for p in (params, damaged)]
         write_csv(os.path.join(out, "strides.csv"),
                   "member,nominal_strides,damaged_strides",
@@ -297,19 +295,18 @@ def cmd_ctslip(args) -> dict:
         return metrics
 
     # recover
-    reference = build_reference(params, ensemble, T=args.T, cfg=cfg)
-    nm = NMConfig(initial_step=np.asarray(FREE_PARAM_STEPS),
-                  max_iters=args.iters, f_tol=0.0, x_tol=0.0,
-                  bounds=FREE_PARAM_BOUNDS)
-    recovered, trace = recover_parameters(damaged, reference, ensemble,
-                                          nm_config=nm)
+    reference = build_reference(params, ensemble, T=args.T, dt=args.dt)
+    recovered, trace = recover_parameters(
+        damaged, reference, ensemble,
+        nm_config=replace(RECOVERY_SEARCH, max_iters=args.iters))
     # the search's first evaluation is the damaged plant, clipped to bounds
     initial_cost = trace.costs[0]
     trace.to_csv(os.path.join(out, "cost_trace.csv"))
     _write_json(os.path.join(out, "recovered_params.json"),
                 _params_dict(recovered))
     final_cost = min(trace.best_so_far)
-    counts = {label: count_completing(p, ensemble, args.strides, args.T, cfg)
+    counts = {label: count_completing(p, ensemble, args.strides, args.T,
+                                       args.dt)
               for label, p in (("damaged", damaged), ("recovered", recovered))}
     metrics = {
         "initial_cost": initial_cost,
@@ -474,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="hopper simulation, damage study, recovery")
     p.add_argument("action", choices=("simulate", "damage", "recover"))
     p.add_argument("--T", type=_positive, default=12.0, help="horizon")
-    p.add_argument("--dt", type=_positive, default=2e-3)
+    p.add_argument("--dt", type=_positive, default=SIM_DT)
     p.add_argument("--ts", type=_non_negative, default=0.02,
                    help="damaged hip gain t_s")
     p.add_argument("--strides", type=_count, default=10,

@@ -43,8 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constraints import ConstraintBlock, ConstraintStack, Priority, residual
-from .integrate import (IntegrationError, ProjectedIntegratorConfig,
-                        integrate_projected)
+from .integrate import IntegrationError, integrate_projected
 from .trajectory import Trajectory
 
 G_DIM = 3
@@ -109,14 +108,6 @@ def _kinematics_one(params: CrawlerParams, state: np.ndarray) -> tuple:
     return tuple(out)
 
 
-def limb_endpoints(params: CrawlerParams, state) -> tuple[complex, complex]:
-    """World positions of both feet, for one state or an (N, 9) block."""
-    state = np.asarray(state, dtype=float)
-    rot, p1, _, p2, _ = _kinematics(params, state)
-    z = state[..., 0] + 1j * state[..., 1]
-    return z + rot * p1, z + rot * p2
-
-
 _UNIT = np.array([1.0, 1j])   # d f / d(x, y) of either foot
 
 
@@ -146,12 +137,8 @@ def foot_matrix(params: CrawlerParams, state) -> np.ndarray:
     return _feet(params, np.asarray(state, dtype=float))[1]
 
 
-def foot_residual(params: CrawlerParams, state) -> np.ndarray:
-    return _feet(params, np.asarray(state, dtype=float))[0]
-
-
 def _foot_residual_one(params: CrawlerParams, state: np.ndarray) -> list:
-    """``foot_residual`` of one state on Python scalars."""
+    """``_feet``'s residual of one state on Python scalars."""
     rot, p1, _, p2, _ = _kinematics_one(params, state)
     z = complex(state[0], state[1])
     f1 = z + rot * p1 - params.l1
@@ -269,8 +256,8 @@ def initial_configuration(params: CrawlerParams) -> np.ndarray:
             scale, base = 1.0, np.linalg.norm(res)
             while scale > 1e-4:
                 cand = theta - scale * full
-                cres = foot_residual(params,
-                                     np.concatenate([np.zeros(G_DIM), cand]))
+                cres = _feet(params,
+                             np.concatenate([np.zeros(G_DIM), cand]))[0]
                 if np.linalg.norm(cres) < base:
                     theta = cand
                     break
@@ -289,6 +276,9 @@ def initial_configuration(params: CrawlerParams) -> np.ndarray:
 GAIT_AMPLITUDES = np.array([0.55, 0.45, 0.40, 0.35])
 GAIT_PHASES = np.array([0.0, 1.7, 3.4, 5.1])
 GAIT_MIN_ALIGNMENT = 0.2
+# foot residual (max norm) below which a projection stops; the recovery
+# shares the gait's, because it starts from a gait state
+PROJECTION_TOL = 1e-11
 
 
 # designed row 5 (x locked to theta0) pulled back to the state: constant
@@ -382,10 +372,10 @@ def reference_gait(params: CrawlerParams, period: float = 1.0,
     ``initial_configuration``."""
     x0 = initial_configuration(params)
     field = _gait_field(params, period, _null_basis(params, x0))
-    cfg = ProjectedIntegratorConfig(dt=0.5 * dt, projection_tol=1e-11)
     traj, v = integrate_projected(
         field, (lambda s: _foot_residual_one(params, s),
-                lambda s: foot_matrix(params, s)), 0.0, x0, period, cfg)
+                lambda s: foot_matrix(params, s)), 0.0, x0, period, 0.5 * dt,
+        PROJECTION_TOL)
     n = len(traj)
     r, alpha, rates = np.empty(n), np.empty(n), np.empty((n, 2))
     for k in range(n):
@@ -395,6 +385,13 @@ def reference_gait(params: CrawlerParams, period: float = 1.0,
     return ReferenceGait(params=params, period=period, dt=dt, t=traj.t,
                          x=traj.x, v=v, r=r, alpha=alpha, rdot=rates[:, 0],
                          alphadot=rates[:, 1])
+
+
+def _check_params(params: CrawlerParams, reference: ReferenceGait) -> None:
+    """Entry points that take both need the gait's own parameters."""
+    if params != reference.params:
+        raise ValueError(f"params {params} differ from the reference gait's "
+                         f"{reference.params}")
 
 
 def _jam_index(jam, none_allowed: bool = True) -> int:
@@ -436,6 +433,8 @@ def physical_block(params: CrawlerParams, jam: int | None = None,
 
 def designed_block(params: CrawlerParams, reference: ReferenceGait,
                    ) -> ConstraintBlock:
+    _check_params(params, reference)
+
     def rows(t, state):
         return design_constraints(params, state, rates=reference.rates_at(t))
 
@@ -461,6 +460,7 @@ def recovery_field(params: CrawlerParams, reference: ReferenceGait,
     (1 + |r sin(beta)|) for the pose block, |n| / sum_j |s_j|^2 for an arm.
     A time off the recorded grid raises ``ValueError`` naming it.
     """
+    _check_params(params, reference)
     jam_arm, jam_joint = divmod(_jam_index(jam, none_allowed=False) - 1, 3)
     rates = list(zip(reference.rdot.tolist(), reference.alphadot.tolist()))
 
@@ -526,7 +526,6 @@ def recover(params: CrawlerParams, reference: ReferenceGait,
                               designed_residual=_designed_residuals(
                                   params, reference, full.t, full.x,
                                   reference.v[::2]))
-    cfg = ProjectedIntegratorConfig(dt=reference.dt, projection_tol=1e-11)
     x0 = reference.initial_state
     col = G_DIM - 1 + jam
     locked = float(x0[col])
@@ -541,7 +540,8 @@ def recover(params: CrawlerParams, reference: ReferenceGait,
         return np.vstack([foot_matrix(params, state), jam_grad])
 
     traj, v = integrate_projected(recovery_field(params, reference, jam),
-                                  (c, dc), 0.0, x0, reference.period, cfg)
+                                  (c, dc), 0.0, x0, reference.period,
+                                  reference.dt, PROJECTION_TOL)
     rr, aa = template_traces(params, traj.x)
     return RecoveryResult(trajectory=traj, r=rr, alpha=aa, jam=jam,
                           designed_residual=_designed_residuals(
@@ -592,6 +592,7 @@ def gait_perturbation_provider(params: CrawlerParams,
     jammed joint ignores its command (jam=0: no joint is jammed). Each
     sample's pose is the closed-form rigid fit of the playback baseline.
     """
+    _check_params(params, reference)
     jam = _jam_index(jam)
     t = reference.t[::2][::stride]
     base = reference.x[::2, G_DIM:][::stride].copy()
@@ -624,8 +625,8 @@ def template_traces(params: CrawlerParams, X) -> tuple[np.ndarray, np.ndarray]:
 
 def foot_residual_series(params: CrawlerParams, X) -> np.ndarray:
     """Per-sample max foot distance from its anchor over (N, 9) states."""
-    f1, f2 = limb_endpoints(params, np.atleast_2d(X))
-    return np.maximum(np.abs(f1 - params.l1), np.abs(f2 - params.l2))
+    d = _feet(params, np.atleast_2d(np.asarray(X, dtype=float)))[0]
+    return np.abs(d.view(complex)).max(axis=-1)
 
 
 def angle_difference(a, b) -> np.ndarray:

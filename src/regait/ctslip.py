@@ -164,18 +164,9 @@ def _stance_law(params: CTSlipParams) -> Callable:
     return accel
 
 
+SIM_DT = 2e-3              # default grid step of every hopper run
 BISECT_TOL = 1e-10         # width at which event bisection stops
 MAX_EVENTS_PER_STEP = 8    # events one grid step may hold before it fails
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    dt: float = 2e-3
-
-    def __post_init__(self):
-        # written so that NaN fails the comparison
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError("dt must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -432,7 +423,7 @@ def _stance_advance(params: CTSlipParams, chi0: float, dt: float,
 
 
 def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
-                    cfg: SimConfig | None = None) -> SimResult:
+                    dt: float = SIM_DT) -> SimResult:
     """Integrate the hybrid system on the fixed grid t_k = k*dt.
 
     One loop alternates a flight advance (closed form) and a stance advance
@@ -449,8 +440,9 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
     foot that is below the ground when its leg becomes armed must rise
     above it first.
     """
-    cfg = cfg if cfg is not None else SimConfig()
-    dt = cfg.dt
+    # written so that NaN fails the comparison
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if not 0.0 <= T < math.inf:
         raise ValueError(f"span T={T} is negative or not finite")
     nsteps = int(round(T / dt))
@@ -536,7 +528,7 @@ class NominalReference:
     self_cost: float          # nominal parameters scored against themselves
     crash_penalty: float      # per-crashed-member base penalty
     T: float                  # length of every scored run
-    cfg: SimConfig            # simulator settings of every scored run
+    dt: float                 # grid step of every scored run
 
 
 def _member_cost(params, reference, res):
@@ -569,7 +561,7 @@ def recovery_cost(params: CTSlipParams, ensemble: Sequence[HybridState],
     total = 0.0
     for ic in ensemble:
         c = _member_cost(params, reference, simulate_hybrid(
-            params, ic, reference.T, reference.cfg))
+            params, ic, reference.T, reference.dt))
         total += reference.crash_penalty * n if c is None else c
     return total / n
 
@@ -614,7 +606,7 @@ def make_ensemble(params: CTSlipParams, n: int = 10,
 
 
 def build_reference(params: CTSlipParams, ensemble: Sequence[HybridState],
-                    T: float = 12.0, cfg: SimConfig | None = None,
+                    T: float = 12.0, dt: float = SIM_DT,
                     ) -> NominalReference:
     """Train the phase estimator and energy model on the nominal plant.
 
@@ -622,8 +614,7 @@ def build_reference(params: CTSlipParams, ensemble: Sequence[HybridState],
     member (that run included) against the fitted model to set the self-cost
     and crash penalty.
     """
-    cfg = cfg if cfg is not None else SimConfig()
-    res = simulate_hybrid(params, ensemble[0], T, cfg)
+    res = simulate_hybrid(params, ensemble[0], T, dt)
     if res.crashed:
         raise ValueError("nominal parameters crashed; cannot build reference")
     # skip the settling transient before fitting
@@ -635,10 +626,10 @@ def build_reference(params: CTSlipParams, ensemble: Sequence[HybridState],
     wrapped = estimate_phases(est, feats)
     e_model = fit_fourier(wrapped, e_hat, ENERGY_ORDER)
     proto = NominalReference(params=params, phase=est, e_model=e_model,
-                             self_cost=0.0, crash_penalty=1.0, T=T, cfg=cfg)
+                             self_cost=0.0, crash_penalty=1.0, T=T, dt=dt)
     # member 0's training run is scored as it is, not simulated again
     costs = [_member_cost(params, proto, res)]
-    costs += [_member_cost(params, proto, simulate_hybrid(params, ic, T, cfg))
+    costs += [_member_cost(params, proto, simulate_hybrid(params, ic, T, dt))
               for ic in ensemble[1:]]
     if None in costs:
         raise ValueError("nominal parameters crashed on an ensemble member")
@@ -649,15 +640,17 @@ def build_reference(params: CTSlipParams, ensemble: Sequence[HybridState],
 
 def count_completing(params: CTSlipParams, ensemble: Sequence[HybridState],
                      strides: int = 10, T: float = 12.0,
-                     cfg: SimConfig | None = None) -> int:
-    cfg = cfg if cfg is not None else SimConfig()
+                     dt: float = SIM_DT) -> int:
     return sum(1 for ic in ensemble
-               if simulate_hybrid(params, ic, T, cfg).strides >= strides)
+               if simulate_hybrid(params, ic, T, dt).strides >= strides)
 
 
 FREE_PARAM_BOUNDS = ((4.0, 400.0), (40.0, 140.0), (0.0, 1.5), (-0.15, 0.15),
            (0.2, 4.0))
 FREE_PARAM_STEPS = (3.0, 6.0, 0.06, 0.012, 0.08)
+# the recovery search: a fixed iteration budget, no early stop
+RECOVERY_SEARCH = NMConfig(initial_step=FREE_PARAM_STEPS, max_iters=40,
+                           bounds=FREE_PARAM_BOUNDS, f_tol=0.0, x_tol=0.0)
 
 
 def _apply_free(base: CTSlipParams, x: np.ndarray) -> CTSlipParams:
@@ -669,16 +662,12 @@ def _apply_free(base: CTSlipParams, x: np.ndarray) -> CTSlipParams:
 def recover_parameters(damaged: CTSlipParams,
                        reference: NominalReference,
                        ensemble: Sequence[HybridState],
-                       nm_config: NMConfig | None = None,
+                       nm_config: NMConfig = RECOVERY_SEARCH,
                        ) -> tuple[CTSlipParams, CostTrace]:
     """Minimize the recovery cost over (K, L, mu, eta, frequency) with the
     damaged hip gain t_s held fixed; starts from the damaged parameters."""
     x0 = np.array([damaged.K, damaged.L, damaged.mu, damaged.eta,
                    damaged.clock.frequency])
-    if nm_config is None:
-        nm_config = NMConfig(initial_step=np.asarray(FREE_PARAM_STEPS),
-                             max_iters=40, bounds=FREE_PARAM_BOUNDS,
-                             f_tol=0.0, x_tol=0.0)
 
     def f(x):
         return recovery_cost(_apply_free(damaged, x), ensemble, reference)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .integrate import ProjectedIntegratorConfig, integrate_projected
+from .integrate import integrate_projected
 from .trajectory import Trajectory
 
 
@@ -142,14 +142,14 @@ def redesign_input(model: ManipulatorModel, perturbed_A: Callable, eta_d,
     return RedesignResult(u=u, residual=res, feasible=res < tol * scale)
 
 
-def gauge_invariance_check(model: ManipulatorModel, Q: np.ndarray,
-                           traj: Trajectory, perturbed_A: Callable | None = None,
+def gauge_invariance_check(model: ManipulatorModel, Q: np.ndarray, x,
+                           eta, perturbed_A: Callable | None = None,
                            tol: float = 1e-9) -> bool:
     """True when redesigning against Q.eta equals plain redesign everywhere.
 
-    Records eta along ``traj`` (which must carry inputs) and compares the
-    redesigned input with and without the gauge transformation Q at every
-    sample. Defaults to the model's own constraint rows.
+    Compares the redesigned input with and without the gauge transformation
+    Q at every state row (q, qd) of ``x`` against its recorded force row of
+    ``eta``. Defaults to the model's own constraint rows.
     """
     Q = np.asarray(Q, dtype=float)
     n = model.dof
@@ -158,12 +158,10 @@ def gauge_invariance_check(model: ManipulatorModel, Q: np.ndarray,
                          "matrix")
     if perturbed_A is None:
         perturbed_A = model.constraint_at
-    signal = record_force_signal(model, traj)
-    for k in range(len(traj)):
-        q, qd = traj.x[k, :n], traj.x[k, n:]
-        plain = redesign_input(model, perturbed_A, signal.eta[k], q, qd)
-        gauged = redesign_input(model, perturbed_A, signal.eta[k], q, qd,
-                                gauge=Q)
+    for state, eta_k in zip(x, eta, strict=True):
+        q, qd = state[:n], state[n:]
+        plain = redesign_input(model, perturbed_A, eta_k, q, qd)
+        gauged = redesign_input(model, perturbed_A, eta_k, q, qd, gauge=Q)
         if np.linalg.norm(plain.u - gauged.u) > tol:
             return False
     return True
@@ -236,9 +234,11 @@ def _integrate(model: ManipulatorModel, u_of_t: Callable, q0, qd0,
     """
     x0 = np.concatenate([np.asarray(q0, dtype=float),
                          np.asarray(qd0, dtype=float)])
+    # the Pfaffian residual's tolerance; the crawler's tighter 1e-11 adds
+    # Newton steps here and moves the redesigned samples
     traj, _ = integrate_projected(_constrained_field(model, u_of_t),
                                   _velocity_constraint(model), 0.0, x0, t1,
-                                  ProjectedIntegratorConfig(dt=dt))
+                                  dt, 1e-10)
     return traj
 
 
@@ -303,8 +303,8 @@ def run_force_matching(model: ManipulatorModel, perturbed_A: Callable,
                                           q, qd).residual)
     gauge_ok = True
     if gauge is not None:
-        coarse = Trajectory(t=fine.t[::20], x=fine.x[::20], u=fine.u[::20])
-        gauge_ok = gauge_invariance_check(model, gauge, coarse,
+        gauge_ok = gauge_invariance_check(model, gauge, fine.x[::20],
+                                          signal.eta[::20],
                                           perturbed_A=perturbed_A)
     return ForceMatchingOutcome(desired=fine, signal=signal, redesigned=redone,
                                 tracking_error=err,

@@ -18,10 +18,10 @@ from regait.crawler import (CrawlerParams, angle_difference, crawler_stack,
                             foot_residual_series, gait_perturbation_provider,
                             group_velocity, playback_baseline, recover,
                             reference_gait)
-from regait.ctslip import (CTSlipParams, HybridState, Mode, SimConfig,
-                           build_reference, count_completing, make_ensemble,
+from regait.ctslip import (CTSlipParams, HybridState, Mode, build_reference,
+                           count_completing, make_ensemble,
                            recover_parameters, simulate_hybrid)
-from regait.integrate import ProjectedIntegratorConfig, integrate_projected
+from regait.integrate import integrate_projected
 from regait.manipulator import (point_mass_toy, rescaled_constraint,
                                 run_force_matching)
 from regait.optimize import NMConfig, constraint_violation_cost, nelder_mead
@@ -185,8 +185,7 @@ def test_numerics_hygiene(capsys):
         errs = []
         for dt in (0.1, 0.05, 0.025):
             traj, _ = integrate_projected(lambda t, x: x, None, 0.0,
-                                          np.array([1.0]), 1.0,
-                                          ProjectedIntegratorConfig(dt=dt))
+                                          np.array([1.0]), 1.0, dt, 1e-10)
             errs.append(abs(traj.x[-1, 0] - np.e))
         order = min(np.log2(errs[i] / errs[i + 1]) for i in range(2))
         assert order >= 3.9
@@ -211,7 +210,7 @@ def test_numerics_hygiene(capsys):
                          com=(-lossless.L * math.sin(psi0),
                               lossless.L * math.cos(psi0), 6.0, -8.0),
                          foot=(0.0, 0.0))
-        res = simulate_hybrid(lossless, ic, T=0.6, cfg=SimConfig(dt=2e-4))
+        res = simulate_hybrid(lossless, ic, T=0.6, dt=2e-4)
         idx = np.flatnonzero(res.mode == Mode.STANCE_LEFT.value)
         gaps = np.flatnonzero(np.diff(idx) > 1)
         if gaps.size:
@@ -222,7 +221,7 @@ def test_numerics_hygiene(capsys):
         energy_drift = float(np.ptp(energy))
 
         free = replace(lossless, gravity=0.0)
-        res2 = simulate_hybrid(free, ic, T=0.6, cfg=SimConfig(dt=2e-4))
+        res2 = simulate_hybrid(free, ic, T=0.6, dt=2e-4)
         idx2 = np.flatnonzero(res2.mode == Mode.STANCE_LEFT.value)
         gaps2 = np.flatnonzero(np.diff(idx2) > 1)
         if gaps2.size:

@@ -9,12 +9,11 @@ from regait.constraints import (ConstraintStack, Priority, constant_block,
                                 solve_velocity)
 from regait.encoding import learn_constraints, learned_block, record_eta
 from regait.crawler import (CrawlerParams, angle_difference, apply_jam,
-                            crawler_stack, design_constraints, foot_matrix,
-                            foot_residual, foot_residual_series,
+                            crawler_stack, design_constraints, designed_block,
+                            foot_matrix, foot_residual_series,
                             gait_perturbation_provider, group_velocity,
-                            initial_configuration, limb_endpoints,
-                            physical_block, playback_baseline, recover,
-                            recovery_field, reference_gait,
+                            initial_configuration, physical_block,
+                            playback_baseline, recover, recovery_field,
                             template_encoding_map, template_traces)
 from regait.integrate import IntegrationError
 from regait.optimize import _trapz, constraint_violation_cost
@@ -36,6 +35,12 @@ def fd_rows(fn, state, h=1e-7):
     return jac
 
 
+def feet(params, state):
+    """World positions of both feet (last axis), from ``_feet``'s residual."""
+    d = crawler._feet(params, np.asarray(state, dtype=float))[0]
+    return d.view(complex) + np.array([params.l1, params.l2])
+
+
 class TestKinematics:
     def test_default_geometry(self, cparams):
         assert cparams.l1 == 2.5 + 2.0j
@@ -44,21 +49,21 @@ class TestKinematics:
         assert cparams.h2 == -1.0 + 0.0j
 
     def test_straight_arms(self, cparams):
-        f1, f2 = limb_endpoints(cparams, np.zeros(9))
+        f1, f2 = feet(cparams, np.zeros(9))
         assert f1 == pytest.approx(4.0 + 0.0j)
         assert f2 == pytest.approx(2.0 + 0.0j)
 
     def test_translation_equivariance(self, cparams):
         state = np.zeros(9)
         state[:2] = [0.7, -1.3]
-        f1, f2 = limb_endpoints(cparams, state)
+        f1, f2 = feet(cparams, state)
         assert f1 == pytest.approx(4.0 + 0.0j + (0.7 - 1.3j))
         assert f2 == pytest.approx(2.0 + 0.0j + (0.7 - 1.3j))
 
     def test_half_turn(self, cparams):
         state = np.zeros(9)
         state[2] = np.pi
-        f1, f2 = limb_endpoints(cparams, state)
+        f1, f2 = feet(cparams, state)
         assert f1 == pytest.approx(-4.0 + 0.0j, abs=1e-12)
         assert f2 == pytest.approx(-2.0 + 0.0j, abs=1e-12)
 
@@ -74,8 +79,8 @@ class TestKinematics:
         moved = state.copy()
         z = rot * (state[0] + 1j * state[1]) + c
         moved[0], moved[1], moved[2] = z.real, z.imag, state[2] + phi
-        r0 = np.linalg.norm(foot_residual(cparams, state))
-        r1 = np.linalg.norm(foot_residual(moved_params, moved))
+        r0 = np.linalg.norm(crawler._feet(cparams, state)[0])
+        r1 = np.linalg.norm(crawler._feet(moved_params, moved)[0])
         assert r1 == pytest.approx(r0, abs=1e-12)
         t0 = template_traces(cparams, state)
         t1 = template_traces(moved_params, moved)
@@ -94,7 +99,7 @@ class TestPhysicalConstraints:
         state = np.concatenate([rng.standard_normal(3),
                                 rng.uniform(-1.0, 1.0, 6)])
         jac = foot_matrix(cparams, state)
-        num = fd_rows(lambda s: foot_residual(cparams, s), state)
+        num = fd_rows(lambda s: crawler._feet(cparams, s)[0], state)
         assert np.allclose(jac, num, atol=1e-7)
 
     def test_arm_blocks_decoupled(self, cparams):
@@ -106,7 +111,7 @@ class TestPhysicalConstraints:
 
     def test_residual_zero_at_ik_solution(self, cparams):
         x0 = initial_configuration(cparams)
-        assert np.abs(foot_residual(cparams, x0)).max() < 1e-10
+        assert np.abs(crawler._feet(cparams, x0)[0]).max() < 1e-10
 
 
 class TestTemplateMap:
@@ -162,7 +167,7 @@ class TestTemplateMap:
             assert np.array_equal(template_traces(cparams, X[k]),
                                   ([r[k]], [a[k]]))
         # the body-frame foot midpoint, from the world-frame feet
-        f1, f2 = limb_endpoints(cparams, X)
+        f1, f2 = feet(cparams, X).T
         w = np.exp(-1j * X[:, 2]) * (0.5 * (f1 + f2) - X[:, 0] - 1j * X[:, 1])
         assert np.allclose(r, np.abs(w), rtol=0.0, atol=1e-12)
         assert np.allclose(a, np.angle(w), rtol=0.0, atol=1e-12)
@@ -239,7 +244,7 @@ class TestInitialConfiguration:
         x0 = initial_configuration(cparams)
         assert x0.shape == (9,)
         assert np.allclose(x0[:3], 0.0)
-        assert np.abs(foot_residual(cparams, x0)).max() < 1e-12
+        assert np.abs(crawler._feet(cparams, x0)[0]).max() < 1e-12
 
     def test_unreachable_anchors_rejected(self):
         far = CrawlerParams(l1=100.0 + 100.0j, l2=-2.5 + 2.0j,
@@ -522,6 +527,30 @@ class TestPerturbationProvider:
             gait_perturbation_provider(cparams, gait, jam=7)
 
 
+class TestForeignParams:
+    # each entry point takes params beside a gait that holds its own; other
+    # params used to give a rollout off the anchors, a nonzero designed
+    # residual along the unchanged reference, or a misleading projection
+    # error
+    @pytest.mark.parametrize("entry", [
+        pytest.param(lambda p, g: designed_block(p, g), id="designed_block"),
+        pytest.param(lambda p, g: crawler_stack(p, g, jam=1),
+                     id="crawler_stack"),
+        pytest.param(lambda p, g: recovery_field(p, g, 1),
+                     id="recovery_field"),
+        pytest.param(lambda p, g: recover(p, g, 1), id="recover"),
+        pytest.param(lambda p, g: recover(p, g, 0), id="recover-no-jam"),
+        pytest.param(lambda p, g: gait_perturbation_provider(p, g, jam=1),
+                     id="gait_perturbation_provider"),
+        pytest.param(lambda p, g: playback_baseline(p, g, 1),
+                     id="playback_baseline"),
+    ])
+    def test_params_other_than_the_gaits_rejected(self, gait, entry):
+        with pytest.raises(ValueError,
+                           match="differ from the reference gait's"):
+            entry(CrawlerParams(h1=1.2), gait)
+
+
 class TestPoseFit:
     # Amplitudes inside the search bounds whose feet stay far from their
     # anchors: an iterative Gauss-Newton fit converges only linearly here
@@ -533,14 +562,13 @@ class TestPoseFit:
         provider = gait_perturbation_provider(cparams, gait, jam=1, stride=4)
         X = provider(self.HARD_MU).x
         assert np.all(np.isfinite(X))
-        grad = [foot_matrix(cparams, s)[:, :3].T @ foot_residual(cparams, s)
-                for s in X]
+        at = [crawler._feet(cparams, s) for s in X]
+        grad = [rows[:, :3].T @ res for res, rows in at]
         assert np.abs(grad).max() < 1e-10
-        sq = np.array([foot_residual(cparams, s) @ foot_residual(cparams, s)
-                       for s in X])
+        sq = np.array([res @ res for res, _ in at])
         # every heading on a grid, each with its best translation
         body = np.column_stack([np.zeros((len(X), 3)), X[:, 3:]])
-        p1, p2 = limb_endpoints(cparams, body)
+        p1, p2 = feet(cparams, body).T
         rot = np.exp(1j * np.linspace(-np.pi, np.pi, 3600,
                                       endpoint=False))[:, None]
         z = 0.5 * (cparams.l1 + cparams.l2) - 0.5 * rot * (p1 + p2)

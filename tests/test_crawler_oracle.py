@@ -17,8 +17,7 @@ from regait.crawler import (_IK_GUESSES, GAIT_AMPLITUDES, GAIT_MIN_ALIGNMENT,
                             GAIT_PHASES, G_DIM, N_JOINTS, STATE_DIM,
                             gait_perturbation_provider, playback_baseline,
                             recover, template_traces)
-from regait.integrate import (IntegrationError, ProjectedIntegratorConfig,
-                              project)
+from regait.integrate import IntegrationError, project
 
 
 # ------------------------------------------------------------- kinematics
@@ -142,9 +141,8 @@ def _initial_configuration(params, tol=1e-12, max_iters=200):
 
 # ------------------------------------------------------------- integrator
 
-def _step(f, t, x, cfg):
+def _step(f, t, x, h):
     x = np.asarray(x, dtype=float)
-    h = cfg.dt
     k1 = np.asarray(f(t, x), dtype=float)
     k2 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k1), dtype=float)
     k3 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k2), dtype=float)
@@ -155,20 +153,20 @@ def _step(f, t, x, cfg):
     return out
 
 
-def _integrate_projected(f, c, t0, x0, t1, cfg):
+def _integrate_projected(f, c, t0, x0, t1, dt, tol):
     """Stored times and states; no velocities."""
     x = np.asarray(x0, dtype=float)
     res0, _ = c(x)
-    if np.linalg.norm(np.asarray(res0), ord=np.inf) >= cfg.projection_tol:
+    if np.linalg.norm(np.asarray(res0), ord=np.inf) >= tol:
         raise IntegrationError(f"initial state violates constraints: {res0}")
-    nsteps = int(round((t1 - t0) / cfg.dt))
+    nsteps = int(round((t1 - t0) / dt))
     ts = [t0]
     xs = [x.copy()]
     t = t0
     for k in range(nsteps):
-        x = _step(f, t, x, cfg)
-        x = project(lambda s: c(s)[0], lambda s: c(s)[1], x, cfg)
-        t = t0 + (k + 1) * cfg.dt
+        x = _step(f, t, x, dt)
+        x = project(lambda s: c(s)[0], lambda s: c(s)[1], x, tol)
+        t = t0 + (k + 1) * dt
         ts.append(t)
         xs.append(x.copy())
     return np.array(ts), np.array(xs)
@@ -210,9 +208,8 @@ def oracle_reference_gait(params, period=1.0, dt=1e-3):
     """(t, x, v, r, alpha, rdot, alphadot) of the default gait."""
     x0 = _initial_configuration(params)
     field = _gait_field(params, period, _null_basis(params, x0))
-    cfg = ProjectedIntegratorConfig(dt=0.5 * dt, projection_tol=1e-11)
     t, x = _integrate_projected(field, _foot_projection(params), 0.0, x0,
-                                period, cfg)
+                                period, 0.5 * dt, 1e-11)
     n = len(t)
     v = np.empty((n, STATE_DIM))
     r = np.empty(n)
@@ -262,7 +259,6 @@ def _designed_residuals(params, reference, t, x, v):
 
 def oracle_recover(params, reference, jam):
     """(t, x, r, alpha, designed_residual) of one jammed recovery."""
-    cfg = ProjectedIntegratorConfig(dt=reference.dt, projection_tol=1e-11)
     x0 = reference.initial_state
     locked = x0[G_DIM - 1 + jam]
     jam_grad = np.zeros((1, STATE_DIM))
@@ -274,7 +270,8 @@ def oracle_recover(params, reference, jam):
         return res, np.vstack([_foot_matrix(params, state), jam_grad])
 
     field = _recovery_field(params, reference, jam)
-    t, x = _integrate_projected(field, c, 0.0, x0, reference.period, cfg)
+    t, x = _integrate_projected(field, c, 0.0, x0, reference.period,
+                                reference.dt, 1e-11)
     v = np.array([field(t[k], x[k]) for k in range(len(t))])
     rr, aa = template_traces(params, x)
     return t, x, rr, aa, _designed_residuals(params, reference, t, x, v)

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regait import ctslip
 from regait.ctslip import (APEX_MARGIN, APEX_SPEED, FREE_PARAM_BOUNDS,
-                           FREE_PARAM_STEPS, BuehlerClock, CrashSignal,
-                           CTSlipParams, HybridState, Mode, SimConfig,
-                           _liftoff_map, _stance_law, _touchdown_map,
-                           apex_state, build_reference, count_completing,
-                           energy_outputs, make_ensemble, nominal_ic,
-                           phase_features, recover_parameters, recovery_cost,
-                           simulate_hybrid)
-from regait.optimize import NMConfig
+                           RECOVERY_SEARCH, BuehlerClock, CrashSignal,
+                           CTSlipParams, HybridState, Mode, _liftoff_map,
+                           _stance_law, _touchdown_map, apex_state,
+                           build_reference, count_completing, energy_outputs,
+                           make_ensemble, nominal_ic, phase_features,
+                           recover_parameters, recovery_cost, simulate_hybrid)
 
 
 class TestClock:
@@ -152,7 +151,7 @@ class TestFlight:
     def test_ballistic_arc_exact(self):
         params = CTSlipParams()
         ic = apex_state(y=90.0, xdot=5.0, clock_phase=0.0)
-        res = simulate_hybrid(params, ic, T=0.5, cfg=SimConfig(dt=2e-3))
+        res = simulate_hybrid(params, ic, T=0.5, dt=2e-3)
         # apex too high for any touchdown: pure projectile samples
         assert not res.crashed
         assert res.events == []
@@ -195,7 +194,7 @@ class TestFlight:
         if not (guard(dt) > 0.0 < guard(2.0 * dt)
                 and min(map(guard, inside)) < 0.0):
             raise ValueError("the construction no longer grazes one step")
-        res = simulate_hybrid(params, ic, T=5 * dt, cfg=SimConfig(dt=dt))
+        res = simulate_hybrid(params, ic, T=5 * dt, dt=dt)
         assert [(e.kind, e.leg) for e in res.events][:1] == [("touchdown", 0)]
         assert dt < res.events[0].time < 2.0 * dt
 
@@ -213,7 +212,7 @@ class TestFlight:
                         + clearance, xdot=speed, clock_phase=phase)
         want = dense_first_event(params, ic, T=5.0)
         for dt in (5e-4, 1e-3, 2e-3, 4e-3):
-            res = simulate_hybrid(params, ic, T=5.0, cfg=SimConfig(dt=dt))
+            res = simulate_hybrid(params, ic, T=5.0, dt=dt)
             got = res.events[0] if res.events else None
             assert (got is None) == (want is None), dt
             if want is not None:
@@ -232,10 +231,23 @@ class TestFlight:
             simulate_hybrid(params, nominal_ic(params), T=T)
 
     @pytest.mark.parametrize("kw", [
-        {"dt": 0.0}, {"dt": -2e-3}, {"dt": math.inf}, {"dt": math.nan}])
-    def test_step_and_tolerance_must_be_finite_positive(self, kw):
-        with pytest.raises(ValueError, match="finite and positive"):
-            SimConfig(**kw)
+        {"dt": 0.0}, {"dt": -2e-3}, {"dt": math.inf}, {"dt": math.nan},
+        {"dt": -math.inf}])
+    def test_step_and_tolerance_must_be_finite_positive(self, monkeypatch,
+                                                        kw):
+        def no_advance(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(ctslip, "_flight_advance", no_advance)
+        monkeypatch.setattr(ctslip, "_stance_advance", no_advance)
+        params = CTSlipParams()
+        ensemble = [nominal_ic(params)]
+        for run in (lambda: simulate_hybrid(params, ensemble[0], 1.0, **kw),
+                    lambda: build_reference(params, ensemble, **kw),
+                    lambda: count_completing(params, ensemble, **kw)):
+            with pytest.raises(ValueError,
+                               match="dt must be finite and positive"):
+                run()
 
     def test_stance_start_requires_anchor(self):
         params = CTSlipParams()
@@ -316,8 +328,7 @@ class TestConservation:
 
     def test_energy_conserved_without_losses(self):
         params = CTSlipParams(mu=0.0, eta=0.0, t_s=0.0)
-        res = simulate_hybrid(params, stance_drop_ic(params), T=0.6,
-                              cfg=SimConfig(dt=2e-4))
+        res = simulate_hybrid(params, stance_drop_ic(params), T=0.6, dt=2e-4)
         idx = self.stance_block(res)
         v2 = res.com[idx, 2] ** 2 + res.com[idx, 3] ** 2
         spring = 0.5 * params.K * (params.L - res.zeta[idx]) ** 2
@@ -326,8 +337,7 @@ class TestConservation:
 
     def test_angular_momentum_conserved_without_torques(self):
         params = CTSlipParams(mu=0.0, eta=0.0, t_s=0.0, gravity=0.0)
-        res = simulate_hybrid(params, stance_drop_ic(params), T=0.6,
-                              cfg=SimConfig(dt=2e-4))
+        res = simulate_hybrid(params, stance_drop_ic(params), T=0.6, dt=2e-4)
         idx = self.stance_block(res)
         ell = (res.com[idx, 0] * res.com[idx, 3]
                - res.com[idx, 1] * res.com[idx, 2])
@@ -422,11 +432,9 @@ class TestRecoverParameters:
         # a short search scores T = 3 runs against a T = 3 reference
         reference = build_reference(nominal_params, ensemble[:3], T=3.0)
         damaged = replace(nominal_params, t_s=0.02)
-        nm = NMConfig(initial_step=np.asarray(FREE_PARAM_STEPS),
-                      max_iters=2, bounds=FREE_PARAM_BOUNDS,
-                      f_tol=0.0, x_tol=0.0)
-        tuned, trace = recover_parameters(damaged, reference, ensemble[:3],
-                                          nm_config=nm)
+        tuned, trace = recover_parameters(
+            damaged, reference, ensemble[:3],
+            nm_config=replace(RECOVERY_SEARCH, max_iters=2))
         assert tuned.t_s == damaged.t_s
         assert np.array_equal(
             trace.candidates[0],

@@ -21,12 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regait import ctslip
-from regait.ctslip import (FREE_PARAM_BOUNDS, FREE_PARAM_STEPS,
-                           BuehlerClock, CrashSignal,
-                           CTSlipParams, Event, HybridState, Mode, SimConfig,
-                           SimResult, _apply_free, apex_state,
-                           build_reference, make_ensemble, nominal_ic,
-                           recovery_cost, simulate_hybrid)
+from regait.ctslip import (FREE_PARAM_BOUNDS, FREE_PARAM_STEPS, SIM_DT,
+                           BuehlerClock, CrashSignal, CTSlipParams, Event,
+                           HybridState, Mode, SimResult, _apply_free,
+                           apex_state, build_reference, make_ensemble,
+                           nominal_ic, recovery_cost, simulate_hybrid)
 
 TWO_PI = 2.0 * math.pi
 
@@ -201,9 +200,7 @@ def _sample(params, mode, u, foot):
     return [com[0], com[1], com[2], com[3], u[0], u[1], mode.value]
 
 
-def oracle_simulate(params, ic, T, cfg=None):
-    cfg = cfg if cfg is not None else SimConfig()
-    dt = cfg.dt
+def oracle_simulate(params, ic, T, dt=SIM_DT):
     nsteps = int(round(T / dt))
     if abs(nsteps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError("span must be an integer number of steps")
@@ -345,53 +342,55 @@ def _two_events_in_one_step(params):
 ENSEMBLE = make_ensemble(HEALTHY)
 FREEFALL = CTSlipParams(clock=BuehlerClock(frequency=1e-6))
 
-# (params, initial condition, span, config)
+# (params, initial condition, span, step)
 GRID = {
-    "healthy": (HEALTHY, ENSEMBLE[3], 12.0, None),
-    "healthy-nominal": (HEALTHY, nominal_ic(HEALTHY), 12.0, None),
-    "damaged": (DAMAGED, ENSEMBLE[0], 12.0, None),
-    "simplex-K": (_simplex_vertex(0), ENSEMBLE[1], 12.0, None),
-    "simplex-L": (_simplex_vertex(1), ENSEMBLE[2], 12.0, None),
-    "simplex-frequency": (_simplex_vertex(4), ENSEMBLE[4], 12.0, None),
-    "gravity-500": (replace(HEALTHY, gravity=500.0), ENSEMBLE[0], 12.0, None),
+    "healthy": (HEALTHY, ENSEMBLE[3], 12.0, SIM_DT),
+    "healthy-nominal": (HEALTHY, nominal_ic(HEALTHY), 12.0, SIM_DT),
+    "damaged": (DAMAGED, ENSEMBLE[0], 12.0, SIM_DT),
+    "simplex-K": (_simplex_vertex(0), ENSEMBLE[1], 12.0, SIM_DT),
+    "simplex-L": (_simplex_vertex(1), ENSEMBLE[2], 12.0, SIM_DT),
+    "simplex-frequency": (_simplex_vertex(4), ENSEMBLE[4], 12.0, SIM_DT),
+    "gravity-500": (replace(HEALTHY, gravity=500.0), ENSEMBLE[0], 12.0,
+                    SIM_DT),
     "freefall-crash": (FREEFALL, apex_state(y=5.0, xdot=0.0,
-                                            clock_phase=math.pi), 1.5, None),
+                                            clock_phase=math.pi), 1.5, SIM_DT),
     # a crash ends its step at once, even on a budget of one event
     "freefall-crash-budget-1": (FREEFALL, apex_state(y=5.0, xdot=0.0,
                                                      clock_phase=math.pi),
-                                1.5, None),
-    "stance-drop": (HEALTHY, _stance_drop(HEALTHY), 4.0, None),
+                                1.5, SIM_DT),
+    "stance-drop": (HEALTHY, _stance_drop(HEALTHY), 4.0, SIM_DT),
     # the leg passes through zero inside one Runge-Kutta stage
     "leg-collapse": (HEALTHY, HybridState(mode=Mode.STANCE_RIGHT,
                                           com=(0.0, 0.5, 0.0, -1000.0),
-                                          foot=(0.0, 0.0)), 1.0, None),
-    "fine-dt": (HEALTHY, ENSEMBLE[5], 3.0, SimConfig(dt=2e-4)),
+                                          foot=(0.0, 0.0)), 1.0, SIM_DT),
+    "fine-dt": (HEALTHY, ENSEMBLE[5], 3.0, 2e-4),
     # the span ends in the flight after a liftoff
-    "span-ends-in-flight": (HEALTHY, ENSEMBLE[6], 1.9, None),
+    "span-ends-in-flight": (HEALTHY, ENSEMBLE[6], 1.9, SIM_DT),
     # flights longer than half a clock cycle that end in touchdowns
     "long-flight": (HEALTHY, apex_state(y=HEALTHY.L * math.cos(0.3) + 6.0,
                                         xdot=22.0, clock_phase=0.55 * TWO_PI),
-                    4.0, None),
+                    4.0, SIM_DT),
     # the first flight starts after a liftoff inside the first step
-    "liftoff-first-step": (HEALTHY, _stance_liftoff(HEALTHY), 2.0, None),
+    "liftoff-first-step": (HEALTHY, _stance_liftoff(HEALTHY), 2.0, SIM_DT),
     # stance steps after the first one run as a block until an exit:
     # the span ends in stance
-    "stance-span-end": (HEALTHY, _stance_drop(HEALTHY), 0.05, None),
+    "stance-span-end": (HEALTHY, _stance_drop(HEALTHY), 0.05, SIM_DT),
     # the leg lifts off after a few dozen steps
-    "stance-liftoff": (HEALTHY, _stance_liftoff(HEALTHY, gap=0.5), 0.5, None),
+    "stance-liftoff": (HEALTHY, _stance_liftoff(HEALTHY, gap=0.5), 0.5,
+                       SIM_DT),
     # three events inside the first step
     "two-events-one-step": (HEALTHY, _two_events_in_one_step(HEALTHY), 2.0,
-                            None),
+                            SIM_DT),
     # a stage of the seventh step drives the leg through zero
     "stance-collapse": (HEALTHY, _stance_start(5.0, 0.0, -500.0, 0.0), 0.2,
-                        None),
+                        SIM_DT),
     # the leg tips over to the horizontal: zeta*cos(psi) reaches zero
     "stance-tip-over": (HEALTHY, _stance_start(40.0, 1.2, 0.0, 5.0), 0.5,
-                        None),
+                        SIM_DT),
     # with a weak spring and no hip torque the leg compresses slowly
     # through the floor length 1e-3 L, ending a step above zero
     "stance-floor": (replace(HEALTHY, K=1e-3, t_s=0.0),
-                     _stance_start(1.0, 0.0, -5.0, 0.0), 0.5, None),
+                     _stance_start(1.0, 0.0, -5.0, 0.0), 0.5, SIM_DT),
 }
 
 
@@ -402,11 +401,11 @@ ONE_EVENT_BUDGET = {"freefall-crash-budget-1"}
 
 @pytest.mark.parametrize("case", sorted(GRID))
 def test_simulate_hybrid_matches_oracle(case, monkeypatch):
-    params, ic, T, cfg = GRID[case]
+    params, ic, T, dt = GRID[case]
     if case in ONE_EVENT_BUDGET:
         monkeypatch.setattr(ctslip, "MAX_EVENTS_PER_STEP", 1)
-    want = oracle_simulate(params, ic, T, cfg)
-    assert_close_run(simulate_hybrid(params, ic, T, cfg), want)
+    want = oracle_simulate(params, ic, T, dt)
+    assert_close_run(simulate_hybrid(params, ic, T, dt), want)
 
 
 def test_grid_covers_every_outcome():
@@ -419,7 +418,7 @@ def test_grid_covers_every_outcome():
     assert runs["leg-collapse"].events == [Event("crash", 0.0)]
     assert runs["stance-drop"].mode[0] == Mode.STANCE_LEFT.value
 
-    dt = SimConfig().dt
+    dt = SIM_DT
     stance = Mode.STANCE_LEFT.value
     end = runs["stance-span-end"]
     assert not end.events and len(end.t) == 26
@@ -467,7 +466,7 @@ def test_flight_cases_have_their_shapes():
 
     lift = oracle_simulate(*GRID["liftoff-first-step"])
     assert lift.events[0].kind == "liftoff"
-    assert lift.events[0].time < SimConfig().dt
+    assert lift.events[0].time < SIM_DT
     assert lift.mode[0] == Mode.STANCE_LEFT.value
     assert lift.mode[1] == Mode.FLIGHT.value
 
@@ -485,10 +484,10 @@ def test_random_apex_starts_match_oracle(clearance, speed, phase, free):
 
 
 def test_crash_alone_fits_a_one_event_budget(monkeypatch):
-    params, ic, T, cfg = GRID["freefall-crash-budget-1"]
-    full = simulate_hybrid(params, ic, T, cfg)
+    params, ic, T, dt = GRID["freefall-crash-budget-1"]
+    full = simulate_hybrid(params, ic, T, dt)
     monkeypatch.setattr(ctslip, "MAX_EVENTS_PER_STEP", 1)
-    one = simulate_hybrid(params, ic, T, cfg)
+    one = simulate_hybrid(params, ic, T, dt)
     assert one.crashed
     assert one.events == full.events
     assert [e.kind for e in one.events] == ["crash"]

@@ -2,45 +2,34 @@ import numpy as np
 import pytest
 
 from regait import integrate
-from regait.integrate import (IntegrationError, ProjectedIntegratorConfig,
-                              integrate_projected, project, step)
+from regait.integrate import (IntegrationError, integrate_projected, project,
+                              step)
+
+TOL = 1e-10   # projection tolerance of the tests that do not vary it
 
 
-def cfg(**kw):
-    return ProjectedIntegratorConfig(**kw)
-
-
-def rk4(f, t, x, conf):
-    return step(f, t, x, f(t, x), conf)
+def rk4(f, t, x, h):
+    return step(f, t, x, f(t, x), h)
 
 
 class TestStep:
     def test_zero_field_fixed_point(self):
         x = np.array([1.0, -2.0])
-        out = rk4(lambda t, x: np.zeros(2), 0.0, x, cfg(dt=0.1))
+        out = rk4(lambda t, x: np.zeros(2), 0.0, x, 0.1)
         assert np.array_equal(out, x)
 
     def test_unit_field_exact(self):
-        out = rk4(lambda t, x: np.ones(1), 0.0, np.array([0.0]), cfg(dt=0.1))
+        out = rk4(lambda t, x: np.ones(1), 0.0, np.array([0.0]), 0.1)
         assert out[0] == pytest.approx(0.1, abs=1e-16)
 
     def test_exponential_single_step(self):
-        out = rk4(lambda t, x: x, 0.0, np.array([1.0]), cfg(dt=0.1))
+        out = rk4(lambda t, x: x, 0.0, np.array([1.0]), 0.1)
         assert abs(out[0] - np.exp(0.1)) < 1e-7
 
     def test_non_finite_output_rejected(self):
         with pytest.raises(IntegrationError):
-            rk4(lambda t, x: np.array([np.inf]), 0.0, np.array([1.0]),
-                cfg(dt=0.1))
+            rk4(lambda t, x: np.array([np.inf]), 0.0, np.array([1.0]), 0.1)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            cfg(dt=0.0)
-        # non-finite step widths and tolerances are rejected too
-        for kw in ({"dt": np.inf}, {"dt": np.nan}, {"projection_tol": 0.0},
-                   {"projection_tol": np.inf}, {"projection_tol": np.nan}):
-            with pytest.raises(ValueError, match="finite and positive"):
-                cfg(**kw)
 
 
 # residual and Jacobian callbacks of a few constraints on the plane
@@ -63,31 +52,30 @@ def unit_circle_rows(x):
 class TestProject:
     def test_linear_constraint_one_step(self):
         out = project(first_coordinate, first_coordinate_rows,
-                      np.array([0.5, 3.0]), cfg())
+                      np.array([0.5, 3.0]), TOL)
         assert np.allclose(out, [0.0, 3.0], atol=1e-12)
 
     def test_radial_projection(self):
         out = project(unit_circle, unit_circle_rows, np.array([1.1, 0.0]),
-                      cfg())
+                      TOL)
         assert np.allclose(out, [1.0, 0.0], atol=1e-9)
 
     def test_feasible_point_unchanged(self):
         x = np.array([0.0, 42.0])
-        out = project(first_coordinate, first_coordinate_rows, x, cfg())
+        out = project(first_coordinate, first_coordinate_rows, x, TOL)
         assert np.array_equal(out, x)
 
     def test_idempotent_to_tolerance(self):
-        conf = cfg()
         once = project(unit_circle, unit_circle_rows, np.array([1.3, -0.4]),
-                       conf)
-        twice = project(unit_circle, unit_circle_rows, once, conf)
-        assert np.linalg.norm(twice - once) < conf.projection_tol
+                       TOL)
+        twice = project(unit_circle, unit_circle_rows, once, TOL)
+        assert np.linalg.norm(twice - once) < TOL
 
     def test_rank_deficient_jacobian(self):
         with pytest.raises(IntegrationError, match="rank"):
             project(lambda x: np.array([1.0]),
                     lambda x: np.array([[0.0, 0.0]]), np.array([1.0, 2.0]),
-                    cfg())
+                    TOL)
 
     @pytest.mark.parametrize("c, jac, x0, steps", [
         # a feasible start takes no Newton step
@@ -106,7 +94,7 @@ class TestProject:
                 return fn(x)
             return call
 
-        project(counted(c), counted(jac), np.array(x0), cfg())
+        project(counted(c), counted(jac), np.array(x0), TOL)
         assert calls[jac] == steps
         assert calls[c] == steps + 1
 
@@ -124,7 +112,7 @@ class TestProject:
             return np.array([[1.0, 0.0]])
 
         with pytest.raises(IntegrationError, match="did not converge in 5 "):
-            project(c, jac, np.array([0.0, 0.0]), cfg())
+            project(c, jac, np.array([0.0, 0.0]), TOL)
         assert len(calls) == 5 + 1  # five iterations, then the final report
         assert len(jac_calls) == 5
 
@@ -133,39 +121,57 @@ class TestIntegrateProjected:
     def test_zero_field_constant(self):
         c = (lambda x: np.array([x[0] - 1.0]), first_coordinate_rows)
         traj, _ = integrate_projected(lambda t, x: np.zeros(2), c, 0.0,
-                                      np.array([1.0, 2.0]), 0.5, cfg(dt=0.05))
+                                      np.array([1.0, 2.0]), 0.5, 0.05, TOL)
         assert np.allclose(traj.x, [1.0, 2.0], atol=1e-12)
         assert len(traj) == 11
 
     def test_circle_radius_preserved(self):
         field = lambda t, x: np.array([-x[1], x[0]])
-        conf = cfg(dt=1e-3, projection_tol=1e-12)
         traj, _ = integrate_projected(field, (unit_circle, unit_circle_rows),
-                                      0.0, np.array([1.0, 0.0]), 1.0, conf)
+                                      0.0, np.array([1.0, 0.0]), 1.0, 1e-3,
+                                      1e-12)
         radii = np.linalg.norm(traj.x, axis=1)
         assert np.abs(radii - 1.0).max() < 1e-10
 
     def test_unconstrained_mode(self):
         traj, _ = integrate_projected(lambda t, x: x, None, 0.0,
-                                      np.array([1.0]), 1.0, cfg(dt=1e-3))
+                                      np.array([1.0]), 1.0, 1e-3, TOL)
         assert abs(traj.x[-1, 0] - np.e) < 1e-10
 
     def test_infeasible_start_rejected(self):
         c = (first_coordinate, lambda x: np.array([[1.0]]))
         with pytest.raises(IntegrationError, match="initial"):
             integrate_projected(lambda t, x: np.zeros(1), c, 0.0,
-                                np.array([0.5]), 1.0, cfg(dt=0.1))
+                                np.array([0.5]), 1.0, 0.1, TOL)
 
     def test_non_integer_span_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             integrate_projected(lambda t, x: np.zeros(1), None, 0.0,
-                                np.array([0.0]), 0.55, cfg(dt=0.1))
+                                np.array([0.0]), 0.55, 0.1, TOL)
 
     @pytest.mark.parametrize("t1", [0.5, np.nan, np.inf])
     def test_negative_or_infinite_span_rejected(self, t1):
         with pytest.raises(ValueError, match=rf"span \[1.0, {t1}\]"):
             integrate_projected(lambda t, x: np.zeros(1), None, 1.0,
-                                np.array([0.0]), t1, cfg(dt=0.1))
+                                np.array([0.0]), t1, 0.1, TOL)
+
+    def test_step_width_and_tolerance_checked_before_any_step(self):
+        calls = []
+
+        def field(t, x):
+            calls.append(t)
+            return np.zeros(1)
+
+        c = (first_coordinate, lambda x: np.array([[1.0]]))
+        for name, dt, tol in [
+                ("dt", 0.0, TOL), ("dt", np.inf, TOL), ("dt", -np.inf, TOL),
+                ("dt", np.nan, TOL), ("tol", 0.1, 0.0), ("tol", 0.1, np.inf),
+                ("tol", 0.1, np.nan)]:
+            with pytest.raises(ValueError,
+                               match=f"{name} must be finite and positive"):
+                integrate_projected(field, c, 0.0, np.array([0.0]), 1.0, dt,
+                                    tol)
+        assert calls == []
 
     def test_sample_velocities_are_first_stages(self):
         calls = []
@@ -176,7 +182,7 @@ class TestIntegrateProjected:
 
         traj, v = integrate_projected(field, (unit_circle, unit_circle_rows),
                                       0.0, np.array([1.0, 0.0]), 0.5,
-                                      cfg(dt=0.05))
+                                      0.05, TOL)
         # three stages per step plus one evaluation per stored sample
         assert len(calls) == 3 * 10 + 11
         assert v.shape == traj.x.shape
@@ -189,7 +195,7 @@ class TestIntegrateProjected:
 
         with pytest.raises(IntegrationError, match="t="):
             integrate_projected(field, None, 0.0, np.array([0.0]), 1.0,
-                                cfg(dt=0.1))
+                                0.1, TOL)
 
 
 class TestConvergenceOrder:
@@ -198,7 +204,7 @@ class TestConvergenceOrder:
         errs = []
         for dt in (0.1, 0.05, 0.025):
             traj, _ = integrate_projected(lambda t, x: x, None, 0.0,
-                                          np.array([1.0]), 1.0, cfg(dt=dt))
+                                          np.array([1.0]), 1.0, dt, TOL)
             errs.append(abs(traj.x[-1, 0] - np.e))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.9

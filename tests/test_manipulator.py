@@ -233,24 +233,25 @@ class TestClosedLoop:
 
 class TestGaugeInvariance:
     def short_trajectory(self, model):
+        """States and recorded force rows along a short driven motion."""
         q0 = np.array([0.3, 0.0])
         qd0 = np.array([0.4, -0.4 * np.sin(0.3)])
         traj = simulate_with_input(
             model, lambda t, s: np.array([np.sin(t), np.cos(2.0 * t)]),
             q0, qd0, 0.2, dt=1e-2)
-        return traj
+        return traj.x, record_force_signal(model, traj).eta
 
     def test_identity_and_scaling(self):
         model = point_mass_toy()
-        traj = self.short_trajectory(model)
-        assert gauge_invariance_check(model, np.eye(2), traj)
-        assert gauge_invariance_check(model, 2.0 * np.eye(2), traj)
+        x, eta = self.short_trajectory(model)
+        assert gauge_invariance_check(model, np.eye(2), x, eta)
+        assert gauge_invariance_check(model, 2.0 * np.eye(2), x, eta)
         # invertibility is judged by numerical rank, not by the size of det Q
-        assert gauge_invariance_check(model, 1e-7 * np.eye(2), traj)
+        assert gauge_invariance_check(model, 1e-7 * np.eye(2), x, eta)
 
     def test_random_well_conditioned_gauge(self):
         model = point_mass_toy()
-        traj = self.short_trajectory(model)
+        x, eta = self.short_trajectory(model)
         rng = np.random.default_rng(11)
         Q = rng.standard_normal((2, 2))
         while abs(np.linalg.det(Q)) < 0.3:
@@ -258,12 +259,13 @@ class TestGaugeInvariance:
         perturbed = rescaled_constraint(
             model, lambda q: (1.0 + 0.2 * np.cos(q[1]),
                               np.array([0.0, -0.2 * np.sin(q[1])])))
-        assert gauge_invariance_check(model, Q, traj, perturbed_A=perturbed)
+        assert gauge_invariance_check(model, Q, x, eta,
+                                      perturbed_A=perturbed)
 
     def test_singular_gauge_rejected(self):
         model = point_mass_toy()
-        traj = self.short_trajectory(model)
+        x, eta = self.short_trajectory(model)
         with pytest.raises(ValueError, match="invertible"):
-            gauge_invariance_check(model, np.zeros((2, 2)), traj)
+            gauge_invariance_check(model, np.zeros((2, 2)), x, eta)
         with pytest.raises(ValueError, match="invertible"):
-            gauge_invariance_check(model, np.eye(3), traj)
+            gauge_invariance_check(model, np.eye(3), x, eta)
