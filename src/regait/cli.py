@@ -450,7 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    common.add_argument("--seed", type=_count, default=0,
+                        help="master RNG seed")
     with_params = argparse.ArgumentParser(add_help=False, parents=[common])
     with_params.add_argument("--params", default=None,
                              help="parameter JSON file")

@@ -173,13 +173,13 @@ def residual(stack: ConstraintStack, t, x, v,
     return (omega @ v[..., None])[..., 0] - gamma
 
 
-def _greedy_qr(omega: np.ndarray, tol: float,
-               ) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _greedy_qr(omega: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Greedy priority scan as one ordered QR factor of the kept rows.
 
     The first n nonzero rows, as unit vectors (so row scaling never changes
     the selection), are factored; the first whose pivot |R_ii| is at most
-    ``tol`` is dropped and the next candidate joins, until no pivot is small.
+    ``DEFAULT_RANK_TOL`` is dropped and the next candidate joins, until no
+    pivot is small.
     Returns the kept indices, lower-triangular ``low`` and orthonormal ``q``
     with ``omega[kept] = low @ q.T``. Only the rows of one state are taken.
     """
@@ -192,25 +192,23 @@ def _greedy_qr(omega: np.ndarray, tol: float,
     while True:
         kept = candidates[:n]
         q, r = np.linalg.qr((omega[kept] / norms[kept, None]).T)
-        small = np.flatnonzero(np.abs(np.diagonal(r)) <= tol)
+        small = np.flatnonzero(np.abs(np.diagonal(r)) <= DEFAULT_RANK_TOL)
         if not small.size:
             return kept.tolist(), norms[kept, None] * r.T, q
         candidates = np.delete(candidates, small[0])
 
 
-def select_active_rows(stack: ConstraintStack, t: float, x,
-                       tol: float = DEFAULT_RANK_TOL) -> list[int]:
+def select_active_rows(stack: ConstraintStack, t: float, x) -> list[int]:
     """Greedy scan in priority order keeping rows that raise numerical rank.
 
     Stops once n rows are kept. May return fewer than n indices when the
     stack does not determine the velocity (under-determined; not an error).
     """
     omega, _, _ = evaluate_with_classes(stack, t, x)
-    return _greedy_qr(omega, tol)[0]
+    return _greedy_qr(omega)[0]
 
 
-def solve_velocity(stack: ConstraintStack, t: float, x,
-                   tol: float = DEFAULT_RANK_TOL) -> SolveResult:
+def solve_velocity(stack: ConstraintStack, t: float, x) -> SolveResult:
     """Velocity satisfying the first n independent rows of the stack.
 
     Fully determined stacks yield the unique solution of the active square
@@ -221,12 +219,12 @@ def solve_velocity(stack: ConstraintStack, t: float, x,
     """
     omega, gamma, classes = evaluate_with_classes(stack, t, x)
     n = stack.ambient_dim
-    active, low, q = _greedy_qr(omega, tol)
+    active, low, q = _greedy_qr(omega)
     # v in the span of q solves low @ q.T @ v = gamma with minimum norm
     v = q @ np.linalg.solve(low, gamma[active])
     cond = _condition(low)
     warnings = [] if active else ["no active rows"]
-    if cond > 1.0 / tol:
+    if cond > 1.0 / DEFAULT_RANK_TOL:
         warnings.append(f"ill-conditioned active system: cond={cond:.3e}")
 
     # Physical rows must hold whether or not they made the active cut; a
@@ -240,7 +238,7 @@ def solve_velocity(stack: ConstraintStack, t: float, x,
         scale = max(1.0, float(np.abs(gamma[phys]).max()))
         size = np.abs(omega[phys]) @ np.abs(v) + scale
         err = np.abs(omega[phys] @ v - gamma[phys])
-        if np.any(err > 1e3 * tol * max(1.0, cond_phys) * size):
+        if np.any(err > 1e3 * DEFAULT_RANK_TOL * max(1.0, cond_phys) * size):
             raise RankDeficiencyError(
                 f"over-constrained Physical rows: residual {err.max():.3e}",
                 _rank_report(n, classes, active, cond))
@@ -249,12 +247,11 @@ def solve_velocity(stack: ConstraintStack, t: float, x,
                        underdetermined=len(active) < n, warnings=warnings)
 
 
-def rank_report(stack: ConstraintStack, t: float, x,
-                tol: float = DEFAULT_RANK_TOL) -> RankReport:
+def rank_report(stack: ConstraintStack, t: float, x) -> RankReport:
     """Per-class numerical ranks, each counted over the classes above it as
     the greedy solve sees them, plus the damage-rank condition."""
     omega, _, classes = evaluate_with_classes(stack, t, x)
-    active, low, _ = _greedy_qr(omega, tol)
+    active, low, _ = _greedy_qr(omega)
     return _rank_report(stack.ambient_dim, classes, active, _condition(low))
 
 
@@ -289,8 +286,7 @@ def completion_check(n: int, rank_physical_damaged: int, rank_designed: int,
     return n - rank_learned <= rank_physical_damaged + rank_designed <= n
 
 
-def control_affine_to_spec(f, G, tol: float = DEFAULT_RANK_TOL,
-                           ) -> tuple[np.ndarray, np.ndarray]:
+def control_affine_to_spec(f, G) -> tuple[np.ndarray, np.ndarray]:
     """Constraint rows equivalent to xdot = f + G u for unconstrained u.
 
     Directions outside the input column space cannot be commanded, so they
@@ -301,18 +297,19 @@ def control_affine_to_spec(f, G, tol: float = DEFAULT_RANK_TOL,
     n = G.shape[0]
     if f.shape != (n,):
         raise ValueError("drift length must match rows of G")
-    omega = np.eye(n) - G @ np.linalg.pinv(G, rcond=tol)
+    omega = np.eye(n) - G @ np.linalg.pinv(G, rcond=DEFAULT_RANK_TOL)
     return omega, omega @ f
 
 
 def _fourier_feature_rows(rng: np.random.Generator, sample: np.ndarray,
-                          n: int, count: int, n_features: int = 16) -> np.ndarray:
+                          n: int, count: int) -> np.ndarray:
     """Gradients of ``count`` random smooth functions R^n -> R at ``sample``.
 
-    Each function is a finite random Fourier feature sum
+    Each function is a sum of 16 random Fourier features
     f(s) = sum_m c_m sin(w_m . s + b_m) with standard-normal weights, so its
     gradient rows are sum_m c_m cos(w_m . s + b_m) w_m.
     """
+    n_features = 16
     w = rng.standard_normal((n_features, n))
     bias = rng.uniform(0.0, 2.0 * np.pi, n_features)
     c = rng.standard_normal((count, n_features)) / np.sqrt(n_features)
@@ -320,8 +317,7 @@ def _fourier_feature_rows(rng: np.random.Generator, sample: np.ndarray,
 
 
 def augment_random_rank(A: Callable[[np.ndarray], np.ndarray], samples,
-                        N: int, seed: int, trials: int = 1,
-                        tol: float = DEFAULT_RANK_TOL) -> float:
+                        N: int, seed: int, trials: int = 1) -> float:
     """Empirical rate at which N random rows raise the rank of A past k.
 
     For each trial a fresh bundle of N random smooth functions is drawn; at
@@ -347,7 +343,8 @@ def augment_random_rank(A: Callable[[np.ndarray], np.ndarray], samples,
                 raise ValueError(f"no room to augment: k={k} >= n={n}")
             extra = _fourier_feature_rows(rng, s, n, N)
             stacked = np.vstack([base, extra]) if k else extra
-            rank = np.linalg.matrix_rank(stacked, tol * _scale(stacked))
+            rank = np.linalg.matrix_rank(stacked,
+                                         DEFAULT_RANK_TOL * _scale(stacked))
             hits += int(rank >= k + 1)
             total += 1
     return hits / total

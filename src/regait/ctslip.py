@@ -131,9 +131,9 @@ class HybridState:
     clock_phase: float = 0.0
 
 
-def apex_state(y: float, xdot: float, clock_phase: float = 0.0,
-               x: float = 0.0) -> HybridState:
-    return HybridState(mode=Mode.FLIGHT, com=(x, y, xdot, 0.0),
+def apex_state(y: float, xdot: float,
+               clock_phase: float = 0.0) -> HybridState:
+    return HybridState(mode=Mode.FLIGHT, com=(0.0, y, xdot, 0.0),
                        clock_phase=clock_phase)
 
 
@@ -184,7 +184,6 @@ class SimResult:
     vanishes there without a mode test; ``psi`` is NaN in flight.
     """
 
-    params: CTSlipParams
     t: np.ndarray
     com: np.ndarray    # (N, 4): x, y, xdot, ydot
     zeta: np.ndarray
@@ -492,7 +491,7 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
             u, foot = _liftoff_map(u, foot), None
 
     arr = np.concatenate(blocks)
-    return SimResult(params=params, t=np.arange(len(arr)) * dt,
+    return SimResult(t=np.arange(len(arr)) * dt,
                      com=arr[:, :4], zeta=arr[:, 4], psi=arr[:, 5],
                      mode=arr[:, 6].astype(int), events=events,
                      crashed=crashed)

@@ -24,8 +24,7 @@ from .signals import FourierSeries, PhaseEstimator, estimate_phases, fit_fourier
 from .trajectory import Trajectory
 
 
-def pullback(dphi: Callable, forms, x,
-             tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pullback(dphi: Callable, forms, x) -> np.ndarray:
     """Rows ``forms @ Dphi(x)`` of the (k, p) form matrix: (k, n) at one
     state, (..., k, n) at a block. Raises where Dphi loses rank."""
     forms = np.asarray(forms, dtype=float)
@@ -34,7 +33,7 @@ def pullback(dphi: Callable, forms, x,
     if forms.ndim != 2 or forms.shape[1] != p:
         raise ValueError(f"forms have shape {forms.shape}, expected (k, {p})")
     svals = np.linalg.svd(jac, compute_uv=False)
-    lost = svals[..., p - 1] <= tol * svals[..., 0]
+    lost = svals[..., p - 1] <= DEFAULT_RANK_TOL * svals[..., 0]
     if np.count_nonzero(lost):
         raise ValueError("output map loses rank at x (singular values "
                          f"{svals[lost][0]})")

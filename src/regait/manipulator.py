@@ -18,6 +18,10 @@ import numpy as np
 from .integrate import integrate_projected
 from .trajectory import Trajectory
 
+# largest difference between the gauged and the plain redesigned input that
+# gauge_invariance_check accepts
+GAUGE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ManipulatorModel:
@@ -49,18 +53,6 @@ def _pfaffian(constraint: Callable, q, n: int
     return A, np.asarray(dA, dtype=float).reshape(A.shape[0], n, n)
 
 
-@dataclass(frozen=True)
-class ForceSignal:
-    """Recorded total force eta(t) = B u + A^T lam along a trajectory."""
-
-    t: np.ndarray
-    eta: np.ndarray  # (N, n)
-
-    def __post_init__(self):
-        if self.eta.shape[0] != len(self.t):
-            raise ValueError("one eta per sample required")
-
-
 def constrained_accel(model: ManipulatorModel, q, qd, u,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the saddle system for (qdd, lam) at one state.
@@ -88,30 +80,27 @@ def constrained_accel(model: ManipulatorModel, q, qd, u,
     return sol[:n], sol[n:]
 
 
-def record_force_signal(model: ManipulatorModel, traj: Trajectory) -> ForceSignal:
-    """eta at every sample of a trajectory that carries its inputs."""
-    if traj.u is None:
-        raise ValueError("trajectory must store inputs")
+def record_force_signal(model: ManipulatorModel, x, u) -> np.ndarray:
+    """(N, n) total force eta = B u + A^T lam, one row per state row
+    (q, qd) of ``x`` under its input row of ``u``."""
     n = model.dof
-    eta = np.empty((len(traj), n))
-    for k in range(len(traj)):
-        q, qd = traj.x[k, :n], traj.x[k, n:]
+    eta = np.empty((len(x), n))
+    for k, (state, u_k) in enumerate(zip(x, u, strict=True)):
+        q, qd = state[:n], state[n:]
         A, _ = model.constraint_at(q)
-        _, lam = constrained_accel(model, q, qd, traj.u[k])
-        eta[k] = model.input_map @ traj.u[k] + A.T @ lam
-    return ForceSignal(t=traj.t.copy(), eta=eta)
+        _, lam = constrained_accel(model, q, qd, u_k)
+        eta[k] = model.input_map @ u_k + A.T @ lam
+    return eta
 
 
 @dataclass
 class RedesignResult:
     u: np.ndarray
     residual: float
-    feasible: bool
 
 
 def redesign_input(model: ManipulatorModel, perturbed_A: Callable, eta_d,
-                   q, qd, gauge: np.ndarray | None = None,
-                   tol: float = 1e-9) -> RedesignResult:
+                   q, qd, gauge: np.ndarray | None = None) -> RedesignResult:
     """Input u* whose total force on the perturbed plant matches eta_d.
 
     The multipliers the perturbed plant produces are affine in u,
@@ -137,45 +126,40 @@ def redesign_input(model: ManipulatorModel, perturbed_A: Callable, eta_d,
     rhs = eta_d - A.T @ lam0
     lhs, target = (T, rhs) if gauge is None else (gauge @ T, gauge @ rhs)
     u, *_ = np.linalg.lstsq(lhs, target, rcond=None)
-    res = float(np.linalg.norm(T @ u - rhs))
-    scale = max(1.0, float(np.linalg.norm(eta_d)))
-    return RedesignResult(u=u, residual=res, feasible=res < tol * scale)
+    return RedesignResult(u=u, residual=float(np.linalg.norm(T @ u - rhs)))
 
 
 def gauge_invariance_check(model: ManipulatorModel, Q: np.ndarray, x,
-                           eta, perturbed_A: Callable | None = None,
-                           tol: float = 1e-9) -> bool:
+                           eta, perturbed_A: Callable) -> bool:
     """True when redesigning against Q.eta equals plain redesign everywhere.
 
-    Compares the redesigned input with and without the gauge transformation
-    Q at every state row (q, qd) of ``x`` against its recorded force row of
-    ``eta``. Defaults to the model's own constraint rows.
+    Compares the redesigned input on the ``perturbed_A`` rows with and
+    without the gauge transformation Q at every state row (q, qd) of ``x``
+    against its recorded force row of ``eta``; the inputs may differ by at
+    most ``GAUGE_TOL``.
     """
     Q = np.asarray(Q, dtype=float)
     n = model.dof
     if Q.shape != (n, n) or np.linalg.matrix_rank(Q) < n:
         raise ValueError("gauge matrix must be an invertible (dof, dof) "
                          "matrix")
-    if perturbed_A is None:
-        perturbed_A = model.constraint_at
     for state, eta_k in zip(x, eta, strict=True):
         q, qd = state[:n], state[n:]
         plain = redesign_input(model, perturbed_A, eta_k, q, qd)
         gauged = redesign_input(model, perturbed_A, eta_k, q, qd, gauge=Q)
-        if np.linalg.norm(plain.u - gauged.u) > tol:
+        if np.linalg.norm(plain.u - gauged.u) > GAUGE_TOL:
             return False
     return True
 
 
-def point_mass_toy(mass=(1.0, 1.0)) -> ManipulatorModel:
+def point_mass_toy() -> ManipulatorModel:
     """2-DOF planar point mass with one configuration-dependent Pfaffian row.
 
     Constraint sin(q0) qd0 + qd1 = 0; multipliers are generically nonzero and
     dA/dt is nontrivial, which is all the structure the demos need.
     """
-    M = np.diag(mass)
     return ManipulatorModel(
-        inertia=lambda q: M,
+        inertia=lambda q: np.eye(2),
         bias=lambda q, qd: np.zeros(2),
         input_map=np.eye(2),
         constraint=lambda q: (np.array([[np.sin(q[0]), 1.0]]),
@@ -227,7 +211,7 @@ def _velocity_constraint(model: ManipulatorModel):
 
 def _integrate(model: ManipulatorModel, u_of_t: Callable, q0, qd0,
                t1: float, dt: float) -> Trajectory:
-    """Integrate the constrained plant under u(t, state); no inputs kept.
+    """Integrate the constrained plant under u(t, state).
 
     The Pfaffian constraint is enforced at acceleration level by the saddle
     solve and corrected at velocity level by Newton projection each step.
@@ -242,32 +226,20 @@ def _integrate(model: ManipulatorModel, u_of_t: Callable, q0, qd0,
     return traj
 
 
-def simulate_with_input(model: ManipulatorModel, u_of_t: Callable,
-                        q0, qd0, t1: float, dt: float = 1e-3) -> Trajectory:
-    """Integrate the constrained plant under u(t, state); records the input
-    at every output sample."""
-    traj = _integrate(model, u_of_t, q0, qd0, t1, dt)
-    u = np.array([np.asarray(u_of_t(traj.t[k], traj.x[k]), dtype=float)
-                  for k in range(len(traj))])
-    return Trajectory(t=traj.t, x=traj.x, u=u)
-
-
 @dataclass
 class ForceMatchingOutcome:
     """End-to-end results for one perturbation scenario."""
 
-    desired: Trajectory
-    signal: ForceSignal
-    redesigned: Trajectory        # closed-loop motion; u is not recorded
+    desired: Trajectory           # nominal motion at half the step
+    redesigned: Trajectory        # closed-loop motion on the perturbed plant
     tracking_error: float
     worst_match_residual: float
     gauge_ok: bool
 
 
 def run_force_matching(model: ManipulatorModel, perturbed_A: Callable,
-                       u_desired: Callable, q0, qd0, T: float = 2.0,
-                       dt: float = 1e-3, gauge: np.ndarray | None = None,
-                       ) -> ForceMatchingOutcome:
+                       u_desired: Callable, q0, qd0, T: float, dt: float,
+                       gauge: np.ndarray) -> ForceMatchingOutcome:
     """Record eta on the nominal plant, redesign on the perturbed one, close
     the loop, and compare trajectories.
 
@@ -275,37 +247,31 @@ def run_force_matching(model: ManipulatorModel, perturbed_A: Callable,
     signal covers the Runge-Kutta stage times of the closed-loop integration
     exactly (no interpolation enters the comparison).
     """
-    fine = simulate_with_input(model, lambda t, s: u_desired(t), q0, qd0,
-                               T, dt=0.5 * dt)
-    signal = record_force_signal(model, fine)
+    n = model.dof
+    fine = _integrate(model, lambda t, s: u_desired(t), q0, qd0, T, 0.5 * dt)
+    eta = record_force_signal(model, fine.x, [u_desired(t) for t in fine.t])
 
     def eta_at(t):
         idx = int(round(t / (0.5 * dt)))
-        if abs(t - signal.t[idx]) > 1e-9:
+        if abs(t - fine.t[idx]) > 1e-9:
             raise ValueError(f"force signal not sampled at t={t}")
-        return signal.eta[idx]
+        return eta[idx]
 
     def u_star(t, state):
-        n = model.dof
-        out = redesign_input(model, perturbed_A, eta_at(t),
-                             state[:n], state[n:], gauge=gauge)
-        return out.u
+        return redesign_input(model, perturbed_A, eta_at(t), state[:n],
+                              state[n:], gauge=gauge).u
 
     redone = _integrate(model, u_star, q0, qd0, T, dt)
-    n = model.dof
     desired_q = fine.x[::2, :n]
     err = float(np.max(np.linalg.norm(redone.x[:, :n] - desired_q, axis=1)))
 
     worst = 0.0
     for k in range(0, len(fine), 20):
         q, qd = fine.x[k, :n], fine.x[k, n:]
-        worst = max(worst, redesign_input(model, perturbed_A, signal.eta[k],
+        worst = max(worst, redesign_input(model, perturbed_A, eta[k],
                                           q, qd).residual)
-    gauge_ok = True
-    if gauge is not None:
-        gauge_ok = gauge_invariance_check(model, gauge, fine.x[::20],
-                                          signal.eta[::20],
-                                          perturbed_A=perturbed_A)
-    return ForceMatchingOutcome(desired=fine, signal=signal, redesigned=redone,
+    gauge_ok = gauge_invariance_check(model, gauge, fine.x[::20], eta[::20],
+                                      perturbed_A)
+    return ForceMatchingOutcome(desired=fine, redesigned=redone,
                                 tracking_error=err,
                                 worst_match_residual=worst, gauge_ok=gauge_ok)

@@ -48,10 +48,6 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    return list(np.linspace(lo, hi, n))
-
-
 def render_svg(fig: Figure) -> str:
     ml, mr, mt, mb = 62, 16, 34, 46
     pw = WIDTH - ml - mr
@@ -76,14 +72,14 @@ def render_svg(fig: Figure) -> str:
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="#444" stroke-width="1"/>',
     ]
-    for tx in _ticks(x0, x1):
+    for tx in np.linspace(x0, x1, 5):
         px = sx(tx)
         out.append(f'<line x1="{px:.1f}" y1="{mt + ph}" x2="{px:.1f}" '
                    f'y2="{mt + ph + 4}" stroke="#444"/>')
         out.append(f'<text x="{px:.1f}" y="{mt + ph + 16}" '
                    f'text-anchor="middle" font-family="monospace" '
                    f'font-size="10">{_fmt(tx)}</text>')
-    for ty in _ticks(y0, y1):
+    for ty in np.linspace(y0, y1, 5):
         py = sy(ty)
         out.append(f'<line x1="{ml - 4}" y1="{py:.1f}" x2="{ml}" '
                    f'y2="{py:.1f}" stroke="#444"/>')

@@ -30,11 +30,16 @@ def write_csv(path, header: str, columns) -> None:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _step_tol(steps: np.ndarray) -> float:
+    """Spread of the time steps a uniformly sampled trajectory may have:
+    rounding noise only."""
+    return 1e-9 * max(1.0, abs(steps[0]))
+
+
 @dataclass
 class Trajectory:
     t: np.ndarray                  # (N,)
     x: np.ndarray                  # (N, n)
-    u: np.ndarray | None = None    # (N, r) optional inputs
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -43,10 +48,6 @@ class Trajectory:
             self.x = self.x[:, None]
         if self.t.ndim != 1 or self.x.shape[0] != len(self.t):
             raise ValueError("t must be (N,) and x (N, n) with matching N")
-        if self.u is not None:
-            self.u = np.asarray(self.u, dtype=float)
-            if self.u.shape[0] != len(self.t):
-                raise ValueError("inputs must have one row per sample")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -60,8 +61,7 @@ class Trajectory:
         steps = np.diff(self.t)
         if len(steps) == 0:
             raise ValueError("single-sample trajectory has no step size")
-        # Uniform sampling is assumed throughout; tolerate only rounding noise.
-        if np.ptp(steps) > 1e-9 * max(1.0, abs(steps[0])):
+        if np.ptp(steps) > _step_tol(steps):
             raise ValueError("trajectory is not uniformly sampled")
         return float(steps[0])
 
@@ -95,7 +95,7 @@ class Trajectory:
             raise TrajectoryFormatError(
                 f"{path}: line 1: expected header 't,q_0,...', got {lines[0]!r}")
         ncol = len(header)
-        t, rows = [], []
+        t, rows, linenos = [], [], []
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -114,6 +114,15 @@ class Trajectory:
                     f"{path}: line {lineno}: non-finite field in {line!r}")
             t.append(vals[0])
             rows.append(vals[1:])
+            linenos.append(lineno)
         if not rows:
             raise TrajectoryFormatError(f"{path}: line 2: no data rows")
+        # the spread of the steps so far; its last entry is dt's np.ptp
+        steps = np.diff(t)
+        spread = np.maximum.accumulate(steps) - np.minimum.accumulate(steps)
+        if len(steps) and spread[-1] > _step_tol(steps):
+            k = int(np.argmax(spread > _step_tol(steps)))
+            raise TrajectoryFormatError(
+                f"{path}: line {linenos[k + 1]}: time step {steps[k]:.17g} "
+                "breaks the uniform sampling of the rows above")
         return cls(t=np.array(t), x=np.array(rows))

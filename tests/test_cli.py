@@ -162,6 +162,20 @@ class TestLearnCommand:
             assert code == 4
             assert "line 3" in capsys.readouterr().err
 
+    def test_uneven_time_steps_report_line(self, tmp_path, capsys):
+        # a uniform file with the row at t = 0.2 removed
+        bad = tmp_path / "traj.csv"
+        header = "t," + ",".join(f"q_{i}" for i in range(9))
+        rows = [",".join([f"{0.1 * k:.1f}"] + ["1.0"] * 9)
+                for k in (0, 1, 3, 4)]
+        bad.write_text("\n".join([header, *rows]) + "\n")
+        code = main(["learn", "--traj", str(bad),
+                     "--out", str(tmp_path / "x")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"{bad}: line 4:" in err and "uniform" in err
+        assert not (tmp_path / "x").exists()
+
     def test_wrong_state_dimension(self, tmp_path, capsys):
         small = tmp_path / "traj.csv"
         small.write_text("t,q_0,q_1\n0.0,1.0,0.0\n0.1,1.0,0.1\n0.2,1.0,0.2\n")
@@ -314,7 +328,12 @@ class TestHarness:
         ("ctslip", "damage", "--strides", "-3"),
         ("ctslip", "recover", "--iters", "-1"),
         ("manipulator", "--T", "0"), ("manipulator", "--T", "inf"),
-        ("learn", "--traj", "traj.csv", "--order", "-2")],
+        ("learn", "--traj", "traj.csv", "--order", "-2"),
+        ("crawler", "--seed", "-1"), ("ctslip", "simulate", "--seed", "-1"),
+        ("ctslip", "damage", "--seed", "-1"),
+        ("ctslip", "recover", "--seed", "-1"), ("manipulator", "--seed", "-1"),
+        ("learn", "--traj", "traj.csv", "--seed", "-1"),
+        ("rank", "--seed", "-1")],
         ids=" ".join)
     def test_flag_out_of_range_is_a_usage_error(self, tmp_path, capsys,
                                                  argv):

@@ -270,9 +270,9 @@ def oracle_simulate(params, ic, T, dt=SIM_DT):
         samples.append(_sample(params, mode, u, foot))
 
     arr = np.asarray(samples)
-    return SimResult(params=params, t=np.asarray(times), com=arr[:, :4],
-                     zeta=arr[:, 4], psi=arr[:, 5], mode=arr[:, 6].astype(int),
-                     events=events, crashed=crashed)
+    return SimResult(t=np.asarray(times), com=arr[:, :4], zeta=arr[:, 4],
+                     psi=arr[:, 5], mode=arr[:, 6].astype(int), events=events,
+                     crashed=crashed)
 
 
 # Bounds against the reference, measured on the grid below and on 800 random

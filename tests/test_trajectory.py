@@ -14,8 +14,6 @@ class TestBasics:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             Trajectory(t=np.zeros(3), x=np.zeros((4, 2)))
-        with pytest.raises(ValueError):
-            Trajectory(t=np.zeros(3), x=np.zeros((3, 2)), u=np.zeros((2, 1)))
 
     def test_scalar_states_promoted(self):
         traj = Trajectory(t=np.array([0.0, 1.0]), x=np.array([1.0, 2.0]))
