@@ -295,19 +295,24 @@ def cmd_ctslip(args) -> dict:
         return metrics
 
     # recover
-    reference = build_reference(params, ensemble, T=args.T, dt=args.dt)
-    recovered, trace = recover_parameters(
-        damaged, reference, ensemble,
-        nm_config=replace(RECOVERY_SEARCH, max_iters=args.iters))
+    seconds = {}
+    with _timed(seconds, "reference"):
+        reference = build_reference(params, ensemble, T=args.T, dt=args.dt)
+    with _timed(seconds, "search"):
+        recovered, trace = recover_parameters(
+            damaged, reference, ensemble,
+            nm_config=replace(RECOVERY_SEARCH, max_iters=args.iters))
     # the search's first evaluation is the damaged plant, clipped to bounds
     initial_cost = trace.costs[0]
     trace.to_csv(os.path.join(out, "cost_trace.csv"))
     _write_json(os.path.join(out, "recovered_params.json"),
                 _params_dict(recovered))
     final_cost = min(trace.best_so_far)
-    counts = {label: count_completing(p, ensemble, args.strides, args.T,
-                                       args.dt)
-              for label, p in (("damaged", damaged), ("recovered", recovered))}
+    with _timed(seconds, "count"):
+        counts = {label: count_completing(p, ensemble, args.strides, args.T,
+                                           args.dt)
+                  for label, p in (("damaged", damaged),
+                                   ("recovered", recovered))}
     metrics = {
         "initial_cost": initial_cost,
         "final_cost": final_cost,
@@ -315,6 +320,7 @@ def cmd_ctslip(args) -> dict:
         "damaged_completing": counts["damaged"],
         "recovered_completing": counts["recovered"],
         "nm_iterations": trace.iterations,
+        **seconds,
     }
     fig = Figure(title="recovery cost", xlabel="evaluation",
                  ylabel="log10 best cost", xlim=(0.0, float(len(trace.costs))),
@@ -379,6 +385,11 @@ def cmd_learn(args) -> dict:
         raise UsageError(
             f"expected a crawler trajectory with {STATE_DIM} state columns, "
             f"got {traj.dim}")
+    # an order-n Fourier series has 2n + 1 coefficients
+    if len(traj) < 2 * args.order + 1:
+        raise TrajectoryFormatError(
+            f"{args.traj}: {len(traj)} rows; an order-{args.order} Fourier "
+            f"fit needs at least {2 * args.order + 1}")
     params = _crawler_params(args.params)
     lc = _learn(args, params, traj)
 

@@ -11,7 +11,9 @@ crossing. A foot that is below the ground when its leg becomes armed must
 rise above it first. Flight is ballistic, so every flight guard is a
 closed-form function of time; crossings are located between grid points
 under a curvature bound, and a touchdown that grazes the ground inside one
-step still fires.
+step still fires. Stance takes RK4 steps split where the clock kinks, so it
+keeps RK4's fourth order, and reads grid samples and guard crossings from
+each step's cubic Hermite interpolant.
 
 Conventions: during stance the COM sits at foot + zeta*(-sin psi, cos psi),
 psi measured from the downward vertical at the foot (positive = foot ahead of
@@ -165,8 +167,9 @@ def _stance_law(params: CTSlipParams) -> Callable:
 
 
 SIM_DT = 2e-3              # default grid step of every hopper run
-BISECT_TOL = 1e-10         # width at which event bisection stops
+BISECT_TOL = 1e-12         # width at which event bisection stops
 MAX_EVENTS_PER_STEP = 8    # events one grid step may hold before it fails
+KINK_NUDGE = 1e-13         # stage times this far inside a stance substep
 
 
 @dataclass(frozen=True)
@@ -182,6 +185,12 @@ class SimResult:
 
     ``zeta`` equals the rest length L during flight so the elastic energy
     vanishes there without a mode test; ``psi`` is NaN in flight.
+
+    ``strides`` counts a liftoff only if its stance held the leg at a grid
+    sample, that is if at least one sample lies between the stance's start
+    and the liftoff. A stance that ends before the next grid point carried
+    nothing: a touchdown whose leg is already lengthening lifts off well
+    under a nanosecond later, and that is not a stride.
     """
 
     t: np.ndarray
@@ -191,10 +200,7 @@ class SimResult:
     mode: np.ndarray   # Mode values as ints
     events: list[Event]
     crashed: bool
-
-    @property
-    def strides(self) -> int:
-        return sum(1 for e in self.events if e.kind == "liftoff")
+    strides: int       # liftoffs of stances that held a grid sample
 
 
 def _leg_state(com: Sequence[float], foot: tuple) -> tuple:
@@ -245,9 +251,9 @@ def _first_fall(guard: Callable, a: float, b: float, fa: float, fb: float,
     slack = 0.125 * bound * (b - a) * (b - a)
     if min(fa, fb) - slack > 0.0 or max(fa, fb) + slack <= 0.0:
         return None
-    if b - a <= BISECT_TOL:
-        return b if fa > 0.0 >= fb else None
     m = 0.5 * (a + b)
+    if b - a <= BISECT_TOL or not a < m < b:   # or as close as floats get
+        return b if fa > 0.0 >= fb else None
     fm = guard(m)
     hit = _first_fall(guard, a, m, fa, fm, bound)
     return hit if hit is not None else _first_fall(guard, m, b, fm, fb, bound)
@@ -341,37 +347,71 @@ def _flight_advance(params: CTSlipParams, chi0: float, dt: float,
     return advance
 
 
+def _hermite(u0, s0, u1, s1, h, th):
+    """The cubic Hermite interpolant (Hairer, Norsett & Wanner, *Solving
+    ODEs I*, II.6) at the fraction th of a step of width h from leg state u0
+    to u1, given the accelerations s0 = (zeta_dd, psi_dd) at u0 and s1 at
+    u1."""
+    z0, p0, zd0, pd0 = u0
+    z1, p1, zd1, pd1 = u1
+    w1 = th * th * (3.0 - 2.0 * th)
+    w0 = h * th * (th - 1.0) * (th - 1.0)
+    w2 = h * th * th * (th - 1.0)
+    return (z0 + (z1 - z0) * w1 + zd0 * w0 + zd1 * w2,
+            p0 + (p1 - p0) * w1 + pd0 * w0 + pd1 * w2,
+            zd0 + (zd1 - zd0) * w1 + s0[0] * w0 + s1[0] * w2,
+            pd0 + (pd1 - pd0) * w1 + s0[1] * w0 + s1[1] * w2)
+
+
 def _stance_advance(params: CTSlipParams, chi0: float, dt: float,
                     nsteps: int, leg: int) -> Callable:
     """advance(k, t0, u, foot) from leg state u at time t0 >= k*dt, as
-    ``_flight_advance``'s, by one RK4 step per grid step (the first from
-    t0). The guards zeta*cos(psi), zeta - 1e-3*L (crashes) and L - zeta
-    (liftoff) are tested at step ends; one that falls from > 0 to <= 0 is
-    bisected on RK4 substeps from the step's start. A stage that raises
-    ``CrashSignal`` crashes at the step's start.
+    ``_flight_advance``'s.
+
+    Each RK4 step ends on the second grid point after its start (or on the
+    span's end) and is split where the stance leg's clock kinks inside it;
+    each substep reads the clock from its own side of a kink, its first and
+    last stage times moved KINK_NUDGE inside it. A grid point inside a
+    substep is read from the substep's cubic Hermite interpolant, whose end
+    slope is the next substep's first stage (a second stance-law call is
+    made only at a kink). The guards zeta*cos(psi), zeta - 1e-3*L (crashes)
+    and L - zeta (liftoff) are tested at every grid point and substep end;
+    one that falls from > 0 to <= 0 is bisected to BISECT_TOL on the
+    interpolant. A stance-law call that raises ``CrashSignal`` crashes at
+    its substep's start.
     """
-    L, floor = params.L, 1e-3 * params.L
+    clk, L, floor = params.clock, params.L, 1e-3 * params.L
     accel = _stance_law(params)
-    clock = params.clock.signal(chi0, leg)
+    clock = clk.signal(chi0, leg)
     value = (Mode.STANCE_LEFT, Mode.STANCE_RIGHT)[leg].value
-    cos, sin = math.cos, math.sin
+    cos = math.cos
+    duty, f = clk.duty_factor, clk.frequency
+    cycle0 = chi0 / TWO_PI + 0.5 * leg   # the leg's clock cycle at t = 0
 
-    def guards(u):
-        return u[0] * cos(u[1]), u[0] - floor, L - u[0]
+    def next_kink(t):
+        # the clock's cycle reaches an integer (top) or an integer plus
+        # the duty factor (bottom)
+        q = cycle0 + f * t
+        n = math.floor(q)
+        return (n + (duty if q - n < duty else 1.0) - cycle0) / f
 
-    def step(t, u, h):
-        # stages 2 and 3 share the time t + h/2 and its clock values
-        z, p, zd, pd = u
-        hh = 0.5 * h
+    def slope(t, u):
         c, r, _ = clock(t)
-        a1, b1 = accel(z, p, zd, pd, c, r)
+        return accel(u[0], u[1], u[2], u[3], c, r)
+
+    def step(t, u, b, s):
+        # stages 2 and 3 share the substep's midpoint and its clock values
+        z, p, zd, pd = u
+        h = b - t
+        hh = 0.5 * h
+        a1, b1 = s
         zd2, pd2 = zd + hh * a1, pd + hh * b1
         c, r, _ = clock(t + hh)
         a2, b2 = accel(z + hh * zd, p + hh * pd, zd2, pd2, c, r)
         zd3, pd3 = zd + hh * a2, pd + hh * b2
         a3, b3 = accel(z + hh * zd2, p + hh * pd2, zd3, pd3, c, r)
         zd4, pd4 = zd + h * a3, pd + h * b3
-        c, r, _ = clock(t + h)
+        c, r, _ = clock(b - KINK_NUDGE)
         a4, b4 = accel(z + h * zd3, p + h * pd3, zd4, pd4, c, r)
         s = h / 6.0
         return (z + s * (zd + 2.0 * zd2 + 2.0 * zd3 + zd4),
@@ -379,44 +419,80 @@ def _stance_advance(params: CTSlipParams, chi0: float, dt: float,
                 zd + s * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
                 pd + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
-    def locate(ta, ua, tb, ub, va, vb):
+    def locate(dense, lo, hi, w, va, vb):
         # the first time at which a guard that crossed is <= 0; a crash
         # there wins a tie with the liftoff
         crossed = [i for i in (0, 1, 2) if va[i] > 0.0 >= vb[i]]
-        lo, hi = ta, tb
         while hi - lo > BISECT_TOL:
             mid = 0.5 * (lo + hi)
-            um = step(ta, ua, mid - ta)
-            vm = guards(um)
+            if not lo < mid < hi:   # as close as floats get
+                break
+            wm = dense(mid)
+            vm = (wm[0] * cos(wm[1]), wm[0] - floor, L - wm[0])
             if all(vm[i] > 0.0 for i in crossed):
                 lo = mid
             else:
-                hi, ub, vb = mid, um, vm
+                hi, w, vb = mid, wm, vm
         lift = all(i == 2 or vb[i] > 0.0 for i in crossed)
-        return hi, "liftoff" if lift else "crash", None, ub
+        return hi, "liftoff" if lift else "crash", None, w
+
+    def table(rows, x0):
+        out = np.empty((len(rows), 7))
+        if rows:
+            z, p, zd, pd = np.fromiter(chain.from_iterable(rows), float,
+                                       4 * len(rows)).reshape(-1, 4).T
+            sp, cp = np.sin(p), np.cos(p)
+            out[:, 0], out[:, 1] = x0 - z * sp, z * cp
+            out[:, 2] = -zd * sp - z * pd * cp
+            out[:, 3] = zd * cp - z * pd * sp
+            out[:, 4], out[:, 5], out[:, 6] = z, p, value
+        return out
 
     def advance(k, t, u, foot):
-        x0, rows, hit = foot[0], [], None
-        va0, va1, va2 = guards(u)
+        rows, j = [], k + 1   # j: the next grid point
+        tk = -math.inf        # the next clock kink, found when needed
+        va0, va1, va2 = u[0] * cos(u[1]), u[0] - floor, L - u[0]
+        if j <= nsteps and t == j * dt:
+            rows.append(u)
+            j += 1
         try:
-            for j in range(k + 1, nsteps + 1):
-                tb = j * dt
-                u_end = step(t, u, tb - t)
-                z, p, zd, pd = u_end
-                # cos(psi) gives both the guard z*cos(psi) and the COM y
-                sp, cp = sin(p), cos(p)
-                y, vb1, vb2 = z * cp, z - floor, L - z
-                if va0 > 0.0 >= y or va1 > 0.0 >= vb1 or va2 > 0.0 >= vb2:
-                    hit = locate(t, u, tb, u_end, (va0, va1, va2),
-                                 (y, vb1, vb2))
-                    break
-                rows.append((x0 - z * sp, y, -zd * sp - z * pd * cp,
-                             zd * cp - z * pd * sp, z, p, value))
-                t, u, va0, va1, va2 = tb, u_end, y, vb1, vb2
+            s = slope(t + KINK_NUDGE, u)
+            while j <= nsteps:
+                tb = min(j + 1, nsteps) * dt
+                if tk <= t + KINK_NUDGE:
+                    tk = next_kink(t + KINK_NUDGE)
+                b = tk if tk < tb - KINK_NUDGE else tb
+                ub = step(t, u, b, s)
+                s_next = slope(b + KINK_NUDGE, ub)
+                s_end = (slope(b - KINK_NUDGE, ub) if tk - b <= KINK_NUDGE
+                         else s_next)
+                h, tp = b - t, t   # tp: the last point tested
+                while True:   # the grid points in (t, b), then b
+                    g = j * dt
+                    if g < b:
+                        w = _hermite(u, s, ub, s_end, h, (g - t) / h)
+                    else:
+                        w = ub
+                    z = w[0]
+                    vb0, vb1, vb2 = z * cos(w[1]), z - floor, L - z
+                    if (va0 > 0.0 >= vb0 or va1 > 0.0 >= vb1
+                            or va2 > 0.0 >= vb2):
+                        return table(rows, foot[0]), locate(
+                            lambda m: _hermite(u, s, ub, s_end, h,
+                                               (m - t) / h),
+                            tp, min(g, b), w, (va0, va1, va2),
+                            (vb0, vb1, vb2))
+                    va0, va1, va2, tp = vb0, vb1, vb2, g
+                    if g > b:   # b is a kink before the grid point
+                        break
+                    rows.append(w)
+                    j += 1
+                    if g == b:
+                        break
+                t, u, s = b, ub, s_next
         except CrashSignal:
-            hit = (t, "crash", None, u)
-        return np.fromiter(chain.from_iterable(rows), float,
-                           7 * len(rows)).reshape(-1, 7), hit
+            return table(rows, foot[0]), (t, "crash", None, u)
+        return table(rows, foot[0]), None
 
     return advance
 
@@ -463,7 +539,7 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
 
     flight = _flight_advance(params, chi0, dt, nsteps)
     stance = [_stance_advance(params, chi0, dt, nsteps, i) for i in (0, 1)]
-    blocks, events, crashed = [], [], False
+    blocks, events, crashed, strides = [], [], False, 0
     # the last sample (none before grid point 0), the mode's start and the
     # events since that sample
     k, t, in_step = -1, 0.0, 0
@@ -489,12 +565,13 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
             leg = ev_leg
         else:  # liftoff
             u, foot = _liftoff_map(u, foot), None
+            strides += len(rows) > 0
 
     arr = np.concatenate(blocks)
     return SimResult(t=np.arange(len(arr)) * dt,
                      com=arr[:, :4], zeta=arr[:, 4], psi=arr[:, 5],
                      mode=arr[:, 6].astype(int), events=events,
-                     crashed=crashed)
+                     crashed=crashed, strides=strides)
 
 
 def energy_outputs(params: CTSlipParams, result: SimResult,

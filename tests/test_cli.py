@@ -184,6 +184,22 @@ class TestLearnCommand:
         assert code == 2
         assert "state columns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_too_few_rows_for_the_fit(self, tmp_path, capsys, rows):
+        # an order-4 fit needs 9 rows; the file is rejected before any fit
+        short = tmp_path / "traj.csv"
+        header = "t," + ",".join(f"q_{i}" for i in range(9))
+        lines = [",".join([f"{0.1 * k:.1f}"] + ["1.0"] * 9)
+                 for k in range(rows)]
+        short.write_text("\n".join([header, *lines]) + "\n")
+        code = main(["learn", "--traj", str(short),
+                     "--out", str(tmp_path / "x")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert (f"{short}: {rows} rows; an order-4 Fourier fit needs at "
+                "least 9") in err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_trajectory(self, tmp_path, capsys):
         code = main(["learn", "--traj", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "x")])
@@ -296,6 +312,10 @@ class TestCtslipCommand:
         assert m["initial_cost"] == float(first[1])
         assert (outs[0] / "recovered_params.json").exists()
         assert read(outs[0] / "cost.svg").startswith("<svg")
+        stages = [m[f"{stage}_seconds"]
+                  for stage in ("reference", "search", "count")]
+        assert all(t > 0.0 for t in stages)
+        assert sum(stages) < m["runtime_seconds"]
 
 
 class TestManipulatorCommand:

@@ -427,6 +427,50 @@ class TestNominalReference:
             build_reference(CTSlipParams(gravity=500.0), ensemble)
 
 
+@pytest.fixture(scope="module")
+def fine_runs(nominal_params, ensemble):
+    """Healthy members 0-2 over 12 s at dt 1e-4, the converged reference."""
+    return [simulate_hybrid(nominal_params, ic, 12.0, 1e-4)
+            for ic in ensemble[:3]]
+
+
+class TestConvergence:
+    # kink-exact stance steps are fourth-order accurate: the error in x at
+    # 12 s against dt 1e-4 measured 6.5e-5 / 4.4e-6 / 2.9e-7 (member 0),
+    # 4.8e-5 / 3.3e-6 / 2.1e-7 (member 1) and 4.1e-5 / 5.4e-6 / 1.5e-7
+    # (member 2) at dt 8e-3 / 4e-3 / 2e-3
+    BOUNDS = {8e-3: 1e-4, 4e-3: 1e-5, 2e-3: 1e-6}
+
+    def test_x_error_falls_at_fourth_order(self, nominal_params, ensemble,
+                                           fine_runs):
+        for ic, fine in zip(ensemble, fine_runs):
+            err = {dt: abs(simulate_hybrid(nominal_params, ic, 12.0, dt)
+                           .com[-1, 0] - fine.com[-1, 0])
+                   for dt in self.BOUNDS}
+            assert all(err[dt] < bound for dt, bound in self.BOUNDS.items())
+            # halving dt twice divides a fourth-order error by 256
+            order = math.log(err[8e-3] / err[2e-3]) / math.log(4.0)
+            assert order > 3.5, err
+
+    def test_member_2_events_do_not_depend_on_dt(self, nominal_params,
+                                                 ensemble, fine_runs):
+        want = [(e.kind, e.leg) for e in fine_runs[2].events]
+        assert len(want) == 22
+        for dt in (5e-4, 1e-3, 2e-3, 4e-3, 8e-3):
+            res = simulate_hybrid(nominal_params, ensemble[2], 12.0, dt)
+            assert [(e.kind, e.leg) for e in res.events] == want, dt
+
+    def test_ensemble_stances_all_hold_the_leg(self, nominal_params,
+                                               ensemble):
+        # no healthy or damaged member run has an empty stance, so every
+        # liftoff is a stride
+        for params in (nominal_params, replace(nominal_params, t_s=0.02)):
+            for ic in ensemble:
+                res = simulate_hybrid(params, ic, 12.0)
+                lifts = sum(1 for e in res.events if e.kind == "liftoff")
+                assert res.strides == lifts
+
+
 class TestRecoverParameters:
     def test_search_respects_frozen_gain(self, nominal_params, ensemble):
         # a short search scores T = 3 runs against a T = 3 reference

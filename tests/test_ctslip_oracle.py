@@ -6,10 +6,14 @@ guard table built afresh on every step, and the clock and stance laws
 evaluated straight from the parameters. A flight guard that may change sign
 inside a step (by a Lipschitz bound) is sampled at FLIGHT_SUBSTEPS RK4
 substeps; it fires at the first substep interval in which it falls from > 0
-to <= 0 with its leg armed at the bisected crossing. Stance guards are tested
-at step ends. ``simulate_hybrid`` advances flight in closed form and locates
-touchdowns between samples; it must match this reference event for event,
-with times and samples within measured bounds.
+to <= 0 with its leg armed at the bisected crossing. A stance step ends on
+the second grid point after its start, or earlier at a kink of the stance
+leg's clock; the field reads the clock clamped KINK_NUDGE inside the step.
+Grid points inside a stance step are read from the step's cubic Hermite
+interpolant, at whose points and end each stance guard is tested and then
+bisected on the interpolant. ``simulate_hybrid`` advances flight in closed
+form and locates touchdowns between samples; it must match this reference
+event for event, with times and samples within measured bounds.
 """
 import math
 from dataclasses import replace
@@ -86,10 +90,11 @@ def _flight_field(params):
     return f
 
 
-def _stance_field(params, chi0, leg):
+def _stance_field(params, chi0, leg, lo=-math.inf, hi=math.inf):
+    """The stance field with the clock read at t clamped into [lo, hi]."""
     def f(t, u):
-        zdd, pdd = _stance_dynamics(params, u[0], u[1], u[2], u[3], t,
-                                    chi0=chi0, leg=leg)
+        zdd, pdd = _stance_dynamics(params, u[0], u[1], u[2], u[3],
+                                    min(max(t, lo), hi), chi0=chi0, leg=leg)
         return [u[2], u[3], zdd, pdd]
 
     return f
@@ -143,12 +148,12 @@ def _guards(params, mode, chi0):
 FLIGHT_SUBSTEPS = 64   # sub-samples of a flight step scanned for crossings
 
 
-def _bisect(field, value, ta, ua, lo, hi, u_hi):
-    """Bisect [lo, hi] on RK4 substeps from (ta, ua) for the time at which
-    ``value`` turns <= 0; returns it with its state."""
+def _bisect(state, value, lo, hi, u_hi):
+    """Bisect [lo, hi] for the time at which ``value`` of ``state(t)``
+    turns <= 0; returns it with its state."""
     while hi - lo > ctslip.BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        um = _rk4(field, ta, ua, mid - ta)
+        um = state(mid)
         if value(mid, um) > 0.0:
             lo = mid
         else:
@@ -156,7 +161,7 @@ def _bisect(field, value, ta, ua, lo, hi, u_hi):
     return hi, u_hi
 
 
-def _first_event(params, field, guards, ta, ua, tb, ub, flight):
+def _first_event(params, field, guards, ta, ua, tb, ub):
     # a flight guard changes at most lip per unit time, so one that stays
     # lip*(tb - ta) away from zero at both ends of the step keeps its sign
     clk = params.clock
@@ -166,7 +171,7 @@ def _first_event(params, field, guards, ta, ua, tb, ub, flight):
     hits, sub = [], []   # sub: the step's substeps, made when first needed
     for kind, leg, value, armed in guards:
         pts = [(ta, ua), (tb, ub)]
-        if flight and min(abs(value(*p)) for p in pts) <= lip * (tb - ta):
+        if min(abs(value(*p)) for p in pts) <= lip * (tb - ta):
             if not sub:
                 times = [ta + (tb - ta) * i / FLIGHT_SUBSTEPS
                          for i in range(1, FLIGHT_SUBSTEPS)]
@@ -177,20 +182,83 @@ def _first_event(params, field, guards, ta, ua, tb, ub, flight):
         for i in range(len(pts) - 1):
             if not vals[i] > 0.0 >= vals[i + 1]:
                 continue
-            hi, u_hi = _bisect(field, value, ta, ua, pts[i][0],
-                               pts[i + 1][0], pts[i + 1][1])
+            hi, u_hi = _bisect(lambda s: _rk4(field, ta, ua, s - ta), value,
+                               pts[i][0], pts[i + 1][0], pts[i + 1][1])
             if armed is None or armed(hi, u_hi):
-                hits.append((hi, 0 if kind == "crash" else 1, kind, leg,
-                             u_hi))
+                hits.append((hi, kind, leg, u_hi))
                 break
+    return _earliest(hits)
+
+
+def _earliest(hits):
+    """The earliest hit; a crash within BISECT_TOL of it wins the tie."""
     if not hits:
         return None
-    hits.sort(key=lambda h: (h[0], h[1]))
-    best_t = hits[0][0]
+    hits.sort(key=lambda h: (h[0], h[1] != "crash"))
     for h in hits:
-        if h[0] - best_t <= ctslip.BISECT_TOL and h[2] == "crash":
+        if h[0] - hits[0][0] <= ctslip.BISECT_TOL and h[1] == "crash":
             return h
     return hits[0]
+
+
+def _hermite(ta, ua, fa, tb, ub, fb, t):
+    """The cubic Hermite interpolant through (ua, fa) at ta and (ub, fb)
+    at tb, at t."""
+    h = tb - ta
+    s = (t - ta) / h
+    h00 = 2.0 * s ** 3 - 3.0 * s ** 2 + 1.0
+    h10 = s ** 3 - 2.0 * s ** 2 + s
+    h01 = -2.0 * s ** 3 + 3.0 * s ** 2
+    h11 = s ** 3 - s ** 2
+    return [h00 * ua[i] + h10 * h * fa[i] + h01 * ub[i] + h11 * h * fb[i]
+            for i in range(4)]
+
+
+def _kinks(clock, chi0, leg, T):
+    """The times, from a clock cycle before 0 to one after T, at which the
+    leg's command kinks: its cycle (chi0 + 2 pi f t + leg pi) / 2 pi is an
+    integer (the top of the sweep) or an integer plus the duty factor (the
+    bottom)."""
+    c0 = (chi0 + (math.pi if leg else 0.0)) / TWO_PI
+    f = clock.frequency
+    return sorted((n + d - c0) / f
+                  for n in range(math.floor(c0) - 1, math.ceil(c0 + f * T) + 2)
+                  for d in (0.0, clock.duty_factor))
+
+
+def _stance_substep(params, chi0, leg, kinks, ta, ua, t_end):
+    """One stance substep from (ta, ua) towards t_end: (tb, ub, dense),
+    with tb the first kink more than KINK_NUDGE inside (ta, t_end) or
+    t_end. The field reads the clock clamped KINK_NUDGE inside [ta, tb];
+    the interpolant's end slope reads it at tb - KINK_NUDGE if tb is within
+    KINK_NUDGE of a kink, and at tb + KINK_NUDGE (the next substep's first
+    stage) if not."""
+    nudge = ctslip.KINK_NUDGE
+    inside = [tk for tk in kinks if ta + nudge < tk < t_end - nudge]
+    tb = inside[0] if inside else t_end
+    field = _stance_field(params, chi0, leg, ta + nudge, tb - nudge)
+    ub = _rk4(field, ta, ua, tb - ta)
+    fa = field(ta, ua)
+    if any(abs(tk - tb) <= nudge for tk in kinks):
+        fb = field(tb, ub)
+    else:
+        fb = _stance_field(params, chi0, leg)(tb + nudge, ub)
+    return tb, ub, lambda t: _hermite(ta, ua, fa, tb, ub, fb, t)
+
+
+def _stance_event(guards, dense, pts):
+    """The first stance guard to fall from > 0 to <= 0 between consecutive
+    test points, bisected on the interpolant, or None."""
+    hits = []
+    for kind, leg, value, _ in guards:
+        vals = [value(t, u) for t, u in pts]
+        for i in range(len(pts) - 1):
+            if vals[i] > 0.0 >= vals[i + 1]:
+                hi, u_hi = _bisect(dense, value, pts[i][0], pts[i + 1][0],
+                                   pts[i + 1][1])
+                hits.append((hi, kind, leg, u_hi))
+                break
+    return _earliest(hits)
 
 
 def _sample(params, mode, u, foot):
@@ -223,63 +291,85 @@ def oracle_simulate(params, ic, T, dt=SIM_DT):
     else:
         raise ValueError("initial condition must be flight or stance")
 
-    times = [0.0]
-    samples = [_sample(params, mode, u, foot)]
-    events = []
-    crashed = False
+    times, samples, events = [], [], []
+    crashed, strides = False, 0
     legs = {Mode.STANCE_LEFT: 0, Mode.STANCE_RIGHT: 1}
+    kinks = [_kinks(params.clock, chi0, leg, T) for leg in (0, 1)]
+    t, j = 0.0, 0      # the current time and the next grid point to sample
+    in_step = held = 0  # events since the last sample, samples in stance
 
-    for k in range(nsteps):
-        ta, tb = k * dt, (k + 1) * dt
-        in_step = 0
-        while True:
-            leg = legs.get(mode, 0)
-            fld = (_flight_field(params) if mode is Mode.FLIGHT
-                   else _stance_field(params, chi0, leg))
-            try:
-                u_end = _rk4(fld, ta, u, tb - ta)
-                hit = _first_event(params, fld, _guards(params, mode, chi0),
-                                   ta, u, tb, u_end, mode is Mode.FLIGHT)
-            except CrashSignal:
-                hit = (ta, 0, "crash", None, u)
+    def emit(tj, uj):
+        nonlocal j, in_step, held
+        times.append(tj)
+        samples.append(_sample(params, mode, uj, foot))
+        j, in_step, held = j + 1, 0, held + 1
+
+    while j <= nsteps:
+        if mode is Mode.FLIGHT:
+            tb = j * dt
+            fld = _flight_field(params)
+            u_end = _rk4(fld, t, u, tb - t)
+            hit = _first_event(params, fld, _guards(params, mode, chi0),
+                               t, u, tb, u_end)
             if hit is None:
-                u = u_end
-                break
-            t_ev, _, kind, ev_leg, u_ev = hit
-            events.append(Event(kind=kind, time=t_ev, leg=ev_leg))
-            in_step += 1
-            if in_step > ctslip.MAX_EVENTS_PER_STEP:
-                raise RuntimeError(
-                    "event location failed: more than "
-                    f"{ctslip.MAX_EVENTS_PER_STEP} events inside "
-                    f"[{k * dt}, {(k + 1) * dt}]")
-            if kind == "crash":
-                mode, u = Mode.CRASHED, u_ev
-                break
-            if kind == "touchdown":
-                u, foot = _touchdown_map(params, t_ev, u_ev, chi0, ev_leg)
-                mode = Mode.STANCE_LEFT if ev_leg == 0 else Mode.STANCE_RIGHT
-            else:  # liftoff
-                u = _liftoff_map(u_ev, foot)
-                mode, foot = Mode.FLIGHT, None
-            ta = t_ev
-        if mode is Mode.CRASHED:
+                emit(tb, u_end)
+                t, u = tb, u_end
+                continue
+        else:
+            leg = legs[mode]
+            if t == j * dt:
+                emit(t, u)
+            t_end = min(j + 1, nsteps) * dt
+            try:
+                tb, ub, dense = _stance_substep(params, chi0, leg, kinks[leg],
+                                                t, u, t_end)
+            except CrashSignal:
+                hit = (t, "crash", None, u)
+            else:
+                grid = [g * dt for g in range(j, min(j + 2, nsteps + 1))
+                        if g * dt < tb]
+                pts = [(t, u)] + [(g, dense(g)) for g in grid] + [(tb, ub)]
+                hit = _stance_event(_guards(params, mode, chi0), dense, pts)
+                for g, ug in pts[1:]:
+                    if g == j * dt and (hit is None or g < hit[0]):
+                        emit(g, ug)
+                if hit is None:
+                    t, u = tb, ub
+                    continue
+        t, kind, ev_leg, u_ev = hit
+        events.append(Event(kind=kind, time=t, leg=ev_leg))
+        in_step += 1
+        if in_step > ctslip.MAX_EVENTS_PER_STEP:
+            raise RuntimeError(
+                "event location failed: more than "
+                f"{ctslip.MAX_EVENTS_PER_STEP} events inside "
+                f"[{(j - 1) * dt}, {j * dt}]")
+        if kind == "crash":
             crashed = True
             break
-        times.append(tb)
-        samples.append(_sample(params, mode, u, foot))
+        if kind == "touchdown":
+            u, foot = _touchdown_map(params, t, u_ev, chi0, ev_leg)
+            mode = Mode.STANCE_LEFT if ev_leg == 0 else Mode.STANCE_RIGHT
+            held = 0
+        else:  # liftoff
+            strides += held > 0
+            u = _liftoff_map(u_ev, foot)
+            mode, foot = Mode.FLIGHT, None
 
     arr = np.asarray(samples)
     return SimResult(t=np.asarray(times), com=arr[:, :4], zeta=arr[:, 4],
                      psi=arr[:, 5], mode=arr[:, 6].astype(int), events=events,
-                     crashed=crashed)
+                     crashed=crashed, strides=strides)
 
 
 # Bounds against the reference, measured on the grid below and on 800 random
 # apex starts like those of test_random_apex_starts_match_oracle: event times
-# differ by at most 2.2e-8 (simplex-K), samples by 2.8e-6 relative to
-# max(1, |value|) (stance velocities reach 1.2e5 just before a collapse),
-# and the ensemble's recovery cost by 6.9e-9 relative.
+# differ by at most 6.2e-11 on the grid (simplex-K) and 4.1e-10 on the random
+# starts, samples by 6.3e-9 and 4.5e-8 relative to max(1, |value|) (stance
+# velocities reach 1e5 just before a collapse), and the ensemble's recovery
+# cost by 5.0e-11 relative. Both locate events only to BISECT_TOL, and a run
+# that later collapses or launches amplifies that difference: with
+# BISECT_TOL at 1e-10 about one random start in 2,000 exceeded SAMPLE_TOL.
 TIME_TOL = 1e-7
 SAMPLE_TOL = 1e-5
 COST_RTOL = 1e-7
@@ -287,6 +377,7 @@ COST_RTOL = 1e-7
 
 def assert_close_run(got, want):
     assert got.crashed == want.crashed
+    assert got.strides == want.strides
     assert ([(e.kind, e.leg) for e in got.events]
             == [(e.kind, e.leg) for e in want.events])
     assert np.allclose([e.time for e in got.events],
@@ -427,6 +518,8 @@ def test_grid_covers_every_outcome():
     assert [(e.kind, e.leg) for e in two.events[:3]] == [
         ("liftoff", None), ("touchdown", 1), ("liftoff", None)]
     assert two.events[2].time < dt
+    # leg 1's stance holds no grid sample, so its liftoff is not a stride
+    assert two.strides == sum(e.kind == "liftoff" for e in two.events) - 1
     lift = runs["stance-liftoff"]
     assert lift.events[0].kind == "liftoff" and lift.events[0].time > 3 * dt
     assert lift.mode[3] == stance
