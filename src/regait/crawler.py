@@ -165,7 +165,7 @@ def _template(kin) -> tuple:
     prod = np.conj(w)[..., None] * (0.5j * np.concatenate([s1, s2], axis=-1))
     jac = np.empty(prod.shape[:-1] + (2, N_JOINTS))
     jac[..., 0, :] = prod.real / r[..., None]
-    jac[..., 1, :] = prod.imag / (r**2)[..., None]
+    jac[..., 1, :] = prod.imag / (r * r)[..., None]
     return w, r, jac
 
 
@@ -376,15 +376,11 @@ def reference_gait(params: CrawlerParams, period: float = 1.0,
         field, (lambda s: _foot_residual_one(params, s),
                 lambda s: foot_matrix(params, s)), 0.0, x0, period, 0.5 * dt,
         PROJECTION_TOL)
-    n = len(traj)
-    r, alpha, rates = np.empty(n), np.empty(n), np.empty((n, 2))
-    for k in range(n):
-        w, r[k], jac = _template(_kinematics(params, traj.x[k]))
-        alpha[k] = np.angle(w)
-        rates[k] = jac @ v[k, G_DIM:]
+    w, r, jac = _template(_kinematics(params, traj.x))
+    rates = (jac @ v[:, G_DIM:, None])[..., 0]
     return ReferenceGait(params=params, period=period, dt=dt, t=traj.t,
-                         x=traj.x, v=v, r=r, alpha=alpha, rdot=rates[:, 0],
-                         alphadot=rates[:, 1])
+                         x=traj.x, v=v, r=r, alpha=np.angle(w),
+                         rdot=rates[:, 0], alphadot=rates[:, 1])
 
 
 def _check_params(params: CrawlerParams, reference: ReferenceGait) -> None:

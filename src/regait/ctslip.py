@@ -69,8 +69,8 @@ class BuehlerClock:
 
     def signal(self, chi0: float, leg: int) -> Callable:
         """One leg's command at a fixed clock phase, as a function of time:
-        t -> (commanded angle, its time derivative, descending flag), with
-        the clock constants evaluated once."""
+        t -> (commanded angle, its time derivative), with the clock
+        constants evaluated once."""
         duty, sweep, f = self.duty_factor, self.sweep_angle, self.frequency
         omega, offset = TWO_PI * f, (math.pi if leg else 0.0)
         down_rate = -2.0 * sweep / duty * f
@@ -79,9 +79,9 @@ class BuehlerClock:
         def at(t):
             s = ((chi0 + omega * t + offset) / TWO_PI) % 1.0
             if s < duty:
-                return sweep * (1.0 - 2.0 * s / duty), down_rate, True
+                return sweep * (1.0 - 2.0 * s / duty), down_rate
             q = (s - duty) / (1.0 - duty)
-            return -sweep + 2.0 * sweep * q, up_rate, False
+            return -sweep + 2.0 * sweep * q, up_rate
 
         return at
 
@@ -120,7 +120,6 @@ class Mode(Enum):
     FLIGHT = 0
     STANCE_LEFT = 1
     STANCE_RIGHT = 2
-    CRASHED = 3
 
 
 @dataclass(frozen=True)
@@ -215,7 +214,7 @@ def _leg_state(com: Sequence[float], foot: tuple) -> tuple:
 
 def _touchdown_map(params: CTSlipParams, t: float, u: Sequence[float],
                    chi0: float, leg: int) -> tuple[tuple, tuple]:
-    psi_c, _, _ = params.clock.signal(chi0, leg)(t)
+    psi_c, _ = params.clock.signal(chi0, leg)(t)
     foot = (u[0] + params.L * math.sin(psi_c), 0.0)
     return _leg_state(u, foot), foot
 
@@ -246,7 +245,8 @@ def _first_fall(guard: Callable, a: float, b: float, fa: float, fb: float,
     Between its end values such a function stays within bound*(b - a)**2/8
     of the chord, so an interval whose end values clear zero by that much
     on one side keeps one sign; any other is halved, left half first, down
-    to BISECT_TOL.
+    to BISECT_TOL. With bound 0 and fa > 0 >= fb this is plain bisection of
+    that sign change.
     """
     slack = 0.125 * bound * (b - a) * (b - a)
     if min(fa, fb) - slack > 0.0 or max(fa, fb) + slack <= 0.0:
@@ -267,9 +267,9 @@ def _flight_advance(params: CTSlipParams, chi0: float, dt: float,
 
     The floor crash is a root of the height's quadratic. Each clock cycle
     arms a leg on one interval of its descending piece, where psi_c is
-    linear in t and |guard''| <= |gravity| + L*psi_c_dot**2. Each interval
-    is sampled at spacing <= dt, and ``_first_fall`` searches only the
-    pieces in which that bound allows a sign change.
+    linear in t and |guard''| <= |gravity| + L*psi_c_dot**2; under that
+    bound ``_first_fall`` searches each interval, so a touchdown that
+    grazes the ground between two grid points still fires.
     """
     clock, L, g = params.clock, params.L, params.gravity
     sweep, duty, f = clock.sweep_angle, clock.duty_factor, clock.frequency
@@ -284,26 +284,14 @@ def _flight_advance(params: CTSlipParams, chi0: float, dt: float,
 
     def touchdown(t0, y0, yd0, t_lo, t_hi):
         """(time, leg) of the first touchdown in [t_lo, t_hi] or (inf, _)"""
-        def first(a, b, top):
-            # top: the time at which the piece starts, at psi_c = sweep
-            def guard(t, cos=math.cos):
+        def first(a, b, top):   # top: the piece's start, at psi_c = sweep
+            def guard(t):
                 s = t - t0
                 return (y0 + s * (yd0 - 0.5 * g * s)
-                        - L * cos(sweep + down * (t - top)))
+                        - L * math.cos(sweep + down * (t - top)))
 
-            n = math.ceil((b - a) / dt)
-            ts = np.linspace(a, b, n + 1)
-            gs = guard(ts, np.cos)
-            lo, hi = np.minimum(gs[:-1], gs[1:]), np.maximum(gs[:-1], gs[1:])
-            slack = 0.125 * bound * ((b - a) / n) ** 2
-            ts, gs = ts.tolist(), gs.tolist()
-            for i in np.flatnonzero((lo - slack <= 0.0)
-                                    & (hi + slack > 0.0)).tolist():
-                hit = _first_fall(guard, ts[i], ts[i + 1], gs[i], gs[i + 1],
-                                  bound)
-                if hit is not None:
-                    return hit
-            return math.inf
+            hit = _first_fall(guard, a, b, guard(a), guard(b), bound)
+            return math.inf if hit is None else hit
 
         best = (math.inf, None)
         for leg, c in enumerate(cycle0):   # each leg's windows in order
@@ -376,9 +364,9 @@ def _stance_advance(params: CTSlipParams, chi0: float, dt: float,
     slope is the next substep's first stage (a second stance-law call is
     made only at a kink). The guards zeta*cos(psi), zeta - 1e-3*L (crashes)
     and L - zeta (liftoff) are tested at every grid point and substep end;
-    one that falls from > 0 to <= 0 is bisected to BISECT_TOL on the
-    interpolant. A stance-law call that raises ``CrashSignal`` crashes at
-    its substep's start.
+    one that falls from > 0 to <= 0 is located by ``_first_fall`` with
+    bound 0 on the interpolant. A stance-law call that raises
+    ``CrashSignal`` crashes at its substep's start.
     """
     clk, L, floor = params.clock, params.L, 1e-3 * params.L
     accel = _stance_law(params)
@@ -396,7 +384,7 @@ def _stance_advance(params: CTSlipParams, chi0: float, dt: float,
         return (n + (duty if q - n < duty else 1.0) - cycle0) / f
 
     def slope(t, u):
-        c, r, _ = clock(t)
+        c, r = clock(t)
         return accel(u[0], u[1], u[2], u[3], c, r)
 
     def step(t, u, b, s):
@@ -406,12 +394,12 @@ def _stance_advance(params: CTSlipParams, chi0: float, dt: float,
         hh = 0.5 * h
         a1, b1 = s
         zd2, pd2 = zd + hh * a1, pd + hh * b1
-        c, r, _ = clock(t + hh)
+        c, r = clock(t + hh)
         a2, b2 = accel(z + hh * zd, p + hh * pd, zd2, pd2, c, r)
         zd3, pd3 = zd + hh * a2, pd + hh * b2
         a3, b3 = accel(z + hh * zd2, p + hh * pd2, zd3, pd3, c, r)
         zd4, pd4 = zd + h * a3, pd + h * b3
-        c, r, _ = clock(b - KINK_NUDGE)
+        c, r = clock(b - KINK_NUDGE)
         a4, b4 = accel(z + h * zd3, p + h * pd3, zd4, pd4, c, r)
         s = h / 6.0
         return (z + s * (zd + 2.0 * zd2 + 2.0 * zd3 + zd4),
@@ -419,22 +407,19 @@ def _stance_advance(params: CTSlipParams, chi0: float, dt: float,
                 zd + s * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
                 pd + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
-    def locate(dense, lo, hi, w, va, vb):
-        # the first time at which a guard that crossed is <= 0; a crash
-        # there wins a tie with the liftoff
+    def event(dense, lo, hi, w, va, vb):
+        # first fall of a crossed guard (w: the state at hi); crash wins ties
         crossed = [i for i in (0, 1, 2) if va[i] > 0.0 >= vb[i]]
-        while hi - lo > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:   # as close as floats get
-                break
-            wm = dense(mid)
-            vm = (wm[0] * cos(wm[1]), wm[0] - floor, L - wm[0])
-            if all(vm[i] > 0.0 for i in crossed):
-                lo = mid
-            else:
-                hi, w, vb = mid, wm, vm
-        lift = all(i == 2 or vb[i] > 0.0 for i in crossed)
-        return hi, "liftoff" if lift else "crash", None, w
+
+        def least(w, of=crossed):   # the least of the guards ``of`` at w
+            v = (w[0] * cos(w[1]), w[0] - floor, L - w[0])
+            return min((v[i] for i in of), default=1.0)
+
+        te = _first_fall(lambda m: least(dense(m)), lo, hi,
+                         min(va[i] for i in crossed), least(w), 0.0)
+        w = w if te == hi else dense(te)   # dense(hi) may differ from ub
+        crash = least(w, [i for i in crossed if i != 2]) <= 0.0
+        return te, "crash" if crash else "liftoff", None, w
 
     def table(rows, x0):
         out = np.empty((len(rows), 7))
@@ -477,7 +462,7 @@ def _stance_advance(params: CTSlipParams, chi0: float, dt: float,
                     vb0, vb1, vb2 = z * cos(w[1]), z - floor, L - z
                     if (va0 > 0.0 >= vb0 or va1 > 0.0 >= vb1
                             or va2 > 0.0 >= vb2):
-                        return table(rows, foot[0]), locate(
+                        return table(rows, foot[0]), event(
                             lambda m: _hermite(u, s, ub, s_end, h,
                                                (m - t) / h),
                             tp, min(g, b), w, (va0, va1, va2),
@@ -529,6 +514,9 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
     elif ic.mode in (Mode.STANCE_LEFT, Mode.STANCE_RIGHT):
         if ic.foot is None:
             raise ValueError("stance initial condition requires a foot anchor")
+        if ic.foot[1] != 0.0:   # every touchdown puts the foot on the ground
+            raise ValueError("stance initial condition: foot height "
+                             f"{ic.foot[1]} is not 0")
         foot = (float(ic.foot[0]), float(ic.foot[1]))
         u = _leg_state(ic.com, foot)
         leg = (Mode.STANCE_LEFT, Mode.STANCE_RIGHT).index(ic.mode)

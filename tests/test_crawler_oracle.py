@@ -85,7 +85,7 @@ def _shape_jacobian(params, state):
     if r < 1e-12:
         raise ValueError("template undefined: limb midpoint at the body origin")
     prod = np.conj(w) * dw
-    return np.vstack([prod.real / r, prod.imag / r**2])
+    return np.vstack([prod.real / r, prod.imag / (r * r)])
 
 
 def _template_jacobian(params, state):

@@ -19,25 +19,22 @@ from regait.ctslip import (APEX_MARGIN, APEX_SPEED, FREE_PARAM_BOUNDS,
 class TestClock:
     def test_descending_segment(self):
         clk = BuehlerClock()
-        psi, rate, desc = clk.signal(0.0, 0)(0.0)
+        psi, rate = clk.signal(0.0, 0)(0.0)
         assert psi == pytest.approx(clk.sweep_angle)
         assert rate == pytest.approx(-2.0 * clk.sweep_angle
                                      / clk.duty_factor * clk.frequency)
-        assert desc
         # quarter cycle in: halfway down the sweep
         t_quarter = 0.25 / clk.frequency
-        psi, _, desc = clk.signal(0.0, 0)(t_quarter)
+        psi, _ = clk.signal(0.0, 0)(t_quarter)
         assert psi == pytest.approx(0.0, abs=1e-12)
-        assert desc
 
     def test_ascending_segment(self):
         clk = BuehlerClock()
-        psi, rate, desc = clk.signal(math.pi, 0)(0.0)
+        psi, rate = clk.signal(math.pi, 0)(0.0)
         assert psi == pytest.approx(-clk.sweep_angle)
         assert rate == pytest.approx(2.0 * clk.sweep_angle
                                      / (1.0 - clk.duty_factor)
                                      * clk.frequency)
-        assert not desc
 
     def test_continuous_at_segment_boundaries(self):
         clk = BuehlerClock(duty_factor=0.37)
@@ -45,18 +42,17 @@ class TestClock:
         for s_star in (clk.duty_factor, 1.0):
             t0 = (s_star - eps) / clk.frequency
             t1 = (s_star + eps) / clk.frequency
-            a, _, _ = clk.signal(0.0, 0)(t0)
-            b, _, _ = clk.signal(0.0, 0)(t1)
+            a, _ = clk.signal(0.0, 0)(t0)
+            b, _ = clk.signal(0.0, 0)(t1)
             assert b == pytest.approx(a, abs=1e-7)
 
     def test_leg_offset_is_half_cycle(self):
         clk = BuehlerClock()
         for t in (0.0, 0.17, 0.9, 2.3):
-            psi1, rate1, desc1 = clk.signal(0.4, 1)(t)
-            psi0, rate0, desc0 = clk.signal(0.4 + math.pi, 0)(t)
+            psi1, rate1 = clk.signal(0.4, 1)(t)
+            psi0, rate0 = clk.signal(0.4 + math.pi, 0)(t)
             assert psi1 == pytest.approx(psi0, abs=1e-12)
             assert rate1 == rate0
-            assert desc1 == desc0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="duty"):
@@ -139,7 +135,7 @@ class TestContactMaps:
 
     def test_touchdown_places_foot_by_clock_angle(self):
         params = CTSlipParams()
-        psi_c, _, _ = params.clock.signal(0.0, 0)(0.0)
+        psi_c, _ = params.clock.signal(0.0, 0)(0.0)
         u, foot = _touchdown_map(params, 0.0, [1.0, 60.0, 3.0, -2.0],
                                  chi0=0.0, leg=0)
         assert foot[0] == pytest.approx(1.0 + params.L * math.sin(psi_c))
@@ -255,6 +251,18 @@ class TestFlight:
         with pytest.raises(ValueError, match="anchor"):
             simulate_hybrid(params, ic, T=0.1)
 
+    def test_stance_start_foot_on_ground(self):
+        # every touchdown puts the foot at y = 0; a raised foot would shift
+        # every reported height by its own
+        params = CTSlipParams()
+        psi0, zeta0 = 0.25, 0.99 * params.L
+        ic = HybridState(mode=Mode.STANCE_LEFT,
+                         com=(-zeta0 * math.sin(psi0),
+                              5.0 + zeta0 * math.cos(psi0), 6.0, -8.0),
+                         foot=(0.0, 5.0))
+        with pytest.raises(ValueError, match="foot height 5.0"):
+            simulate_hybrid(params, ic, T=0.1)
+
     def test_stance_start_leg_within_rest_length(self):
         params = CTSlipParams()
         ic = HybridState(mode=Mode.STANCE_LEFT,
@@ -262,6 +270,46 @@ class TestFlight:
                          foot=(0.0, 0.0))
         with pytest.raises(ValueError, match="longer"):
             simulate_hybrid(params, ic, T=0.1)
+
+
+class TestFirstFall:
+    """``_first_fall`` on guards whose crossings are known in closed
+    form."""
+
+    def test_bisects_a_falling_line_with_bound_zero(self):
+        hit = ctslip._first_fall(lambda t: 0.3 - t, 0.0, 1.0, 0.3, -0.7, 0.0)
+        assert abs(hit - 0.3) <= ctslip.BISECT_TOL
+
+    @pytest.mark.parametrize("guard, a, b, bound", [
+        (lambda t: 1.0 + t * t, -1.0, 1.0, 2.0),   # never reaches zero
+        (lambda t: t - 0.5, 0.0, 1.0, 0.0),         # rises through zero
+        (lambda t: t - 0.5, 0.0, 1.0, 1.0),
+    ])
+    def test_none_if_the_guard_never_falls(self, guard, a, b, bound):
+        assert ctslip._first_fall(guard, a, b, guard(a), guard(b),
+                                  bound) is None
+
+    @pytest.mark.parametrize("depth", [0.5, 1e-5])
+    def test_first_of_two_dips_between_positive_ends(self, depth):
+        # cos(omega*(t - c)) + 1 - depth dips below zero around t = c + 0.5
+        # and c + 1.5; |guard''| <= omega**2
+        omega, c = 2.0 * math.pi, 1e-3
+
+        def guard(t):
+            return math.cos(omega * (t - c)) + 1.0 - depth
+
+        a, b = 0.0, 2.0
+        assert guard(a) > 0.0 and guard(b) > 0.0
+        hit = ctslip._first_fall(guard, a, b, guard(a), guard(b),
+                                 omega * omega)
+        first = c + (math.pi - math.acos(1.0 - depth)) / omega
+        assert abs(hit - first) <= 2.0 * ctslip.BISECT_TOL
+        if depth < 1e-3:
+            # the dip is narrower than a grid step and falls between grid
+            # points, so no grid sample sees it
+            assert 2.0 * (c + 0.5 - first) < ctslip.SIM_DT
+            grid = np.arange(0.0, b + 0.5 * ctslip.SIM_DT, ctslip.SIM_DT)
+            assert min(guard(t) for t in grid) > 0.0
 
 
 def _bisect(f, lo, hi):
@@ -294,15 +342,19 @@ def dense_first_event(params, ic, T, h=2e-5):
     duty, sweep = clock.duty_factor, clock.sweep_angle
     for leg in (0, 1):
         signal = clock.signal(ic.clock_phase, leg)
-        s = ((ic.clock_phase + 2.0 * math.pi * clock.frequency * ts
-              + leg * math.pi) / (2.0 * math.pi)) % 1.0
+
+        def fraction(t, leg=leg):   # the leg's clock cycle fraction at t
+            return ((ic.clock_phase + 2.0 * math.pi * clock.frequency * t
+                     + leg * math.pi) / (2.0 * math.pi)) % 1.0
+
+        s = fraction(ts)
         psi = np.where(s < duty, sweep * (1.0 - 2.0 * s / duty),
                        sweep * (2.0 * (s - duty) / (1.0 - duty) - 1.0))
         for i in falls(height(ts) - L * np.cos(psi)):
             t = _bisect(lambda t: height(t) - L * math.cos(signal(t)[0]),
                         ts[i], ts[i + 1])
-            psi_c, _, descending = signal(t)
-            if (descending and psi_c <= clock.touchdown_angle + 1e-12
+            if (fraction(t) < duty   # the clock descends
+                    and signal(t)[0] <= clock.touchdown_angle + 1e-12
                     and yd0 - g * t < 0.0):
                 found.append((t, "touchdown", leg))
                 break
