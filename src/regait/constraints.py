@@ -110,16 +110,10 @@ class SolveResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def evaluate(stack: ConstraintStack, t, x) -> tuple[np.ndarray, np.ndarray]:
-    """All rows concatenated in priority order: omega (..., m, n) and
-    gamma (..., m), at one state or a block of states."""
-    omega, gamma, _ = evaluate_with_classes(stack, t, x)
-    return omega, gamma
-
-
 def evaluate_with_classes(stack: ConstraintStack, t, x,
                           only: Sequence[Priority] | None = None):
-    """As evaluate(), plus each row's class; skips blocks outside ``only``.
+    """All rows in priority order, omega (..., m, n) and gamma (..., m), and
+    each row's class; skips blocks outside ``only``.
 
     ``t`` is a scalar with ``x`` of shape (n,), or ``t`` (N,) with ``x``
     (N, n). Each block's output shape and finiteness is checked once.

@@ -586,7 +586,6 @@ ENERGY_ORDER = 8    # Fourier order of the energy-vs-phase model
 class NominalReference:
     """Frozen nominal-gait data the recovery cost compares against."""
 
-    params: CTSlipParams
     phase: PhaseEstimator
     e_model: FourierSeries    # normalized elastic energy vs phase
     self_cost: float          # nominal parameters scored against themselves
@@ -689,8 +688,8 @@ def build_reference(params: CTSlipParams, ensemble: Sequence[HybridState],
     e_hat = (E / float(E_T.mean()))[skip:]
     wrapped = estimate_phases(est, feats)
     e_model = fit_fourier(wrapped, e_hat, ENERGY_ORDER)
-    proto = NominalReference(params=params, phase=est, e_model=e_model,
-                             self_cost=0.0, crash_penalty=1.0, T=T, dt=dt)
+    proto = NominalReference(phase=est, e_model=e_model, self_cost=0.0,
+                             crash_penalty=1.0, T=T, dt=dt)
     # member 0's training run is scored as it is, not simulated again
     costs = [_member_cost(params, proto, res)]
     costs += [_member_cost(params, proto, simulate_hybrid(params, ic, T, dt))

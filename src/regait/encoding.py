@@ -93,15 +93,8 @@ def learn_constraints(dphi: Callable, forms, traj: Trajectory,
 
 def learned_gamma(lc: LearnedConstraints, phase) -> np.ndarray:
     """Value vector gamma_L (k,) at a phase in [0, 2*pi), (..., k) at an
-    array of phases.
-
-    Each phase is evaluated as its own length-1 row, so numpy takes one dot
-    product per phase and a block of phases gives the single-phase values
-    bit for bit; one matrix-vector product over the block would round
-    differently.
-    """
-    phase = np.asarray(phase, dtype=float)[..., None]
-    return np.concatenate([m(phase) for m in lc.eta_models], axis=-1)
+    array of phases."""
+    return np.stack([m(phase) for m in lc.eta_models], axis=-1)
 
 
 def learned_block(dphi: Callable, lc: LearnedConstraints,
@@ -113,10 +106,8 @@ def learned_block(dphi: Callable, lc: LearnedConstraints,
     def rows(t, x):
         x = np.asarray(x, dtype=float)
         feats = x if phase_features is None else phase_features(x)
-        # one row per state, as in learned_gamma: a block of states gives
-        # the single-state phases bit for bit
-        phase = estimate_phases(lc.phase_model, feats[..., None, :])
-        return pullback(dphi, lc.forms, x), learned_gamma(lc, phase[..., 0])
+        phase = estimate_phases(lc.phase_model, feats)
+        return pullback(dphi, lc.forms, x), learned_gamma(lc, phase)
 
     return ConstraintBlock(priority=Priority.LEARNED, rows=rows, label=label)
 

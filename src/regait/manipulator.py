@@ -69,8 +69,6 @@ def constrained_accel(model: ManipulatorModel, q, qd, u,
     A, dA = model.constraint_at(q)
     Adot = dA @ qd
     m, n = A.shape
-    if m == 0:
-        return np.linalg.solve(M, B @ u - C), np.zeros(0)
     saddle = np.block([[M, -A.T], [A, np.zeros((m, m))]])
     rhs = np.concatenate([B @ u - C, -Adot @ qd])
     try:
@@ -80,16 +78,15 @@ def constrained_accel(model: ManipulatorModel, q, qd, u,
     return sol[:n], sol[n:]
 
 
-def record_force_signal(model: ManipulatorModel, x, u) -> np.ndarray:
-    """(N, n) total force eta = B u + A^T lam, one row per state row
-    (q, qd) of ``x`` under its input row of ``u``."""
+def force_signal(model: ManipulatorModel, x, v) -> np.ndarray:
+    """(N, n) total force eta = M(q) qdd + C(q, qd), one row per state row
+    (q, qd) of ``x`` with its velocity row (qd, qdd) of ``v``; by the
+    equation of motion this is the applied force B u + A^T lam."""
     n = model.dof
     eta = np.empty((len(x), n))
-    for k, (state, u_k) in enumerate(zip(x, u, strict=True)):
+    for k, (state, vel) in enumerate(zip(x, v, strict=True)):
         q, qd = state[:n], state[n:]
-        A, _ = model.constraint_at(q)
-        _, lam = constrained_accel(model, q, qd, u_k)
-        eta[k] = model.input_map @ u_k + A.T @ lam
+        eta[k] = model.inertia(q) @ vel[n:] + model.bias(q, qd)
     return eta
 
 
@@ -118,8 +115,7 @@ def redesign_input(model: ManipulatorModel, perturbed_A: Callable, eta_d,
     A, dA = _pfaffian(perturbed_A, q, model.dof)
     Adot = dA @ qd
     Minv = np.linalg.inv(M)
-    W = A @ Minv @ A.T
-    Winv = np.linalg.inv(W)
+    Winv = np.linalg.inv(A @ Minv @ A.T)
     lam0 = Winv @ (-Adot @ qd + A @ Minv @ C)
     S = -Winv @ A @ Minv @ B
     T = B + A.T @ S
@@ -130,26 +126,24 @@ def redesign_input(model: ManipulatorModel, perturbed_A: Callable, eta_d,
 
 
 def gauge_invariance_check(model: ManipulatorModel, Q: np.ndarray, x,
-                           eta, perturbed_A: Callable) -> bool:
-    """True when redesigning against Q.eta equals plain redesign everywhere.
-
-    Compares the redesigned input on the ``perturbed_A`` rows with and
-    without the gauge transformation Q at every state row (q, qd) of ``x``
-    against its recorded force row of ``eta``; the inputs may differ by at
-    most ``GAUGE_TOL``.
-    """
+                           eta, perturbed_A: Callable) -> tuple[bool, float]:
+    """Redesign on the ``perturbed_A`` rows, with and without the gauge Q,
+    at every state row (q, qd) of ``x`` against its force row of ``eta``.
+    Returns whether the two inputs agree to ``GAUGE_TOL`` at every row, and
+    the worst match residual of the plain redesign."""
     Q = np.asarray(Q, dtype=float)
     n = model.dof
     if Q.shape != (n, n) or np.linalg.matrix_rank(Q) < n:
         raise ValueError("gauge matrix must be an invertible (dof, dof) "
                          "matrix")
+    ok, worst = True, 0.0
     for state, eta_k in zip(x, eta, strict=True):
         q, qd = state[:n], state[n:]
         plain = redesign_input(model, perturbed_A, eta_k, q, qd)
         gauged = redesign_input(model, perturbed_A, eta_k, q, qd, gauge=Q)
-        if np.linalg.norm(plain.u - gauged.u) > GAUGE_TOL:
-            return False
-    return True
+        ok &= bool(np.linalg.norm(plain.u - gauged.u) <= GAUGE_TOL)
+        worst = max(worst, plain.residual)
+    return ok, worst
 
 
 def point_mass_toy() -> ManipulatorModel:
@@ -210,20 +204,18 @@ def _velocity_constraint(model: ManipulatorModel):
 
 
 def _integrate(model: ManipulatorModel, u_of_t: Callable, q0, qd0,
-               t1: float, dt: float) -> Trajectory:
-    """Integrate the constrained plant under u(t, state).
-
-    The Pfaffian constraint is enforced at acceleration level by the saddle
-    solve and corrected at velocity level by Newton projection each step.
-    """
+               t1: float, dt: float) -> tuple[Trajectory, np.ndarray]:
+    """Trajectory of the constrained plant under u(t, state), and the
+    field velocity (qd, qdd) at every sample. The Pfaffian constraint is
+    enforced at acceleration level by the saddle solve and corrected at
+    velocity level by Newton projection each step."""
     x0 = np.concatenate([np.asarray(q0, dtype=float),
                          np.asarray(qd0, dtype=float)])
     # the Pfaffian residual's tolerance; the crawler's tighter 1e-11 adds
     # Newton steps here and moves the redesigned samples
-    traj, _ = integrate_projected(_constrained_field(model, u_of_t),
-                                  _velocity_constraint(model), 0.0, x0, t1,
-                                  dt, 1e-10)
-    return traj
+    return integrate_projected(_constrained_field(model, u_of_t),
+                               _velocity_constraint(model), 0.0, x0, t1, dt,
+                               1e-10)
 
 
 @dataclass
@@ -248,8 +240,9 @@ def run_force_matching(model: ManipulatorModel, perturbed_A: Callable,
     exactly (no interpolation enters the comparison).
     """
     n = model.dof
-    fine = _integrate(model, lambda t, s: u_desired(t), q0, qd0, T, 0.5 * dt)
-    eta = record_force_signal(model, fine.x, [u_desired(t) for t in fine.t])
+    fine, v = _integrate(model, lambda t, s: u_desired(t), q0, qd0, T,
+                         0.5 * dt)
+    eta = force_signal(model, fine.x, v)
 
     def eta_at(t):
         idx = int(round(t / (0.5 * dt)))
@@ -261,17 +254,12 @@ def run_force_matching(model: ManipulatorModel, perturbed_A: Callable,
         return redesign_input(model, perturbed_A, eta_at(t), state[:n],
                               state[n:], gauge=gauge).u
 
-    redone = _integrate(model, u_star, q0, qd0, T, dt)
+    redone, _ = _integrate(model, u_star, q0, qd0, T, dt)
     desired_q = fine.x[::2, :n]
     err = float(np.max(np.linalg.norm(redone.x[:, :n] - desired_q, axis=1)))
 
-    worst = 0.0
-    for k in range(0, len(fine), 20):
-        q, qd = fine.x[k, :n], fine.x[k, n:]
-        worst = max(worst, redesign_input(model, perturbed_A, eta[k],
-                                          q, qd).residual)
-    gauge_ok = gauge_invariance_check(model, gauge, fine.x[::20], eta[::20],
-                                      perturbed_A)
+    gauge_ok, worst = gauge_invariance_check(model, gauge, fine.x[::20],
+                                             eta[::20], perturbed_A)
     return ForceMatchingOutcome(desired=fine, redesigned=redone,
                                 tracking_error=err,
                                 worst_match_residual=worst, gauge_ok=gauge_ok)

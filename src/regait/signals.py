@@ -2,7 +2,9 @@
 
 Fourier series in phase (the storage format for learned constraint values),
 principal component analysis and a PCA-plane phase estimator, which takes
-one sample or a block of samples.
+one sample or a block of samples. Both evaluate with ``np.einsum``, which
+reduces every row the same way (``@`` would not), so one sample gives the
+bits of its row in a block.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ def eval_fourier(fs: FourierSeries, phase):
     phase = np.asarray(phase, dtype=float)
     k = np.arange(1, fs.order + 1)
     arg = np.multiply.outer(phase, k)
-    out = fs.a0 + np.cos(arg) @ fs.a + np.sin(arg) @ fs.b
+    out = (fs.a0 + np.einsum("...k,k->...", np.cos(arg), fs.a)
+           + np.einsum("...k,k->...", np.sin(arg), fs.b))
     return float(out) if out.ndim == 0 else out
 
 
@@ -162,7 +165,8 @@ class PhaseEstimator:
 def estimate_phases(est: PhaseEstimator, X) -> np.ndarray:
     """Phase in [0, 2*pi) of one sample (d,), a 0-d value, or of each sample
     of a (..., d) block. Raises near the estimator center."""
-    c = (np.asarray(X, dtype=float) - est.center) @ est.pca_basis.T
+    c = np.einsum("...d,kd->...k", np.asarray(X, dtype=float) - est.center,
+                  est.pca_basis)
     if np.any(np.hypot(c[..., 0], c[..., 1]) <= est.min_radius):
         raise ValueError("phase undefined: projection at the estimator center")
     phase = est.direction_sign * np.arctan2(c[..., 1], c[..., 0]) - est.offset

@@ -5,8 +5,9 @@ from regait import constraints
 from regait.constraints import (ConstraintBlock, ConstraintStack, Priority,
                                 RankDeficiencyError, augment_random_rank,
                                 completion_check, constant_block,
-                                control_affine_to_spec, evaluate, rank_report,
-                                residual, select_active_rows, solve_velocity)
+                                control_affine_to_spec,
+                                evaluate_with_classes, rank_report, residual,
+                                select_active_rows, solve_velocity)
 
 
 def stack_of(*blocks, n=None):
@@ -18,7 +19,8 @@ def stack_of(*blocks, n=None):
 class TestEvaluate:
     def test_single_physical_row(self):
         stack = stack_of(constant_block(Priority.PHYSICAL, [[1.0, 0.0]]))
-        omega, gamma = evaluate(stack, 0.0, np.array([0.3, -0.7]))
+        omega, gamma, _ = evaluate_with_classes(stack, 0.0,
+                                                np.array([0.3, -0.7]))
         assert np.array_equal(omega, [[1.0, 0.0]])
         assert np.array_equal(gamma, [0.0])
 
@@ -28,7 +30,7 @@ class TestEvaluate:
                                 rows=lambda t, x: (np.zeros((0, 2)),
                                                    np.zeros(0)))
         with_empty = stack_of(base, empty, n=2)
-        omega, gamma = evaluate(with_empty, 0.0, np.zeros(2))
+        omega, gamma, _ = evaluate_with_classes(with_empty, 0.0, np.zeros(2))
         assert omega.shape == (2, 2)
         assert gamma.shape == (2,)
 
@@ -43,7 +45,7 @@ class TestEvaluate:
                              label="feet")
         stack = ConstraintStack(ambient_dim=2, blocks=[bad])
         with pytest.raises(ValueError, match="feet"):
-            evaluate(stack, 0.0, np.zeros(2))
+            evaluate_with_classes(stack, 0.0, np.zeros(2))
 
     @pytest.mark.parametrize("omega, t, x, expected", [
         (np.array([1.0, 0.0]), 0.0, np.zeros(2), r"\(2,\), expected \(k, 2\)"),
@@ -56,7 +58,7 @@ class TestEvaluate:
         stack = ConstraintStack(ambient_dim=2, blocks=[bad])
         with pytest.raises(ValueError, match="block 'one row' produced omega "
                                              "of shape " + expected):
-            evaluate(stack, t, x)
+            evaluate_with_classes(stack, t, x)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_value_names_block(self, value):

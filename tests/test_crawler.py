@@ -645,6 +645,13 @@ class TestBatchedBlocks:
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
             assert classes == one[2]
 
+    def test_learned_rows_of_a_block_are_the_single_state_bits(self, gait,
+                                                               learned):
+        omega, gamma = learned.rows(gait.t, gait.x)
+        ones = [learned.rows(t, x) for t, x in zip(gait.t, gait.x)]
+        assert np.array_equal(omega, np.stack([o for o, _ in ones]))
+        assert np.array_equal(gamma, np.stack([g for _, g in ones]))
+
     def test_scalar_record_matches_kinematics(self, cparams, gait):
         # the recovery loop's Python-scalar record against the numpy record
         # of the whole block and of each state: measured bit-equal at all

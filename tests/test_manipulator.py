@@ -5,8 +5,8 @@ import pytest
 
 from regait.manipulator import (ManipulatorModel, _integrate,
                                 _velocity_constraint, constrained_accel,
-                                gauge_invariance_check, point_mass_toy,
-                                record_force_signal, redesign_input,
+                                force_signal, gauge_invariance_check,
+                                point_mass_toy, redesign_input,
                                 rescaled_constraint, run_force_matching)
 
 
@@ -118,32 +118,57 @@ class TestConstrainedAccel:
             assert np.abs(A @ qdd + (dA @ qd) @ qd).max() < 1e-10
 
 
-class TestRecordForceSignal:
+class TestForceSignal:
     def test_statics_zero(self):
         model = pinned_y_model()
-        eta = record_force_signal(model, np.zeros((11, 4)), np.zeros((11, 2)))
+        eta = force_signal(model, np.zeros((11, 4)), np.zeros((11, 4)))
         assert np.allclose(eta, 0.0, atol=1e-12)
 
     def test_orthogonal_input_passthrough(self):
         model = pinned_y_model()
-        eta = record_force_signal(model, np.zeros((11, 4)),
-                                  np.tile([1.0, 0.0], (11, 1)))
+        qdd, _ = constrained_accel(model, np.zeros(2), np.zeros(2),
+                                   np.array([1.0, 0.0]))
+        v = np.tile(np.concatenate([np.zeros(2), qdd]), (11, 1))
+        eta = force_signal(model, np.zeros((11, 4)), v)
         assert np.allclose(eta, np.tile([1.0, 0.0], (11, 1)), atol=1e-12)
 
     def test_repeatable_bit_for_bit(self):
         model = point_mass_toy()
         rng = np.random.default_rng(5)
         x = rng.standard_normal((21, 4))
-        u = rng.standard_normal((21, 2))
-        assert np.array_equal(record_force_signal(model, x, u),
-                              record_force_signal(model, x, u))
+        v = rng.standard_normal((21, 4))
+        assert np.array_equal(force_signal(model, x, v),
+                              force_signal(model, x, v))
 
-    def test_one_input_row_per_state_row(self):
+    def test_one_velocity_row_per_state_row(self):
         model = pinned_y_model()
         for rows in (4, 6):
             with pytest.raises(ValueError):
-                record_force_signal(model, np.zeros((5, 4)),
-                                    np.zeros((rows, 2)))
+                force_signal(model, np.zeros((5, 4)), np.zeros((rows, 4)))
+
+    def test_equals_applied_force_along_integration(self):
+        # M qdd + C from the sample velocities is B u + A^T lam of the saddle
+        # solve, on a plant with non-trivial inertia, bias and input map
+        toy = point_mass_toy()
+        model = replace(
+            toy, inertia=lambda q: np.array([[2.0 + np.cos(q[1]), 0.3],
+                                             [0.3, 1.0]]),
+            bias=lambda q, qd: np.array([0.5 * qd[0] * qd[1], np.sin(q[0])]),
+            input_map=np.array([[1.0, 0.2], [-0.4, 1.5]]))
+
+        def u(t):
+            return np.array([np.sin(3.0 * t), 0.5 * np.cos(t)])
+
+        q0 = np.array([0.3, 0.0])
+        qd0 = np.array([0.4, -0.4 * np.sin(0.3)])
+        traj, v = _integrate(model, lambda t, s: u(t), q0, qd0, 1.0, 1e-2)
+        eta = force_signal(model, traj.x, v)
+        for k, (t, state) in enumerate(zip(traj.t, traj.x)):
+            q, qd = state[:2], state[2:]
+            _, lam = constrained_accel(model, q, qd, u(t))
+            A, _ = model.constraint_at(q)
+            applied = model.input_map @ u(t) + A.T @ lam
+            assert np.abs(eta[k] - applied).max() < 1e-12
 
 
 class TestRedesignInput:
@@ -209,8 +234,8 @@ class TestClosedLoop:
     def test_constraint_forces_do_no_work(self):
         model = point_mass_toy()
         q0, qd0 = self.feasible_start()
-        traj = _integrate(model, lambda t, s: self.u_desired(t),
-                          q0, qd0, 1.0, 1e-3)
+        traj, _ = _integrate(model, lambda t, s: self.u_desired(t),
+                             q0, qd0, 1.0, 1e-3)
         worst = 0.0
         for k in range(0, len(traj), 25):
             q, qd = traj.x[k, :2], traj.x[k, 2:]
@@ -230,18 +255,19 @@ class TestGaugeInvariance:
         def u(t):
             return np.array([np.sin(t), np.cos(2.0 * t)])
 
-        traj = _integrate(model, lambda t, s: u(t), q0, qd0, 0.2, 1e-2)
-        return traj.x, record_force_signal(model, traj.x,
-                                           [u(t) for t in traj.t])
+        traj, v = _integrate(model, lambda t, s: u(t), q0, qd0, 0.2, 1e-2)
+        return traj.x, force_signal(model, traj.x, v)
 
     def test_identity_and_scaling(self):
         model = point_mass_toy()
         x, eta = self.short_trajectory(model)
         rows = model.constraint_at
-        assert gauge_invariance_check(model, np.eye(2), x, eta, rows)
-        assert gauge_invariance_check(model, 2.0 * np.eye(2), x, eta, rows)
+        assert gauge_invariance_check(model, np.eye(2), x, eta, rows)[0]
+        assert gauge_invariance_check(model, 2.0 * np.eye(2), x, eta,
+                                      rows)[0]
         # invertibility is judged by numerical rank, not by the size of det Q
-        assert gauge_invariance_check(model, 1e-7 * np.eye(2), x, eta, rows)
+        assert gauge_invariance_check(model, 1e-7 * np.eye(2), x, eta,
+                                      rows)[0]
 
     def test_random_well_conditioned_gauge(self):
         model = point_mass_toy()
@@ -253,7 +279,9 @@ class TestGaugeInvariance:
         perturbed = rescaled_constraint(
             model, lambda q: (1.0 + 0.2 * np.cos(q[1]),
                               np.array([0.0, -0.2 * np.sin(q[1])])))
-        assert gauge_invariance_check(model, Q, x, eta, perturbed)
+        ok, worst = gauge_invariance_check(model, Q, x, eta, perturbed)
+        assert ok
+        assert worst < 1e-9
 
     def test_singular_gauge_rejected(self):
         model = point_mass_toy()

@@ -174,4 +174,18 @@ class TestPhaseEstimator:
         assert np.array_equal(
             estimate_phases(est, data[:10].reshape(2, 5, 2)),
             batch.reshape(2, 5))
+        # random 6-dimensional rows and an order-8 series, where a
+        # matrix-vector and a matrix-matrix product round differently
+        rng = np.random.default_rng(23)
+        plane = np.linalg.qr(rng.standard_normal((6, 2)))[0].T
+        _, circle = self.circle(200)
+        est = PhaseEstimator.fit(circle @ plane
+                                 + 0.01 * rng.standard_normal((200, 6)))
+        rows = rng.standard_normal((400, 6))
+        batch = estimate_phases(est, rows)
+        assert all(estimate_phases(est, r) == b for r, b in zip(rows, batch))
+        fs = random_series(rng, 8)
+        phases = rng.uniform(0.0, TWO_PI, 400)
+        values = eval_fourier(fs, phases)
+        assert all(eval_fourier(fs, p) == v for p, v in zip(phases, values))
 

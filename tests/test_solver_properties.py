@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from regait.constraints import (DEFAULT_RANK_TOL, ConstraintStack, Priority,
                                 RankDeficiencyError, constant_block,
-                                evaluate, rank_report, select_active_rows,
-                                solve_velocity)
+                                evaluate_with_classes, rank_report,
+                                select_active_rows, solve_velocity)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
                              derandomize=True, database=None)
@@ -203,7 +203,7 @@ def test_selection_matches_the_svd_scan(case):
     candidate whose ratio lies within 10^3 of tol may fall either way."""
     n, *blocks = case
     stack, x = stack_from(n, *blocks), np.zeros(n)
-    omega, _ = evaluate(stack, 0.0, x)
+    omega, _, _ = evaluate_with_classes(stack, 0.0, x)
     want = _select_rows(omega, DEFAULT_RANK_TOL)
     ratios = oracle_ratios(omega, want)
     assume(not np.any((ratios > 1e-3 * DEFAULT_RANK_TOL)
