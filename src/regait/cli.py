@@ -35,7 +35,7 @@ from .ctslip import (RECOVERY_SEARCH, SIM_DT, BuehlerClock, CTSlipParams,
 from .encoding import learn_constraints, learned_to_json, record_eta
 from .integrate import IntegrationError
 from .manipulator import point_mass_toy, rescaled_constraint, run_force_matching
-from .signals import PhaseEstimator, eval_fourier
+from .signals import PhaseEstimator, estimate_phases, eval_fourier
 from .svgplot import Figure, save_svg
 from .trajectory import Trajectory, TrajectoryFormatError, write_csv
 
@@ -395,8 +395,7 @@ def cmd_learn(args) -> dict:
 
     # worst-case bound of the fit vs rms of re-evaluating the learned rows
     series = record_eta(template_encoding_map(params), TEMPLATE_FORMS, traj)
-    phases = np.mod(lc.phase_model.training_phases(shape_features(traj.x)),
-                    2.0 * math.pi)
+    phases = estimate_phases(lc.phase_model, shape_features(traj.x))
     fit_max = 0.0
     self_sq = np.zeros(len(traj))
     for s, model in zip(series, lc.eta_models):

@@ -24,12 +24,12 @@ minimum-norm solution of the foot rows and the jam row, one arm at a time
 (the foot rows are block-diagonal): arm a, with endpoint p_a and tail sums
 s_aj, solves sum_j s_aj theta_aj' = u_a = i z' e^{-i theta0} - p_a theta0'.
 
-The recovery loop runs on Python scalars: the field and the projection
-residual (the reference gait's too) read one state's kinematics from
-``_kinematics_one`` (complex endpoints and tail sums), and the field reads
-the recorded rates by grid index, because numpy calls on a handful of
-numbers cost more than the arithmetic. The projection builds the (5, 9)
-foot-and-jam Jacobian only when it takes a Newton step.
+The recovery loop runs on Python floats (states are lists; see
+``integrate``): the field and the projection residual (the reference gait's
+too) read one state's kinematics from ``_kinematics_one`` (complex endpoints
+and tail sums), and the field reads the recorded rates by grid index, since
+numpy calls on a handful of numbers cost more than the arithmetic. The
+projection builds the (5, 9) foot-and-jam Jacobian only for a Newton step.
 """
 
 from __future__ import annotations
@@ -94,11 +94,11 @@ def _kinematics(params: CrawlerParams, state: np.ndarray) -> tuple:
             tails[..., 1, :])
 
 
-def _kinematics_one(params: CrawlerParams, state: np.ndarray) -> tuple:
+def _kinematics_one(params: CrawlerParams, state: Sequence[float]) -> tuple:
     """``_kinematics`` of one state on Python scalars: (rot, p1, s1, p2, s2)
     with complex endpoints and 3-tuples of complex tail sums, summed in the
     order ``_arms`` sums them."""
-    _, _, theta0, *joints = state.tolist()
+    _, _, theta0, *joints = state
     out = [cmath.exp(1j * theta0)]
     for h, (a, b, c) in ((params.h1, joints[:3]), (params.h2, joints[3:])):
         l1, l2, l3 = (cmath.exp(1j * a), cmath.exp(1j * (a + b)),
@@ -137,7 +137,7 @@ def foot_matrix(params: CrawlerParams, state) -> np.ndarray:
     return _feet(params, np.asarray(state, dtype=float))[1]
 
 
-def _foot_residual_one(params: CrawlerParams, state: np.ndarray) -> list:
+def _foot_residual_one(params: CrawlerParams, state: Sequence[float]) -> list:
     """``_feet``'s residual of one state on Python scalars."""
     rot, p1, _, p2, _ = _kinematics_one(params, state)
     z = complex(state[0], state[1])
@@ -303,7 +303,7 @@ def _gait_field(params: CrawlerParams, period: float,
                 f"null-space frame drifted too far from the start (cos {sv.min():.3f})")
         weights = GAIT_AMPLITUDES * np.sin(2.0 * np.pi * t / period
                                            + GAIT_PHASES)
-        return N @ ((U @ Vt) @ weights)
+        return (N @ ((U @ Vt) @ weights)).tolist()
 
     return field
 
@@ -475,18 +475,20 @@ def recovery_field(params: CrawlerParams, reference: ReferenceGait,
         zi = 1j * complex(th0, yd) / rot            # i z' e^{-i theta0}
         out = [th0, yd, th0]
         for arm, (p, tails) in enumerate(((p1, s1), (p2, s2))):
-            s = list(tails)
             if arm == jam_arm:
-                s[jam_joint] = 0j
+                tails = tails[:jam_joint] + (0j,) + tails[jam_joint + 1:]
+            a, b, c = tails
             u = (zi - p * th0).conjugate()
-            n = [(s[j - 2].conjugate() * s[j - 1]).imag for j in range(3)]
-            det = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
-            if not det > (1e-10 * sum([abs(z) ** 2 for z in s])) ** 2:
+            n0, n1, n2 = ((b.conjugate() * c).imag, (c.conjugate() * a).imag,
+                          (a.conjugate() * b).imag)
+            det = n0 * n0 + n1 * n1 + n2 * n2
+            if not det > (1e-10 * (abs(a) ** 2 + abs(b) ** 2
+                                   + abs(c) ** 2)) ** 2:
                 raise IntegrationError(f"arm {arm + 1} lost rank at t={t}")
-            v = [(u * z).imag for z in s]
-            out += [(v[j - 2] * n[j - 1] - v[j - 1] * n[j - 2]) / det
-                    for j in range(3)]
-        return np.array(out)
+            va, vb, vc = (u * a).imag, (u * b).imag, (u * c).imag
+            out += [(vb * n2 - vc * n1) / det, (vc * n0 - va * n2) / det,
+                    (va * n1 - vb * n0) / det]
+        return out
 
     return field
 

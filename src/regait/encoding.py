@@ -77,14 +77,14 @@ def learn_constraints(dphi: Callable, forms, traj: Trajectory,
 
     ``phase_features`` maps states to the coordinates the estimator was
     trained on (identity by default). The estimated phase must be strictly
-    monotone along the trajectory.
+    monotone along the trajectory; each sample is fitted at the phase
+    ``estimate_phases`` gives it, the one ``learned_block`` queries.
     """
     feats = traj.x if phase_features is None else phase_features(traj.x)
-    unwrapped = phase.training_phases(feats)
-    if np.any(np.diff(unwrapped) <= 0):
+    if np.any(np.diff(phase.training_phases(feats)) <= 0):
         raise ValueError("estimated phase is not strictly monotone along "
                          "the trajectory")
-    phases = np.mod(unwrapped, 2.0 * np.pi)
+    phases = estimate_phases(phase, feats)
     series = record_eta(dphi, forms, traj, velocities=velocities)
     models = tuple(fit_fourier(phases, s, order) for s in series)
     return LearnedConstraints(forms=np.asarray(forms, dtype=float),

@@ -3,6 +3,10 @@
 The integration loop alternates one classical RK4 step with a Newton
 projection that restores the holonomic constraints before the sample is
 stored, so constraint error cannot compound with integration time.
+
+States are lists of Python floats, which cost less than numpy's per-call
+overhead on a few entries: fields and callbacks receive one (and call
+``np.asarray`` for matrix work), and ``step`` and ``project`` return one.
 """
 
 from __future__ import annotations
@@ -22,42 +26,43 @@ class IntegrationError(RuntimeError):
     """Non-finite state or failed projection; message carries t and state."""
 
 
-def step(f: Callable[[float, np.ndarray], np.ndarray], t: float, x, k1,
-         h: float) -> np.ndarray:
+def step(f: Callable, t: float, x: list, k1, h: float) -> list:
     """One RK4 step of width h from (t, x) whose first stage k1 = f(t, x) is
-    given."""
-    x = np.asarray(x, dtype=float)
-    k2 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k2), dtype=float)
-    k4 = np.asarray(f(t + h, x + h * k3), dtype=float)
-    out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    given. The operations and their order are those of the vector form
+    x + h/6 (k1 + 2 k2 + 2 k3 + k4), element by element."""
+    half = 0.5 * h
+    k2 = f(t + half, [a + half * b for a, b in zip(x, k1)])
+    k3 = f(t + half, [a + half * b for a, b in zip(x, k2)])
+    k4 = f(t + h, [a + h * b for a, b in zip(x, k3)])
+    sixth = h / 6.0
+    out = [a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
+           for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
         raise IntegrationError(f"non-finite state after step at t={t}: {out}")
     return out
 
 
-def project(c: Callable[[np.ndarray], np.ndarray],
-            jac: Callable[[np.ndarray], np.ndarray], x,
-            tol: float) -> np.ndarray:
-    """Newton iteration x <- x - J+(x) c(x) until ||c|| < tol.
+def project(c: Callable, jac: Callable, x, tol: float) -> list:
+    """Newton iteration x <- x - J+(x) c(x) until every |c_i| < tol.
 
     ``c`` returns the residual and ``jac`` its Jacobian, which is evaluated
     only before a Newton step: a feasible x never calls it. The pseudoinverse
     update is the minimum-norm correction; a Jacobian without full row rank
-    is an error.
+    is an error. A NaN residual entry is never below tol.
     """
-    x = np.asarray(x, dtype=float).copy()
+    x = list(x)
     for _ in range(MAX_NEWTON_ITERS):
-        res = np.asarray(c(x), dtype=float)
-        if np.linalg.norm(res, ord=np.inf) < tol:
+        res = c(x)
+        if all(abs(r) < tol for r in res):     # written so that NaN fails
             return x
         J = np.atleast_2d(np.asarray(jac(x), dtype=float))
         svals = np.linalg.svd(J, compute_uv=False)
         if svals[-1] <= 1e-12 * svals[0] or svals[0] == 0.0:
             raise IntegrationError(
                 f"rank-deficient constraint Jacobian during projection at x={x}")
-        x = x - np.linalg.pinv(J, rcond=1e-12) @ res
-        if not np.all(np.isfinite(x)):
+        x = (np.asarray(x, dtype=float)
+             - np.linalg.pinv(J, rcond=1e-12) @ np.asarray(res)).tolist()
+        if not all(map(math.isfinite, x)):
             raise IntegrationError(f"projection diverged: x={x}")
     res = c(x)
     raise IntegrationError(
@@ -82,24 +87,23 @@ def integrate_projected(f, c, t0: float, x0, t1: float, dt: float,
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, "
                              f"got {value}")
-    x = np.asarray(x0, dtype=float)
-    if c is not None:
-        res0 = c[0](x)
-        if np.linalg.norm(np.asarray(res0), ord=np.inf) >= tol:
-            raise IntegrationError(
-                f"initial state violates constraints: {res0}")
+    x = np.asarray(x0, dtype=float).tolist()
+    res0 = [] if c is None else c[0](x)
+    if not (all(map(math.isfinite, x)) and all(abs(r) < tol for r in res0)):
+        raise IntegrationError(
+            f"initial state violates constraints: x0={x}, residual {res0}")
     nsteps = int(round((t1 - t0) / dt))
     if abs(t0 + nsteps * dt - t1) > 1e-9 * max(1.0, abs(t1)):
         raise ValueError("span must be an integer number of steps")
     ts = [t0]
-    xs = np.empty((nsteps + 1,) + x.shape)
+    xs = np.empty((nsteps + 1, len(x)))
     vs = np.empty_like(xs)
     xs[0] = x
     t = t0
     for k in range(nsteps):
         try:
-            vs[k] = f(t, x)
-            x = step(f, t, x, vs[k], dt)
+            vs[k] = k1 = f(t, x)
+            x = step(f, t, x, k1, dt)
             if c is not None:
                 x = project(*c, x, tol)
         except IntegrationError as exc:

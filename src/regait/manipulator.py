@@ -180,9 +180,10 @@ def _constrained_field(model: ManipulatorModel, u_of_t: Callable):
     n = model.dof
 
     def field(t, state):
+        state = np.asarray(state)
         q, qd = state[:n], state[n:]
         qdd, _ = constrained_accel(model, q, qd, u_of_t(t, state))
-        return np.concatenate([qd, qdd])
+        return np.concatenate([qd, qdd]).tolist()
 
     return field
 

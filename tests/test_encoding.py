@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from regait import encoding
+from regait.crawler import (TEMPLATE_FORMS, shape_features,
+                            template_encoding_map)
 from regait.encoding import (learn_constraints, learned_block,
                              learned_from_json, learned_gamma,
                              learned_to_json, pullback, record_eta)
@@ -138,6 +141,35 @@ class TestLearnConstraints:
             viol = abs(omega[0] @ v[k] - gamma[0])
             worst = max(worst, viol - fit_err[k])
         assert worst < 1e-10
+
+    def test_crawler_fit_phase_is_the_query_phase(self, monkeypatch,
+                                                  cparams, gait):
+        # every training state is fitted at the phase learned_block
+        # queries at that state, bit for bit
+        traj = gait.full_grid()
+        dphi = template_encoding_map(cparams)
+        fit, estimate = encoding.fit_fourier, encoding.estimate_phases
+        fitted, queried = [], []
+
+        def recording_fit(phases, values, order):
+            fitted.append(phases)
+            return fit(phases, values, order)
+
+        def recording_estimate(est, X):
+            queried.append(estimate(est, X))
+            return queried[-1]
+
+        monkeypatch.setattr(encoding, "fit_fourier", recording_fit)
+        lc = learn_constraints(dphi, TEMPLATE_FORMS, traj,
+                               PhaseEstimator.fit(shape_features(traj.x)),
+                               phase_features=shape_features)
+        monkeypatch.setattr(encoding, "estimate_phases", recording_estimate)
+        block = learned_block(dphi, lc, phase_features=shape_features)
+        for k in range(len(traj)):
+            block.rows(traj.t[k], traj.x[k])
+        assert len(fitted) == len(TEMPLATE_FORMS)
+        for phases in fitted:
+            assert np.array_equal(phases, queried)
 
     def test_insufficient_samples_rejected(self):
         t = np.linspace(0.0, TWO_PI, 8, endpoint=False)

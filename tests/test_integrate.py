@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regait import integrate
 from regait.integrate import (IntegrationError, integrate_projected, project,
                               step)
 
 TOL = 1e-10   # projection tolerance of the tests that do not vary it
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None,
+                             derandomize=True, database=None)
 
 
 def rk4(f, t, x, h):
@@ -30,6 +35,33 @@ class TestStep:
         with pytest.raises(IntegrationError):
             rk4(lambda t, x: np.array([np.inf]), 0.0, np.array([1.0]), 0.1)
 
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), n=st.integers(1, 9),
+           h=st.floats(1e-6, 10.0, allow_nan=False, allow_infinity=False))
+    def test_matches_vector_rk4_bit_for_bit(self, data, n, h):
+        # the stage states and the result equal the numpy vector form
+        # x + h/6 (k1 + 2 k2 + 2 k3 + k4), which the recorded crawler
+        # oracle integrates with
+        entry = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        x, k1, k2, k3, k4 = (
+            np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+            for _ in range(5))
+        stages = iter([(0.5 * h, x + 0.5 * h * k1, k2),
+                       (0.5 * h, x + 0.5 * h * k2, k3),
+                       (h, x + h * k3, k4)])
+
+        def field(t, state):
+            t_expected, state_expected, k = next(stages)
+            assert t == t_expected
+            assert isinstance(state, list)
+            assert np.array_equal(state, state_expected)
+            return k.tolist()
+
+        out = step(field, 0.0, x.tolist(), k1.tolist(), h)
+        assert isinstance(out, list)
+        assert np.array_equal(
+            out, x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
 
 
 # residual and Jacobian callbacks of a few constraints on the plane
@@ -42,11 +74,12 @@ def first_coordinate_rows(x):
 
 
 def unit_circle(x):
+    x = np.asarray(x)
     return np.array([x @ x - 1.0])
 
 
 def unit_circle_rows(x):
-    return 2.0 * x[None, :]
+    return 2.0 * np.asarray(x)[None, :]
 
 
 class TestProject:
@@ -69,7 +102,7 @@ class TestProject:
         once = project(unit_circle, unit_circle_rows, np.array([1.3, -0.4]),
                        TOL)
         twice = project(unit_circle, unit_circle_rows, once, TOL)
-        assert np.linalg.norm(twice - once) < TOL
+        assert np.linalg.norm(np.subtract(twice, once)) < TOL
 
     def test_rank_deficient_jacobian(self):
         with pytest.raises(IntegrationError, match="rank"):
@@ -97,6 +130,18 @@ class TestProject:
         project(counted(c), counted(jac), np.array(x0), TOL)
         assert calls[jac] == steps
         assert calls[c] == steps + 1
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_nan_residual_never_accepted(self, where):
+        # a NaN entry anywhere fails the convergence test, whatever the
+        # other entries are
+        def c(x):
+            res = [0.0, 0.0, 0.0]
+            res[where] = np.nan
+            return res
+
+        with pytest.raises(IntegrationError):
+            project(c, lambda x: np.eye(3), [0.0, 0.0, 0.0], TOL)
 
     def test_non_convergence_reported(self, monkeypatch):
         # Residual independent of the state: Newton can never reduce it.
@@ -139,10 +184,22 @@ class TestIntegrateProjected:
         assert abs(traj.x[-1, 0] - np.e) < 1e-10
 
     def test_infeasible_start_rejected(self):
-        c = (first_coordinate, lambda x: np.array([[1.0]]))
-        with pytest.raises(IntegrationError, match="initial"):
-            integrate_projected(lambda t, x: np.zeros(1), c, 0.0,
-                                np.array([0.5]), 1.0, 0.1, TOL)
+        calls = []
+
+        def field(t, x):
+            calls.append(t)
+            return np.zeros(2)
+
+        for residual, x0 in [
+                (first_coordinate, [0.5, 0.0]),
+                # a NaN residual at a finite start
+                (lambda x: np.array([np.nan]), [0.0, 0.0]),
+                # a NaN start whose residual is feasible
+                (first_coordinate, [0.0, np.nan])]:
+            with pytest.raises(IntegrationError, match="initial"):
+                integrate_projected(field, (residual, first_coordinate_rows),
+                                    0.0, np.array(x0), 1.0, 0.1, TOL)
+        assert calls == []
 
     def test_non_integer_span_rejected(self):
         with pytest.raises(ValueError, match="integer"):
