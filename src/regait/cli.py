@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .constraints import RankDeficiencyError, augment_random_rank
+from .constraints import augment_random_rank
 from .crawler import (N_JOINTS, STATE_DIM, TEMPLATE_FORMS, CrawlerParams,
                       angle_difference, foot_residual_series, group_velocity,
                       playback_baseline, recover, reference_gait,
@@ -33,7 +33,6 @@ from .ctslip import (RECOVERY_SEARCH, SIM_DT, BuehlerClock, CTSlipParams,
                      make_ensemble, nominal_ic, recover_parameters,
                      simulate_hybrid)
 from .encoding import learn_constraints, learned_to_json, record_eta
-from .integrate import IntegrationError
 from .manipulator import point_mass_toy, rescaled_constraint, run_force_matching
 from .signals import PhaseEstimator, estimate_phases, eval_fourier
 from .svgplot import Figure, save_svg
@@ -541,8 +540,7 @@ def main(argv=None) -> int:
     except (TrajectoryFormatError, IOFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (IntegrationError, RankDeficiencyError, np.linalg.LinAlgError,
-            ValueError, ArithmeticError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     finally:

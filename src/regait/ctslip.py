@@ -35,6 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .integrate import span_steps
 from .optimize import CostTrace, NMConfig, nelder_mead
 from .signals import (FourierSeries, PhaseEstimator, estimate_phases,
                       eval_fourier, fit_fourier)
@@ -500,15 +501,14 @@ def simulate_hybrid(params: CTSlipParams, ic: HybridState, T: float,
     foot that is below the ground when its leg becomes armed must rise
     above it first.
     """
-    # written so that NaN fails the comparison
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt}")
-    if not 0.0 <= T < math.inf:
-        raise ValueError(f"span T={T} is negative or not finite")
-    nsteps = int(round(T / dt))
-    if abs(nsteps * dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError("span must be an integer number of steps")
+    nsteps = span_steps(0.0, T, dt)
     chi0 = ic.clock_phase
+    # a NaN start gives every guard a NaN value, which no interval can rule
+    # out; the floor guard must start above the ground to fall to it
+    if not all(map(math.isfinite, (*ic.com, chi0, *(ic.foot or ())))):
+        raise ValueError(f"initial condition is not finite: {ic}")
+    if not ic.com[1] > 0.0:
+        raise ValueError(f"initial height y={ic.com[1]} is not above 0")
     if ic.mode is Mode.FLIGHT:
         u, foot, leg = tuple(ic.com), None, None
     elif ic.mode in (Mode.STANCE_LEFT, Mode.STANCE_RIGHT):

@@ -46,9 +46,10 @@ def project(c: Callable, jac: Callable, x, tol: float) -> list:
     """Newton iteration x <- x - J+(x) c(x) until every |c_i| < tol.
 
     ``c`` returns the residual and ``jac`` its Jacobian, which is evaluated
-    only before a Newton step: a feasible x never calls it. The pseudoinverse
-    update is the minimum-norm correction; a Jacobian without full row rank
-    is an error. A NaN residual entry is never below tol.
+    only before a Newton step: a feasible x never calls it. The minimum-norm
+    step J+ c takes one SVD and has the bits of pinv(J, rcond=1e-12) @ c; a
+    Jacobian with a non-finite entry or without full row rank is an error.
+    A NaN residual entry is never below tol.
     """
     x = list(x)
     for _ in range(MAX_NEWTON_ITERS):
@@ -56,18 +57,34 @@ def project(c: Callable, jac: Callable, x, tol: float) -> list:
         if all(abs(r) < tol for r in res):     # written so that NaN fails
             return x
         J = np.atleast_2d(np.asarray(jac(x), dtype=float))
-        svals = np.linalg.svd(J, compute_uv=False)
-        if svals[-1] <= 1e-12 * svals[0] or svals[0] == 0.0:
+        if not np.isfinite(J).all():
+            raise IntegrationError(f"non-finite constraint Jacobian at x={x}")
+        u, s, vt = np.linalg.svd(J, full_matrices=False)
+        # also rejects J = 0; every s that passes is one pinv would keep
+        if not s[-1] > 1e-12 * s[0]:
             raise IntegrationError(
                 f"rank-deficient constraint Jacobian during projection at x={x}")
         x = (np.asarray(x, dtype=float)
-             - np.linalg.pinv(J, rcond=1e-12) @ np.asarray(res)).tolist()
+             - (vt.T @ ((1.0 / s)[:, None] * u.T)) @ np.asarray(res)).tolist()
         if not all(map(math.isfinite, x)):
             raise IntegrationError(f"projection diverged: x={x}")
     res = c(x)
     raise IntegrationError(
         f"projection did not converge in {MAX_NEWTON_ITERS} iterations; "
         f"residual {np.linalg.norm(res, ord=np.inf):.3e} at x={x}")
+
+
+def span_steps(t0: float, t1: float, dt: float) -> int:
+    """The whole number of steps of a finite, positive dt in the finite,
+    ordered span [t0, t1], to 1e-9 relative."""
+    if not (math.isfinite(t0) and t0 <= t1 < math.inf):
+        raise ValueError(f"span [{t0}, {t1}] is negative or not finite")
+    if not 0.0 < dt < math.inf:   # written so that NaN fails
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    nsteps = int(round((t1 - t0) / dt))
+    if abs(t0 + nsteps * dt - t1) > 1e-9 * max(1.0, abs(t1)):
+        raise ValueError("span must be an integer number of steps")
+    return nsteps
 
 
 def integrate_projected(f, c, t0: float, x0, t1: float, dt: float,
@@ -80,22 +97,14 @@ def integrate_projected(f, c, t0: float, x0, t1: float, dt: float,
     last sample). ``c`` is the pair (residual, Jacobian) of callbacks that
     ``project`` takes, or None for plain unconstrained integration.
     """
-    if not (math.isfinite(t0) and t0 <= t1 < math.inf):
-        raise ValueError(f"span [{t0}, {t1}] is negative or not finite")
-    # written so that NaN fails every comparison
-    for name, value in (("dt", dt), ("tol", tol)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, "
-                             f"got {value}")
+    nsteps = span_steps(t0, t1, dt)
+    if not 0.0 < tol < math.inf:   # written so that NaN fails
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     x = np.asarray(x0, dtype=float).tolist()
     res0 = [] if c is None else c[0](x)
     if not (all(map(math.isfinite, x)) and all(abs(r) < tol for r in res0)):
         raise IntegrationError(
             f"initial state violates constraints: x0={x}, residual {res0}")
-    nsteps = int(round((t1 - t0) / dt))
-    if abs(t0 + nsteps * dt - t1) > 1e-9 * max(1.0, abs(t1)):
-        raise ValueError("span must be an integer number of steps")
-    ts = [t0]
     xs = np.empty((nsteps + 1, len(x)))
     vs = np.empty_like(xs)
     xs[0] = x
@@ -109,7 +118,6 @@ def integrate_projected(f, c, t0: float, x0, t1: float, dt: float,
         except IntegrationError as exc:
             raise IntegrationError(f"t={t + dt}: {exc}") from exc
         t = t0 + (k + 1) * dt
-        ts.append(t)
         xs[k + 1] = x
     vs[nsteps] = f(t, x)
-    return Trajectory(t=np.array(ts), x=xs), vs
+    return Trajectory(t=t0 + np.arange(nsteps + 1) * dt, x=xs), vs

@@ -95,10 +95,6 @@ def eval_fourier(fs: FourierSeries, phase):
     return float(out) if out.ndim == 0 else out
 
 
-def deriv_fourier(fs: FourierSeries, phase):
-    return eval_fourier(fs.derivative(), phase)
-
-
 def pca_fit(data):
     """Mean-centered SVD of an N x d sample matrix.
 

@@ -40,9 +40,6 @@ class Figure:
     def add(self, x, y, label: str = "") -> None:
         self.series.append(Series(np.asarray(x), np.asarray(y), label))
 
-    def render(self) -> str:
-        return render_svg(self)
-
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
@@ -112,4 +109,4 @@ def render_svg(fig: Figure) -> str:
 
 def save_svg(fig: Figure, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(fig.render())
+        fh.write(render_svg(fig))

@@ -25,7 +25,7 @@ from regait.integrate import integrate_projected
 from regait.manipulator import (point_mass_toy, rescaled_constraint,
                                 run_force_matching)
 from regait.optimize import NMConfig, constraint_violation_cost, nelder_mead
-from regait.signals import FourierSeries, deriv_fourier, eval_fourier
+from regait.signals import FourierSeries, eval_fourier
 
 TOL_TEMPLATE_RMS = 1e-6
 TOL_CONSTRAINT = 1e-9
@@ -178,7 +178,7 @@ def test_numerics_hygiene(capsys):
         phi = np.linspace(0.0, 2.0 * np.pi, 64)
         h = 1e-4
         fd = (eval_fourier(fs, phi + h) - eval_fourier(fs, phi - h)) / (2.0 * h)
-        deriv_err = float(np.abs(deriv_fourier(fs, phi) - fd).max())
+        deriv_err = float(np.abs(fs.derivative()(phi) - fd).max())
         assert deriv_err < 1e-6
 
         # observed integrator order on xdot = x

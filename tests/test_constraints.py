@@ -4,10 +4,11 @@ import pytest
 from regait import constraints
 from regait.constraints import (ConstraintBlock, ConstraintStack, Priority,
                                 RankDeficiencyError, augment_random_rank,
-                                completion_check, constant_block,
-                                control_affine_to_spec,
+                                completion_check, control_affine_to_spec,
                                 evaluate_with_classes, rank_report, residual,
                                 select_active_rows, solve_velocity)
+
+from helpers import constant_block
 
 
 def stack_of(*blocks, n=None):

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regait import crawler
-from regait.constraints import (ConstraintStack, Priority, constant_block,
+from regait.constraints import (ConstraintStack, Priority,
                                 evaluate_with_classes, rank_report, residual,
                                 solve_velocity)
 from regait.encoding import learn_constraints, learned_block, record_eta
@@ -18,6 +18,8 @@ from regait.crawler import (CrawlerParams, angle_difference, apply_jam,
 from regait.integrate import IntegrationError
 from regait.optimize import _trapz, constraint_violation_cost
 from regait.signals import PhaseEstimator
+
+from helpers import constant_block
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None,
                              derandomize=True, database=None)

@@ -14,6 +14,7 @@ from regait.ctslip import (APEX_MARGIN, APEX_SPEED, FREE_PARAM_BOUNDS,
                            build_reference, count_completing, energy_outputs,
                            make_ensemble, nominal_ic, phase_features,
                            recover_parameters, recovery_cost, simulate_hybrid)
+from regait.integrate import integrate_projected
 
 
 class TestClock:
@@ -223,8 +224,21 @@ class TestFlight:
     @pytest.mark.parametrize("T", [-1.0, math.nan, math.inf])
     def test_negative_or_infinite_span_rejected(self, T):
         params = CTSlipParams()
-        with pytest.raises(ValueError, match=f"span T={T}"):
+        with pytest.raises(ValueError, match=rf"span \[0.0, {T}\]"):
             simulate_hybrid(params, nominal_ic(params), T=T)
+
+    @pytest.mark.parametrize("T, dt", [
+        (-1.0, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3), (0.0501, 1e-3),
+        (1.0, 0.0), (1.0, -2e-3), (1.0, math.inf), (1.0, math.nan),
+        (1.0, 0.3)])
+    def test_span_checks_match_the_integrator(self, T, dt):
+        params = CTSlipParams()
+        with pytest.raises(ValueError) as hopper:
+            simulate_hybrid(params, nominal_ic(params), T=T, dt=dt)
+        with pytest.raises(ValueError) as integrator:
+            integrate_projected(lambda t, x: [0.0], None, 0.0, [0.0], T, dt,
+                                1e-10)
+        assert str(hopper.value) == str(integrator.value)
 
     @pytest.mark.parametrize("kw", [
         {"dt": 0.0}, {"dt": -2e-3}, {"dt": math.inf}, {"dt": math.nan},
@@ -262,6 +276,40 @@ class TestFlight:
                          foot=(0.0, 5.0))
         with pytest.raises(ValueError, match="foot height 5.0"):
             simulate_hybrid(params, ic, T=0.1)
+
+    @pytest.mark.parametrize("ic", [
+        apex_state(y=math.nan, xdot=APEX_SPEED),
+        apex_state(y=70.0, xdot=math.inf),
+        apex_state(y=70.0, xdot=APEX_SPEED, clock_phase=math.nan),
+        HybridState(mode=Mode.STANCE_LEFT, com=(0.0, 70.0, 0.0, 0.0),
+                    foot=(math.nan, 0.0))])
+    def test_non_finite_start_rejected(self, monkeypatch, ic):
+        # a NaN guard value rules out no interval, so the event search
+        # would bisect every one of them down to BISECT_TOL; fail fast
+        calls, first_fall = [], ctslip._first_fall
+
+        def capped(*args):
+            calls.append(args)
+            assert len(calls) < 1000, "event search did not stop"
+            return first_fall(*args)
+
+        monkeypatch.setattr(ctslip, "_first_fall", capped)
+        with pytest.raises(ValueError, match="not finite"):
+            simulate_hybrid(CTSlipParams(), ic, T=0.1)
+
+    @pytest.mark.parametrize("y", [0.0, -5.0])
+    def test_flight_start_above_ground(self, y):
+        # the floor crash is a fall of y to 0, which a start at or below
+        # the ground never makes
+        with pytest.raises(ValueError, match=f"y={y} is not above"):
+            simulate_hybrid(CTSlipParams(), apex_state(y=y, xdot=APEX_SPEED),
+                            T=1.0)
+
+    def test_stance_start_hip_off_the_foot(self):
+        ic = HybridState(mode=Mode.STANCE_LEFT, com=(0.0, 0.0, 6.0, -8.0),
+                         foot=(0.0, 0.0))
+        with pytest.raises(ValueError, match="y=0.0 is not above 0"):
+            simulate_hybrid(CTSlipParams(), ic, T=0.1)
 
     def test_stance_start_leg_within_rest_length(self):
         params = CTSlipParams()

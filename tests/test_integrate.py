@@ -110,6 +110,35 @@ class TestProject:
                     lambda x: np.array([[0.0, 0.0]]), np.array([1.0, 2.0]),
                     TOL)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_newton_step_is_pinv_bit_for_bit(self, seed):
+        # one SVD per step, multiplied out in pinv's own order
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 5))
+        J = rng.standard_normal((m, m + int(rng.integers(0, 4))))
+        res, x = rng.standard_normal(m), rng.standard_normal(J.shape[1])
+        residuals = iter([res, np.zeros(m)])
+        out = project(lambda y: next(residuals), lambda y: J, x, TOL)
+        assert np.array_equal(out, x - np.linalg.pinv(J, rcond=1e-12) @ res)
+
+    @pytest.mark.parametrize("c, entry", [
+        (lambda x: [np.nan], np.nan),
+        (lambda x: [x[0] - 1.0], np.nan),
+        (lambda x: [x[0] - 1.0], np.inf),
+        (lambda x: [x[0] - 1.0], -np.inf)])
+    def test_non_finite_jacobian_rejected(self, c, entry):
+        reads = []
+
+        def jac(x):
+            reads.append(x)
+            return [[entry, 0.0]]
+
+        with pytest.raises(IntegrationError,
+                           match=r"non-finite constraint Jacobian .* "
+                                 r"x=\[0.0, 0.0\]"):
+            project(c, jac, [0.0, 0.0], TOL)
+        assert len(reads) == 1
+
     @pytest.mark.parametrize("c, jac, x0, steps", [
         # a feasible start takes no Newton step
         (first_coordinate, first_coordinate_rows, [0.0, 42.0], 0),
@@ -245,6 +274,13 @@ class TestIntegrateProjected:
         assert v.shape == traj.x.shape
         for k in range(len(traj)):
             assert np.array_equal(v[k], field(traj.t[k], traj.x[k]))
+
+    def test_non_finite_jacobian_carries_time_stamp(self):
+        c = (lambda x: [x[0] - 1.0], lambda x: [[np.nan]])
+        with pytest.raises(IntegrationError,
+                           match="t=0.1: non-finite constraint Jacobian"):
+            integrate_projected(lambda t, x: [1.0], c, 0.0, [1.0], 1.0, 0.1,
+                                TOL)
 
     def test_failure_carries_time_stamp(self):
         def field(t, x):

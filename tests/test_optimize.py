@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from regait.constraints import (ConstraintBlock, ConstraintStack, Priority,
-                                constant_block)
+from regait.constraints import ConstraintBlock, ConstraintStack, Priority
 from regait.optimize import NMConfig, constraint_violation_cost, nelder_mead
 from regait.trajectory import Trajectory
+
+from helpers import constant_block
 
 
 class TestNelderMead:

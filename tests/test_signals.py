@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from regait.signals import (FourierSeries, PhaseEstimator, deriv_fourier,
-                            estimate_phases, eval_fourier, fit_fourier,
-                            pca_fit)
+from regait.signals import (FourierSeries, PhaseEstimator, estimate_phases,
+                            eval_fourier, fit_fourier, pca_fit)
 
 TWO_PI = 2.0 * np.pi
 
@@ -72,8 +71,9 @@ class TestEvalDeriv:
     def test_cosine_derivative_values(self):
         fs = FourierSeries(order=1, a0=0.0, a=np.array([1.0]),
                            b=np.array([0.0]))
-        assert deriv_fourier(fs, 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert deriv_fourier(fs, np.pi / 2) == pytest.approx(-1.0, abs=1e-12)
+        deriv = fs.derivative()
+        assert deriv(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert deriv(np.pi / 2) == pytest.approx(-1.0, abs=1e-12)
 
     def test_derivative_matches_finite_difference(self):
         rng = np.random.default_rng(7)
@@ -84,7 +84,7 @@ class TestEvalDeriv:
             phi = rng.uniform(0.0, TWO_PI, 10)
             fd = (eval_fourier(fs, phi + h)
                   - eval_fourier(fs, phi - h)) / (2.0 * h)
-            worst = max(worst, np.max(np.abs(deriv_fourier(fs, phi) - fd)))
+            worst = max(worst, np.max(np.abs(fs.derivative()(phi) - fd)))
         assert worst < 1e-6
 
     def test_derivative_series_consistent(self):
@@ -92,9 +92,11 @@ class TestEvalDeriv:
         fs = random_series(rng, 3)
         phi = rng.uniform(0.0, TWO_PI, 16)
         dseries = fs.derivative()
-        assert dseries.order == fs.order
-        assert np.allclose(eval_fourier(dseries, phi),
-                           deriv_fourier(fs, phi), atol=1e-12)
+        k = np.arange(1, 4)
+        assert dseries.order == fs.order and dseries.a0 == 0.0
+        assert np.array_equal(dseries.a, k * fs.b)
+        assert np.array_equal(dseries.b, -k * fs.a)
+        assert np.array_equal(dseries(phi), eval_fourier(dseries, phi))
 
 
 class TestPCA:

@@ -9,9 +9,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from regait.constraints import (DEFAULT_RANK_TOL, ConstraintStack, Priority,
-                                RankDeficiencyError, constant_block,
-                                evaluate_with_classes, rank_report,
-                                select_active_rows, solve_velocity)
+                                RankDeficiencyError, evaluate_with_classes,
+                                rank_report, select_active_rows,
+                                solve_velocity)
+
+from helpers import constant_block
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
                              derandomize=True, database=None)
