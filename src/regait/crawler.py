@@ -24,12 +24,20 @@ minimum-norm solution of the foot rows and the jam row, one arm at a time
 (the foot rows are block-diagonal): arm a, with endpoint p_a and tail sums
 s_aj, solves sum_j s_aj theta_aj' = u_a = i z' e^{-i theta0} - p_a theta0'.
 
-The recovery loop runs on Python floats (states are lists; see
-``integrate``): the field and the projection residual (the reference gait's
-too) read one state's kinematics from ``_kinematics_one`` (complex endpoints
-and tail sums), and the field reads the recorded rates by grid index, since
-numpy calls on a handful of numbers cost more than the arithmetic. The
-projection builds the (5, 9) foot-and-jam Jacobian only for a Newton step.
+The reference gait follows sinusoidal weights over an orthonormal basis of
+the null space of the foot rows and the x-theta0 row. That basis is built in
+closed form from the same per-arm solve: the two pose directions with
+minimum-norm joint rates, orthonormalised, and each arm's unit normal n_a.
+Each field call takes one 4x4 SVD, which aligns the basis to the start
+basis; the field does not depend on which basis is aligned (see the comment
+above GAIT_AMPLITUDES).
+
+The recovery loop and the gait run on Python floats (states are lists; see
+``integrate``): the fields and the projection residuals read one state's
+kinematics from ``_kinematics_one`` (complex endpoints and tail sums), and
+the recovery field reads the recorded rates by grid index, since numpy calls
+on a handful of numbers cost more than the arithmetic. The projection builds
+the foot (and jam) Jacobian only for a Newton step.
 """
 
 from __future__ import annotations
@@ -269,10 +277,15 @@ def initial_configuration(params: CrawlerParams) -> np.ndarray:
 
 # The reference gait moves along sinusoidal weights over the feet-pinned
 # null-space directions. The null space of [foot rows; x-theta0 row] is
-# four-dimensional; its SVD basis at each state is aligned to the basis at
-# the start (orthogonal Procrustes) so the field is a continuous pure
-# function of (t, state). A frame whose alignment cosine drops below
-# GAIT_MIN_ALIGNMENT has drifted too far.
+# four-dimensional. At each state its closed-form orthonormal basis N
+# (``_gait_basis``) is aligned to the SVD basis at the start, basis0, by
+# orthogonal Procrustes, so the field N polar(N^T basis0) w is a continuous
+# pure function of (t, state). Any other orthonormal basis NR of the same
+# space gives the same field, since polar(R^T A) = R^T polar(A); only
+# round-off depends on the choice. The singular values of N^T basis0 are
+# the cosines of the principal angles between the two spaces, basis-free
+# too: a frame whose least cosine drops below GAIT_MIN_ALIGNMENT has
+# drifted too far. basis0 fixes the weights' directions.
 GAIT_AMPLITUDES = np.array([0.55, 0.45, 0.40, 0.35])
 GAIT_PHASES = np.array([0.0, 1.7, 3.4, 5.1])
 GAIT_MIN_ALIGNMENT = 0.2
@@ -293,22 +306,61 @@ def _null_basis(params: CrawlerParams, state) -> np.ndarray:
     return vt[M.shape[0]:].T
 
 
+def _gait_basis(params: CrawlerParams, state: Sequence[float]) -> list:
+    """Orthonormal basis of the null space of the foot rows and the x-theta0
+    row at one state, in closed form on Python floats: four rows of nine.
+
+    Rows 1-2 are Gram-Schmidt of the pose directions (theta0' = x' = 1,
+    y' = 0) and (y' = 1), each arm taking its minimum-norm joint rates (the
+    formula of ``recovery_field``); rows 3-4 are each arm's unit normal n on
+    its joint block. An arm whose relative Gram determinant |n| /
+    sum_j |s_j|^2 is <= 1e-10 (its tails parallel) raises
+    ``IntegrationError``.
+    """
+    rot, p1, s1, p2, s2 = _kinematics_one(params, state)
+    turn = 1j / rot                     # i z' e^{-i theta0} at z' = 1
+    c1, c2, normals = [1.0, 0.0, 1.0], [0.0, 1.0, 0.0], []
+    for p, (a, b, c) in ((p1, s1), (p2, s2)):
+        n0, n1, n2 = ((b.conjugate() * c).imag, (c.conjugate() * a).imag,
+                      (a.conjugate() * b).imag)
+        det = n0 * n0 + n1 * n1 + n2 * n2
+        if not det > (1e-10 * (abs(a) ** 2 + abs(b) ** 2
+                               + abs(c) ** 2)) ** 2:
+            raise IntegrationError("gait constraint rows lost rank")
+        for row, u in ((c1, (turn - p).conjugate()),
+                       (c2, (1j * turn).conjugate())):
+            va, vb, vc = (u * a).imag, (u * b).imag, (u * c).imag
+            row += [(vb * n2 - vc * n1) / det, (vc * n0 - va * n2) / det,
+                    (va * n1 - vb * n0) / det]
+        norm = math.sqrt(det)
+        normals.append([n0 / norm, n1 / norm, n2 / norm])
+    scale = 1.0 / math.sqrt(sum([v * v for v in c1]))
+    q1 = [v * scale for v in c1]
+    dot = sum([a * b for a, b in zip(q1, c2)])
+    c2 = [b - dot * a for a, b in zip(q1, c2)]
+    scale = 1.0 / math.sqrt(sum([v * v for v in c2]))
+    pad = [0.0] * 3
+    return [q1, [v * scale for v in c2], pad + normals[0] + pad,
+            pad + pad + normals[1]]
+
+
 def _gait_field(params: CrawlerParams, period: float,
                 basis0: np.ndarray) -> Callable:
     def field(t, state):
-        N = _null_basis(params, state)
-        U, sv, Vt = np.linalg.svd(N.T @ basis0)
-        if sv.min() < GAIT_MIN_ALIGNMENT:
-            raise IntegrationError(
-                f"null-space frame drifted too far from the start (cos {sv.min():.3f})")
+        Q = np.array(_gait_basis(params, state))
+        U, sv, Vt = np.linalg.svd(Q @ basis0)
+        if sv[-1] < GAIT_MIN_ALIGNMENT:     # the least cosine; sv descends
+            raise IntegrationError("null-space frame drifted too far from "
+                                   f"the start (cos {sv[-1]:.3f})")
         weights = GAIT_AMPLITUDES * np.sin(2.0 * np.pi * t / period
                                            + GAIT_PHASES)
-        return (N @ ((U @ Vt) @ weights)).tolist()
+        return (((U @ Vt) @ weights) @ Q).tolist()
 
     return field
 
 
 _GRID_TOL = 1e-9   # how far a time may sit from its recorded grid point
+_OFF_GRID = "time {} is not on the recorded gait grid"
 
 
 @dataclass(frozen=True)
@@ -337,19 +389,22 @@ class ReferenceGait:
         """Grid index of a time or of each of an array of times."""
         half = 0.5 * self.dt
         k = np.rint(t / half)
-        # written so that a NaN time counts as off the grid
-        off = (k < 0) | (k >= len(self.t)) | ~(abs(t - k * half) <= _GRID_TOL)
+        # written so that a NaN time counts as off the grid; an infinite one
+        # makes t - k * half NaN, which is not an error here
+        with np.errstate(invalid="ignore"):
+            off = ((k < 0) | (k >= len(self.t))
+                   | ~(abs(t - k * half) <= _GRID_TOL))
         if np.count_nonzero(off):
-            raise ValueError(f"time {np.asarray(t)[off][0]} is not on the "
-                             "recorded gait grid")
+            raise ValueError(_OFF_GRID.format(np.asarray(t)[off][0]))
         return k.astype(np.intp)
 
     def _grid_index(self, t: float) -> int:
         """``_index`` of one time on Python scalars, as an int."""
         half = 0.5 * self.dt
-        k = round(t / half) if math.isfinite(t) else -1
+        q = t / half                  # inf for a large enough finite t
+        k = round(q) if math.isfinite(q) else -1
         if not (0 <= k < len(self.t) and abs(t - k * half) <= _GRID_TOL):
-            raise ValueError(f"time {t} is not on the recorded gait grid")
+            raise ValueError(_OFF_GRID.format(t))
         return k
 
     def rates_at(self, t) -> tuple:

@@ -48,9 +48,13 @@ def record_eta(dphi: Callable, forms, traj: Trajectory,
     Velocities default to second-order finite differences of the trajectory;
     pass exact ones when the generator provides them.
     """
-    if len(traj) < 3:
-        raise ValueError("need at least 3 samples to differentiate")
-    vel = traj.velocities() if velocities is None else np.asarray(velocities)
+    if velocities is None:
+        vel = traj.velocities()
+    else:
+        vel = np.asarray(velocities, dtype=float)
+        if vel.shape != traj.x.shape:
+            raise ValueError(f"velocities have shape {vel.shape} but the "
+                             f"trajectory's states have shape {traj.x.shape}")
     ydot = (dphi(traj.x) @ vel[..., None])[..., 0]
     return np.asarray(forms, dtype=float) @ ydot.T
 

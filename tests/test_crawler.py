@@ -301,6 +301,74 @@ class TestReferenceGait:
         assert np.ptp(gait.r) > 0.05
         assert np.ptp(gait.alpha) > 0.01
 
+    def test_grid_lookups_agree(self, gait):
+        # rates_at's array lookup and the recovery field's scalar one give
+        # one index, or one error, for every time
+        half, tol, n = 0.5 * gait.dt, crawler._GRID_TOL, len(gait.t)
+        times = [float(t) for t in gait.t[::97]]
+        times += [float(gait.t[k]) + d for k in (0, 5, n - 1)
+                  for d in (-2.0 * tol, -0.5 * tol, 0.5 * tol, 2.0 * tol)]
+        times += [-half, n * half, np.nan, np.inf, -np.inf, 1e306]
+        for t in times:
+            outcomes = []
+            for lookup in (gait._index, gait._grid_index):
+                try:
+                    outcomes.append(int(lookup(t)))
+                except ValueError as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1], t
+        assert gait._grid_index(float(gait.t[5]) + 0.5 * tol) == 5
+
+    @pytest.mark.parametrize("arm", [1, 2])
+    def test_field_rank_loss_detected(self, cparams, gait, arm):
+        # arm 1 straight down at theta0 = pi/2, or arm 2 straight up at
+        # theta0 = -pi/2: the arm's foot rows lose a joint rank and their
+        # pose-only combination is parallel to the x-theta0 row, so the
+        # five gait rows have rank 4
+        sign = 1.0 if arm == 1 else -1.0
+        x = gait.initial_state.copy()
+        x[2] = sign * np.pi / 2
+        x[3 * arm:3 * arm + 3] = -sign * np.pi / 2, 0.0, 0.0
+        field = crawler._gait_field(
+            cparams, 1.0, crawler._null_basis(cparams, gait.initial_state))
+        with pytest.raises(IntegrationError,
+                           match="gait constraint rows lost rank"):
+            field(0.0, x.tolist())
+
+    def test_field_drift_detected(self, cparams, gait):
+        # a start basis in the row space is orthogonal to every null space
+        # direction there: every alignment cosine is zero
+        x0 = gait.initial_state
+        rows = np.vstack([foot_matrix(cparams, x0), crawler._X_THETA0_ROW])
+        basis0 = np.linalg.svd(rows)[2][:4].T
+        field = crawler._gait_field(cparams, 1.0, basis0)
+        with pytest.raises(IntegrationError, match="drifted too far"):
+            field(0.0, x0.tolist())
+
+
+BASIS_TOL = 1e-14
+
+
+class TestGaitBasis:
+    @pytest.mark.parametrize("k", range(0, 2001, 100))
+    def test_orthonormal_null_basis(self, cparams, gait, k):
+        x = gait.x[k]
+        Q = np.array(crawler._gait_basis(cparams, x.tolist()))
+        rows = np.vstack([foot_matrix(cparams, x), crawler._X_THETA0_ROW])
+        assert Q.shape == (4, 9)
+        assert np.abs(rows @ Q.T).max() <= BASIS_TOL
+        assert np.abs(Q @ Q.T - np.eye(4)).max() <= BASIS_TOL
+
+    @pytest.mark.parametrize("arm", [slice(4, 6), slice(7, 9)])
+    def test_straight_arm_rejected(self, cparams, gait, arm):
+        # the five rows keep rank 5 here, but the closed form divides by
+        # the straight arm's zero Gram determinant
+        x = gait.initial_state.copy()
+        x[arm] = 0.0
+        with pytest.raises(IntegrationError,
+                           match="gait constraint rows lost rank"):
+            crawler._gait_basis(cparams, x.tolist())
+
 
 class TestJam:
     def test_row_is_joint_basis_vector(self, cparams):

@@ -1,14 +1,15 @@
-"""Bit-exact reference for the crawler's recovery, gait and pose refit.
+"""Reference for the crawler's recovery, gait and pose refit.
 
 The functions below are a direct, unoptimised transcription of the crawler:
 every kinematic quantity is recomputed from the joint angles wherever it is
-used, the recovery field builds the full designed-row pullback, the
-integrator evaluates RK4's first stage inside the step, and the sample
-velocities come from a second pass over the stored samples. The package
-computes each state's kinematics once and takes the sample velocities from
-the integrator; it must reproduce every output of this reference exactly,
-except the recovery, whose field solves the oracle's pseudoinverse system
-in closed form and is held to measured round-off bounds.
+used, the gait field factors its rows by SVD, the recovery field builds the
+full designed-row pullback and hands it to a pseudoinverse, the pose refit
+runs Gauss-Newton, the integrator evaluates RK4's first stage inside the
+step, and the sample velocities come from a second pass over the stored
+samples. The package computes each state's kinematics once, takes the
+sample velocities from the integrator and solves the gait basis, the
+recovery field and the pose fit in closed form. It must reproduce the
+sample times exactly and every other output to the round-off bounds below.
 """
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from regait.crawler import (_IK_GUESSES, GAIT_AMPLITUDES, GAIT_MIN_ALIGNMENT,
                             GAIT_PHASES, G_DIM, N_JOINTS, STATE_DIM,
                             gait_perturbation_provider, playback_baseline,
                             recover, template_traces)
+from regait.crawler import _gait_field as _package_gait_field
+from regait.crawler import _null_basis as _package_null_basis
 from regait.integrate import IntegrationError, project
 
 
@@ -316,13 +319,33 @@ def oracle_perturbed_rollout(params, reference, jam, mu, stride=4):
 
 # -------------------------------------------------------------------- tests
 
+# The package's gait field takes a closed-form orthonormal basis of the
+# null space the oracle factors by SVD; the field N polar(N^T basis0) w does
+# not depend on the basis chosen, so the two gaits differ by round-off.
+# Measured worst |package - oracle|: x 6.7e-16, v 8.3e-16, r 4.4e-16,
+# alpha 4.4e-16, rdot 5.8e-16, alphadot 3.1e-16; t is identical.
+GAIT_BOUND = 1e-14
+
+
 def test_reference_gait_matches_oracle(cparams, gait):
     want = oracle_reference_gait(cparams)
     got = (gait.t, gait.x, gait.v, gait.r, gait.alpha, gait.rdot,
            gait.alphadot)
-    for name, a, b in zip(("t", "x", "v", "r", "alpha", "rdot", "alphadot"),
-                          got, want):
-        assert np.array_equal(a, b), name
+    assert np.array_equal(got[0], want[0]), "t"
+    for name, a, b in zip(("x", "v", "r", "alpha", "rdot", "alphadot"),
+                          got[1:], want[1:]):
+        assert np.abs(a - b).max() <= GAIT_BOUND, name
+
+
+@pytest.mark.parametrize("k", range(0, 2001, 100))
+def test_gait_field_matches_oracle(cparams, gait, k):
+    x0 = gait.initial_state
+    got = _package_gait_field(cparams, 1.0,
+                              _package_null_basis(cparams, x0))
+    want = _gait_field(cparams, 1.0, _null_basis(cparams, x0))
+    t, x = float(gait.t[k]), gait.x[k]
+    assert np.abs(np.array(got(t, x.tolist())) - want(t, x)).max() \
+        <= GAIT_BOUND
 
 
 # The package's recovery field is the closed form of the system the oracle

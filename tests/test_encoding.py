@@ -97,6 +97,22 @@ class TestRecordEta:
         with pytest.raises(ValueError):
             record_eta(IDENTITY_2, [[1.0, 0.0]], traj)
 
+    def test_two_samples_with_velocities_accepted(self):
+        # nothing is differentiated when the velocities are given
+        traj = Trajectory(t=np.array([0.0, 1.0]),
+                          x=np.array([[0.0, 0.0], [1.0, 2.0]]))
+        v = np.array([[1.0, 2.0], [1.0, 2.0]])
+        eta = record_eta(IDENTITY_2, np.eye(2), traj, velocities=v)
+        assert np.array_equal(eta, v.T)
+        with pytest.raises(ValueError, match="need at least 3 samples"):
+            record_eta(IDENTITY_2, np.eye(2), traj)
+
+    def test_velocity_shape_checked(self):
+        traj, v = circle_trajectory(16)
+        with pytest.raises(ValueError,
+                           match=r"shape \(15, 2\) but .* shape \(16, 2\)"):
+            record_eta(IDENTITY_2, np.eye(2), traj, velocities=v[1:])
+
 
 class TestLearnConstraints:
     def fit_circle(self, order=3, velocities=True):
