@@ -28,9 +28,9 @@ The reference gait follows sinusoidal weights over an orthonormal basis of
 the null space of the foot rows and the x-theta0 row. That basis is built in
 closed form from the same per-arm solve: the two pose directions with
 minimum-norm joint rates, orthonormalised, and each arm's unit normal n_a.
-Each field call takes one 4x4 SVD, which aligns the basis to the start
-basis; the field does not depend on which basis is aligned (see the comment
-above GAIT_AMPLITUDES).
+The same construction at the start state is the frame the weights are
+written in; each field call takes one 4x4 SVD, which aligns the basis to
+that start frame (see the comment above GAIT_AMPLITUDES).
 
 The recovery loop and the gait run on Python floats (states are lists; see
 ``integrate``): the fields and the projection residuals read one state's
@@ -277,33 +277,33 @@ def initial_configuration(params: CrawlerParams) -> np.ndarray:
 
 # The reference gait moves along sinusoidal weights over the feet-pinned
 # null-space directions. The null space of [foot rows; x-theta0 row] is
-# four-dimensional. At each state its closed-form orthonormal basis N
-# (``_gait_basis``) is aligned to the SVD basis at the start, basis0, by
+# four-dimensional, and ``_gait_basis`` gives it one orthonormal frame N at
+# every state: pose sway (theta0' = x'), heave (y'), each with minimum-norm
+# joint rates, then arm 1's and arm 2's internal motion (pose fixed). Each
+# field call aligns N to the frame at the start, basis0 = N(x0), by
 # orthogonal Procrustes, so the field N polar(N^T basis0) w is a continuous
-# pure function of (t, state). Any other orthonormal basis NR of the same
-# space gives the same field, since polar(R^T A) = R^T polar(A); only
-# round-off depends on the choice. The singular values of N^T basis0 are
-# the cosines of the principal angles between the two spaces, basis-free
-# too: a frame whose least cosine drops below GAIT_MIN_ALIGNMENT has
-# drifted too far. basis0 fixes the weights' directions.
-GAIT_AMPLITUDES = np.array([0.55, 0.45, 0.40, 0.35])
-GAIT_PHASES = np.array([0.0, 1.7, 3.4, 5.1])
+# pure function of (t, state). The singular values of N^T basis0 are the
+# cosines of the principal angles between the two spaces, which do not
+# depend on either basis: a frame whose least cosine drops below
+# GAIT_MIN_ALIGNMENT has drifted too far.
+#
+# The weights were first written as amplitudes A = (0.55, 0.45, 0.40, 0.35)
+# and phases phi = (0, 1.7, 3.4, 5.1) over numpy's SVD basis of the five
+# rows at x0. LAPACK picks that basis inside a degenerate four-dimensional
+# singular subspace: the same rows in another order (Im f1 first) moved it
+# by up to 0.33 per entry and the gait by up to 0.053 in x and 0.027 in r.
+# Below they are re-expressed over N(x0), the same motion to round-off:
+# with R0 = N(x0)^T basis0_svd (4x4 orthogonal), a = R0 (A cos phi) and
+# b = R0 (A sin phi), the amplitudes are hypot(a, b), the phases
+# atan2(b, a).
+GAIT_AMPLITUDES = np.array([0.5655192174903454, 0.3241975707256865,
+                            0.4958796693361258, 0.3415952331689739])
+GAIT_PHASES = np.array([0.05786238329953794, -0.9299630175767266,
+                        1.5725865130949745, 0.026882383523351615])
 GAIT_MIN_ALIGNMENT = 0.2
 # foot residual (max norm) below which a projection stops; the recovery
 # shares the gait's, because it starts from a gait state
 PROJECTION_TOL = 1e-11
-
-
-# designed row 5 (x locked to theta0) pulled back to the state: constant
-_X_THETA0_ROW = np.array([1.0, 0.0, -1.0] + [0.0] * N_JOINTS)
-
-
-def _null_basis(params: CrawlerParams, state) -> np.ndarray:
-    M = np.vstack([foot_matrix(params, state), _X_THETA0_ROW])
-    _, svals, vt = np.linalg.svd(M)
-    if svals[-1] < 1e-10 * svals[0]:
-        raise IntegrationError("gait constraint rows lost rank")
-    return vt[M.shape[0]:].T
 
 
 def _gait_basis(params: CrawlerParams, state: Sequence[float]) -> list:
@@ -426,7 +426,8 @@ def reference_gait(params: CrawlerParams, period: float = 1.0,
     """Generate and record the nominal gait by projected integration from
     ``initial_configuration``."""
     x0 = initial_configuration(params)
-    field = _gait_field(params, period, _null_basis(params, x0))
+    basis0 = np.array(_gait_basis(params, x0.tolist())).T
+    field = _gait_field(params, period, basis0)
     traj, v = integrate_projected(
         field, (lambda s: _foot_residual_one(params, s),
                 lambda s: foot_matrix(params, s)), 0.0, x0, period, 0.5 * dt,

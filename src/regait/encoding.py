@@ -80,15 +80,15 @@ def learn_constraints(dphi: Callable, forms, traj: Trajectory,
     """Fit each recorded eta_j as a Fourier series of estimated phase.
 
     ``phase_features`` maps states to the coordinates the estimator was
-    trained on (identity by default). The estimated phase must be strictly
-    monotone along the trajectory; each sample is fitted at the phase
-    ``estimate_phases`` gives it, the one ``learned_block`` queries.
+    trained on (identity by default). Each sample is fitted at the phase
+    ``estimate_phases`` gives it, the one ``learned_block`` queries; that
+    phase, unwrapped, must be strictly monotone along the trajectory.
     """
     feats = traj.x if phase_features is None else phase_features(traj.x)
-    if np.any(np.diff(phase.training_phases(feats)) <= 0):
+    phases = estimate_phases(phase, feats)
+    if np.any(np.diff(np.unwrap(phases)) <= 0):
         raise ValueError("estimated phase is not strictly monotone along "
                          "the trajectory")
-    phases = estimate_phases(phase, feats)
     series = record_eta(dphi, forms, traj, velocities=velocities)
     models = tuple(fit_fourier(phases, s, order) for s in series)
     return LearnedConstraints(forms=np.asarray(forms, dtype=float),

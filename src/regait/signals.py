@@ -150,13 +150,6 @@ class PhaseEstimator:
                    direction_sign=sign, offset=offset,
                    min_radius=MIN_RADIUS_FRACTION * float(radius.mean()))
 
-    def training_phases(self, data) -> np.ndarray:
-        """Unwrapped phase along a sample sequence (monotonicity diagnostics)."""
-        data = np.asarray(data, dtype=float)
-        plane = (data - self.center) @ self.pca_basis.T
-        raw = np.unwrap(np.arctan2(plane[:, 1], plane[:, 0]))
-        return self.direction_sign * raw - self.offset
-
 
 def estimate_phases(est: PhaseEstimator, X) -> np.ndarray:
     """Phase in [0, 2*pi) of one sample (d,), a 0-d value, or of each sample

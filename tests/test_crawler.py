@@ -37,6 +37,17 @@ def fd_rows(fn, state, h=1e-7):
     return jac
 
 
+# designed row 5 (x locked to theta0) pulled back to the state: constant
+X_THETA0_ROW = np.array([1.0, 0.0, -1.0] + [0.0] * crawler.N_JOINTS)
+
+
+def start_frame(params, state):
+    """The gait's closed-form frame at a state as (9, 4) columns, the
+    ``basis0`` that ``reference_gait`` hands the gait field."""
+    state = np.asarray(state, dtype=float).tolist()
+    return np.array(crawler._gait_basis(params, state)).T
+
+
 def feet(params, state):
     """World positions of both feet (last axis), from ``_feet``'s residual."""
     d = crawler._feet(params, np.asarray(state, dtype=float))[0]
@@ -329,8 +340,8 @@ class TestReferenceGait:
         x = gait.initial_state.copy()
         x[2] = sign * np.pi / 2
         x[3 * arm:3 * arm + 3] = -sign * np.pi / 2, 0.0, 0.0
-        field = crawler._gait_field(
-            cparams, 1.0, crawler._null_basis(cparams, gait.initial_state))
+        field = crawler._gait_field(cparams, 1.0,
+                                    start_frame(cparams, gait.initial_state))
         with pytest.raises(IntegrationError,
                            match="gait constraint rows lost rank"):
             field(0.0, x.tolist())
@@ -339,7 +350,7 @@ class TestReferenceGait:
         # a start basis in the row space is orthogonal to every null space
         # direction there: every alignment cosine is zero
         x0 = gait.initial_state
-        rows = np.vstack([foot_matrix(cparams, x0), crawler._X_THETA0_ROW])
+        rows = np.vstack([foot_matrix(cparams, x0), X_THETA0_ROW])
         basis0 = np.linalg.svd(rows)[2][:4].T
         field = crawler._gait_field(cparams, 1.0, basis0)
         with pytest.raises(IntegrationError, match="drifted too far"):
@@ -354,10 +365,18 @@ class TestGaitBasis:
     def test_orthonormal_null_basis(self, cparams, gait, k):
         x = gait.x[k]
         Q = np.array(crawler._gait_basis(cparams, x.tolist()))
-        rows = np.vstack([foot_matrix(cparams, x), crawler._X_THETA0_ROW])
+        rows = np.vstack([foot_matrix(cparams, x), X_THETA0_ROW])
         assert Q.shape == (4, 9)
         assert np.abs(rows @ Q.T).max() <= BASIS_TOL
         assert np.abs(Q @ Q.T - np.eye(4)).max() <= BASIS_TOL
+
+    def test_weights_in_start_frame(self, cparams, gait):
+        # at t = 0 the frame is its own start frame, so the gait velocity
+        # is the weights' sin(phase) components over the closed-form frame
+        # at x0, not over any other basis of the same null space
+        want = ((crawler.GAIT_AMPLITUDES * np.sin(crawler.GAIT_PHASES))
+                @ start_frame(cparams, gait.initial_state).T)
+        assert np.abs(gait.v[0] - want).max() <= BASIS_TOL
 
     @pytest.mark.parametrize("arm", [slice(4, 6), slice(7, 9)])
     def test_straight_arm_rejected(self, cparams, gait, arm):

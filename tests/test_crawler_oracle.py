@@ -2,14 +2,16 @@
 
 The functions below are a direct, unoptimised transcription of the crawler:
 every kinematic quantity is recomputed from the joint angles wherever it is
-used, the gait field factors its rows by SVD, the recovery field builds the
-full designed-row pullback and hands it to a pseudoinverse, the pose refit
-runs Gauss-Newton, the integrator evaluates RK4's first stage inside the
-step, and the sample velocities come from a second pass over the stored
-samples. The package computes each state's kinematics once, takes the
-sample velocities from the integrator and solves the gait basis, the
-recovery field and the pose fit in closed form. It must reproduce the
-sample times exactly and every other output to the round-off bounds below.
+used, the gait field factors its rows by SVD (its start frame, in which the
+weights are written, comes from a pseudoinverse and cross products), the
+recovery field builds the full designed-row pullback and hands it to a
+pseudoinverse, the pose refit runs Gauss-Newton, the integrator evaluates
+RK4's first stage inside the step, and the sample velocities come from a
+second pass over the stored samples. The package computes each state's
+kinematics once, takes the sample velocities from the integrator and solves
+the gait basis, the recovery field and the pose fit in closed form. It must
+reproduce the sample times exactly and every other output to the round-off
+bounds below.
 """
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from regait.crawler import (_IK_GUESSES, GAIT_AMPLITUDES, GAIT_MIN_ALIGNMENT,
                             gait_perturbation_provider, playback_baseline,
                             recover, template_traces)
 from regait.crawler import _gait_field as _package_gait_field
-from regait.crawler import _null_basis as _package_null_basis
+from regait.crawler import _gait_basis as _package_gait_basis
 from regait.integrate import IntegrationError, project
 
 
@@ -186,6 +188,29 @@ def _null_basis(params, state):
     return vt[M.shape[0]:].T
 
 
+def _start_frame(params, state):
+    """(9, 4) frame the gait weights are written in: the two pose
+    directions (x' = theta0' = 1, then y' = 1), each with the minimum-norm
+    joint rates that keep the feet pinned, by Gram-Schmidt, then each arm's
+    unit normal, the cross product of its tail sums' real and imaginary
+    parts."""
+    state = np.asarray(state, dtype=float)
+    A = _foot_matrix(params, state)
+    pose, joints = A[:, :G_DIM], np.linalg.pinv(A[:, G_DIM:])
+    cols = [np.concatenate([d, -joints @ (pose @ d)])
+            for d in (np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))]
+    q1 = cols[0] / np.linalg.norm(cols[0])
+    c2 = cols[1] - (q1 @ cols[1]) * q1
+    frame = np.zeros((STATE_DIM, 4))
+    frame[:, 0], frame[:, 1] = q1, c2 / np.linalg.norm(c2)
+    for k, (h, arm) in enumerate(((params.h1, slice(3, 6)),
+                                  (params.h2, slice(6, 9)))):
+        _, tails = _arm(h, state[arm])
+        n = np.cross(tails.real, tails.imag)
+        frame[arm, 2 + k] = n / np.linalg.norm(n)
+    return frame
+
+
 def _gait_field(params, period, basis0):
     def field(t, state):
         N = _null_basis(params, state)
@@ -210,7 +235,7 @@ def _foot_projection(params):
 def oracle_reference_gait(params, period=1.0, dt=1e-3):
     """(t, x, v, r, alpha, rdot, alphadot) of the default gait."""
     x0 = _initial_configuration(params)
-    field = _gait_field(params, period, _null_basis(params, x0))
+    field = _gait_field(params, period, _start_frame(params, x0))
     t, x = _integrate_projected(field, _foot_projection(params), 0.0, x0,
                                 period, 0.5 * dt, 1e-11)
     n = len(t)
@@ -322,8 +347,10 @@ def oracle_perturbed_rollout(params, reference, jam, mu, stride=4):
 # The package's gait field takes a closed-form orthonormal basis of the
 # null space the oracle factors by SVD; the field N polar(N^T basis0) w does
 # not depend on the basis chosen, so the two gaits differ by round-off.
-# Measured worst |package - oracle|: x 6.7e-16, v 8.3e-16, r 4.4e-16,
-# alpha 4.4e-16, rdot 5.8e-16, alphadot 3.1e-16; t is identical.
+# Both start frames are the same construction (measured 2.2e-16 apart), the
+# package's in closed form, the oracle's by pseudoinverse and cross product.
+# Measured worst |package - oracle|: x 2.2e-16, v 1.0e-15, r 1.3e-15,
+# alpha 4.4e-16, rdot 7.5e-16, alphadot 2.7e-16; t is identical.
 GAIT_BOUND = 1e-14
 
 
@@ -340,9 +367,9 @@ def test_reference_gait_matches_oracle(cparams, gait):
 @pytest.mark.parametrize("k", range(0, 2001, 100))
 def test_gait_field_matches_oracle(cparams, gait, k):
     x0 = gait.initial_state
-    got = _package_gait_field(cparams, 1.0,
-                              _package_null_basis(cparams, x0))
-    want = _gait_field(cparams, 1.0, _null_basis(cparams, x0))
+    got = _package_gait_field(
+        cparams, 1.0, np.array(_package_gait_basis(cparams, x0.tolist())).T)
+    want = _gait_field(cparams, 1.0, _start_frame(cparams, x0))
     t, x = float(gait.t[k]), gait.x[k]
     assert np.abs(np.array(got(t, x.tolist())) - want(t, x)).max() \
         <= GAIT_BOUND

@@ -197,6 +197,18 @@ class TestLearnConstraints:
             learn_constraints(IDENTITY_2, [[1.0, 0.0]], traj, phase,
                               order=4, velocities=v)
 
+    def test_backward_phase_rejected(self):
+        # a circle that steps back for five samples still winds around its
+        # center, so the estimator trains on it, but its phase turns back
+        t = np.linspace(0.0, TWO_PI, 256, endpoint=False)
+        angle = t.copy()
+        angle[100:105] = angle[99] - 0.01 * np.arange(1, 6)
+        x = np.column_stack([np.cos(angle), np.sin(angle)])
+        phase = PhaseEstimator.fit(x)
+        with pytest.raises(ValueError, match="not strictly monotone"):
+            learn_constraints(IDENTITY_2, [[1.0, 0.0]],
+                              Trajectory(t=t, x=x), phase, order=3)
+
     def test_json_round_trip(self):
         _, _, lc = self.fit_circle()
         back = learned_from_json(learned_to_json(lc))

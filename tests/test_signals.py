@@ -137,7 +137,7 @@ class TestPhaseEstimator:
     def test_training_cycle_monotone_winding_one(self):
         t, data = self.circle()
         est = PhaseEstimator.fit(data)
-        unwrapped = est.training_phases(data)
+        unwrapped = np.unwrap(estimate_phases(est, data))
         assert np.all(np.diff(unwrapped) > 0)
         travel = unwrapped[-1] - unwrapped[0]
         assert travel == pytest.approx(TWO_PI * (len(t) - 1) / len(t),
@@ -146,7 +146,7 @@ class TestPhaseEstimator:
     def test_reversed_cycle_still_increases(self):
         t, data = self.circle()
         est = PhaseEstimator.fit(data[::-1])
-        unwrapped = est.training_phases(data[::-1])
+        unwrapped = np.unwrap(estimate_phases(est, data[::-1]))
         assert np.all(np.diff(unwrapped) > 0)
 
     def test_non_winding_data_rejected(self):
