@@ -32,9 +32,9 @@ from .ctslip import (RECOVERY_SEARCH, SIM_DT, BuehlerClock, CTSlipParams,
                      build_reference, count_completing, energy_outputs,
                      make_ensemble, nominal_ic, recover_parameters,
                      simulate_hybrid)
-from .encoding import learn_constraints, learned_to_json, record_eta
+from .encoding import learn_constraints, learned_to_json
 from .manipulator import point_mass_toy, rescaled_constraint, run_force_matching
-from .signals import PhaseEstimator, estimate_phases, eval_fourier
+from .signals import PhaseEstimator
 from .svgplot import Figure, save_svg
 from .trajectory import Trajectory, TrajectoryFormatError, write_csv
 
@@ -142,15 +142,16 @@ def _crawler_params(path: str | None) -> CrawlerParams:
         raise UsageError(f"crawler parameter(s) {sorted(raw)}: {exc}")
 
 
-def _learn(args, params: CrawlerParams, traj: Trajectory):
-    """Learn the template rows back from ``traj``; writes learned.json."""
+def _learn(args, params: CrawlerParams, traj: Trajectory) -> float:
+    """Learn the template rows back from ``traj`` and write learned.json;
+    returns the worst of the learned series' fit residual rms."""
     phase = PhaseEstimator.fit(shape_features(traj.x))
     lc = learn_constraints(template_encoding_map(params), TEMPLATE_FORMS, traj,
                            phase, order=args.order,
                            phase_features=shape_features)
     with open(os.path.join(args.out, "learned.json"), "w") as fh:
         fh.write(learned_to_json(lc))
-    return lc
+    return max(m.fit_residual_rms for m in lc.eta_models)
 
 
 def cmd_crawler(args) -> dict:
@@ -165,7 +166,7 @@ def cmd_crawler(args) -> dict:
     full = reference.full_grid()
     full.to_csv(os.path.join(out, "reference.csv"))
     with _timed(seconds, "learn"):
-        lc = _learn(args, params, full)
+        fit_rms = _learn(args, params, full)
 
     with _timed(seconds, "recover"):
         rec = recover(params, reference, args.jam)
@@ -181,8 +182,7 @@ def cmd_crawler(args) -> dict:
             foot_residual_series(params, full.x).max()),
         "max_foot_residual_recovered": float(
             foot_residual_series(params, rec.trajectory.x).max()),
-        "learned_fit_residual_rms": max(
-            m.fit_residual_rms for m in lc.eta_models),
+        "learned_fit_residual_rms": fit_rms,
     }
 
     fig = Figure(title=f"template traces (jam={args.jam})", xlabel="t",
@@ -390,28 +390,11 @@ def cmd_learn(args) -> dict:
             f"{args.traj}: {len(traj)} rows; an order-{args.order} Fourier "
             f"fit needs at least {2 * args.order + 1}")
     params = _crawler_params(args.params)
-    lc = _learn(args, params, traj)
-
-    # worst-case bound of the fit vs rms of re-evaluating the learned rows
-    series = record_eta(template_encoding_map(params), TEMPLATE_FORMS, traj)
-    phases = estimate_phases(lc.phase_model, shape_features(traj.x))
-    fit_max = 0.0
-    self_sq = np.zeros(len(traj))
-    for s, model in zip(series, lc.eta_models):
-        err = s - eval_fourier(model, phases)
-        fit_max = max(fit_max, float(np.abs(err).max()))
-        self_sq += err ** 2
-    self_rms = float(np.sqrt(self_sq.mean()))
-    metrics = {
-        "fit_residual_max": fit_max,
-        "self_residual_rms": self_rms,
-        "self_below_fit": self_rms < fit_max,
-        "order": args.order,
-        "samples": len(traj),
-    }
-    print(f"learn: self-residual {self_rms:.3e} < fit residual {fit_max:.3e}"
-          f": {self_rms < fit_max}")
-    return metrics
+    fit_rms = _learn(args, params, traj)
+    print(f"learn: fit residual rms {fit_rms:.3e} at order {args.order} "
+          f"over {len(traj)} samples")
+    return {"learned_fit_residual_rms": fit_rms, "order": args.order,
+            "samples": len(traj)}
 
 
 # ------------------------------------------------------------------- rank
