@@ -2,11 +2,12 @@
 
 The functions below are a direct, unoptimised transcription of the crawler:
 every kinematic quantity is recomputed from the joint angles wherever it is
-used, the gait field builds its frame at every state from a pseudoinverse
-and cross products, the recovery field builds the full designed-row
-pullback and hands it to a pseudoinverse, the pose refit runs Gauss-Newton,
-the integrator evaluates RK4's first stage inside the step, and the sample
-velocities come from a second pass over the stored samples. The package computes each state's
+used, the gait field factors its rows by SVD (its start frame, in which the
+weights are written, comes from a pseudoinverse and cross products), the
+recovery field builds the full designed-row pullback and hands it to a
+pseudoinverse, the pose refit runs Gauss-Newton, the integrator evaluates
+RK4's first stage inside the step, and the sample velocities come from a
+second pass over the stored samples. The package computes each state's
 kinematics once, takes the sample velocities from the integrator and solves
 the gait basis, the recovery field and the pose fit in closed form. It must
 reproduce the sample times exactly and every other output to the round-off
@@ -15,10 +16,12 @@ bounds below.
 import numpy as np
 import pytest
 
-from regait.crawler import (_IK_GUESSES, GAIT_AMPLITUDES, GAIT_PHASES, G_DIM,
-                            N_JOINTS, STATE_DIM, gait_perturbation_provider,
-                            playback_baseline, recover, template_traces)
+from regait.crawler import (_IK_GUESSES, GAIT_AMPLITUDES, GAIT_MIN_ALIGNMENT,
+                            GAIT_PHASES, G_DIM, N_JOINTS, STATE_DIM,
+                            gait_perturbation_provider, playback_baseline,
+                            recover, template_traces)
 from regait.crawler import _gait_field as _package_gait_field
+from regait.crawler import _gait_basis as _package_gait_basis
 from regait.integrate import IntegrationError, project
 
 
@@ -176,8 +179,17 @@ def _integrate_projected(f, c, t0, x0, t1, dt, tol):
 
 # ----------------------------------------------------------- reference gait
 
-def _frame(params, state):
-    """(9, 4) frame the gait weights are applied to: the two pose
+def _null_basis(params, state):
+    M = np.vstack([_foot_matrix(params, state),
+                   _design_constraints(params, state)[0][4]])
+    _, svals, vt = np.linalg.svd(M)
+    if svals[-1] < 1e-10 * svals[0]:
+        raise IntegrationError("gait constraint rows lost rank")
+    return vt[M.shape[0]:].T
+
+
+def _start_frame(params, state):
+    """(9, 4) frame the gait weights are written in: the two pose
     directions (x' = theta0' = 1, then y' = 1), each with the minimum-norm
     joint rates that keep the feet pinned, by Gram-Schmidt, then each arm's
     unit normal, the cross product of its tail sums' real and imaginary
@@ -199,11 +211,16 @@ def _frame(params, state):
     return frame
 
 
-def _gait_field(params, period):
+def _gait_field(params, period, basis0):
     def field(t, state):
+        N = _null_basis(params, state)
+        U, sv, Vt = np.linalg.svd(N.T @ basis0)
+        if sv.min() < GAIT_MIN_ALIGNMENT:
+            raise IntegrationError(
+                f"null-space frame drifted too far from the start "
+                f"(cos {sv.min():.3f})")
         ph = 2.0 * np.pi * t / period
-        return _frame(params, state) @ (GAIT_AMPLITUDES
-                                        * np.sin(ph + GAIT_PHASES))
+        return N @ ((U @ Vt) @ (GAIT_AMPLITUDES * np.sin(ph + GAIT_PHASES)))
 
     return field
 
@@ -218,7 +235,7 @@ def _foot_projection(params):
 def oracle_reference_gait(params, period=1.0, dt=1e-3):
     """(t, x, v, r, alpha, rdot, alphadot) of the default gait."""
     x0 = _initial_configuration(params)
-    field = _gait_field(params, period)
+    field = _gait_field(params, period, _start_frame(params, x0))
     t, x = _integrate_projected(field, _foot_projection(params), 0.0, x0,
                                 period, 0.5 * dt, 1e-11)
     n = len(t)
@@ -327,11 +344,13 @@ def oracle_perturbed_rollout(params, reference, jam, mu, stride=4):
 
 # -------------------------------------------------------------------- tests
 
-# Both gait fields apply the weights to the same frame, the package's in
-# closed form, the oracle's by pseudoinverse and cross product, so the two
-# gaits differ by round-off. Measured worst |package - oracle|: x 1.1e-16,
-# v 3.9e-16, r 4.4e-16, alpha 2.2e-16, rdot 3.6e-16, alphadot 2.1e-16;
-# t is identical.
+# The package's gait field takes a closed-form orthonormal basis of the
+# null space the oracle factors by SVD; the field N polar(N^T basis0) w does
+# not depend on the basis chosen, so the two gaits differ by round-off.
+# Both start frames are the same construction (measured 2.2e-16 apart), the
+# package's in closed form, the oracle's by pseudoinverse and cross product.
+# Measured worst |package - oracle|: x 2.2e-16, v 1.0e-15, r 1.3e-15,
+# alpha 4.4e-16, rdot 7.5e-16, alphadot 2.7e-16; t is identical.
 GAIT_BOUND = 1e-14
 
 
@@ -347,8 +366,10 @@ def test_reference_gait_matches_oracle(cparams, gait):
 
 @pytest.mark.parametrize("k", range(0, 2001, 100))
 def test_gait_field_matches_oracle(cparams, gait, k):
-    got = _package_gait_field(cparams, 1.0)
-    want = _gait_field(cparams, 1.0)
+    x0 = gait.initial_state
+    got = _package_gait_field(
+        cparams, 1.0, np.array(_package_gait_basis(cparams, x0.tolist())).T)
+    want = _gait_field(cparams, 1.0, _start_frame(cparams, x0))
     t, x = float(gait.t[k]), gait.x[k]
     assert np.abs(np.array(got(t, x.tolist())) - want(t, x)).max() \
         <= GAIT_BOUND
