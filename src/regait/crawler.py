@@ -24,20 +24,19 @@ minimum-norm solution of the foot rows and the jam row, one arm at a time
 (the foot rows are block-diagonal): arm a, with endpoint p_a and tail sums
 s_aj, solves sum_j s_aj theta_aj' = u_a = i z' e^{-i theta0} - p_a theta0'.
 
-The reference gait follows sinusoidal weights over an orthonormal basis of
-the null space of the foot rows and the x-theta0 row. That basis is built in
-closed form from the same per-arm solve: the two pose directions with
-minimum-norm joint rates, orthonormalised, and each arm's unit normal n_a.
-The same construction at the start state is the frame the weights are
-written in; each field call takes one 4x4 SVD, which aligns the basis to
-that start frame (see the comment above GAIT_AMPLITUDES).
+The reference gait is a closed curve in one fixed chart of the
+four-dimensional manifold {feet pinned, x = theta0}. The chart's frame N0
+is the orthonormal null basis of those five rows at the start, built in
+closed form from the same per-arm solve (``_gait_basis``): the two pose
+directions with minimum-norm joint rates, orthonormalised, and each arm's
+unit normal n_a (see the comment above GAIT_AMPLITUDES).
 
-The recovery loop and the gait run on Python floats (states are lists; see
-``integrate``): the fields and the projection residuals read one state's
+The recovery loop runs on Python floats (states are lists; see
+``integrate``): the field and the projection residuals read one state's
 kinematics from ``_kinematics_one`` (complex endpoints and tail sums), and
-the recovery field reads the recorded rates by grid index, since numpy calls
-on a handful of numbers cost more than the arithmetic. The projection builds
-the foot (and jam) Jacobian only for a Newton step.
+the field reads the recorded rates by grid index, since numpy calls on a
+handful of numbers cost more than the arithmetic. The projection builds the
+foot (and jam) Jacobian only for a Newton step.
 """
 
 from __future__ import annotations
@@ -51,7 +50,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constraints import ConstraintBlock, ConstraintStack, Priority, residual
-from .integrate import IntegrationError, integrate_projected
+from .integrate import (MAX_NEWTON_ITERS, IntegrationError,
+                        integrate_projected, span_steps)
 from .trajectory import Trajectory
 
 G_DIM = 3
@@ -275,29 +275,19 @@ def initial_configuration(params: CrawlerParams) -> np.ndarray:
     raise ValueError("inverse kinematics failed for every initial guess")
 
 
-# The reference gait moves along sinusoidal weights over the feet-pinned
-# null-space directions. The null space of [foot rows; x-theta0 row] is
-# four-dimensional, and ``_gait_basis`` gives it one orthonormal frame N at
-# every state: pose sway (theta0' = x'), heave (y'), each with minimum-norm
-# joint rates, then arm 1's and arm 2's internal motion (pose fixed). Each
-# field call aligns N to the frame at the start, basis0 = N(x0), by
-# orthogonal Procrustes, so the field N polar(N^T basis0) w is a continuous
-# pure function of (t, state). The singular values of N^T basis0 are the
-# cosines of the principal angles between the two spaces, which do not
-# depend on either basis: a frame whose least cosine drops below
-# GAIT_MIN_ALIGNMENT has drifted too far.
-#
-# The weights are w_i = A_i sin(2 pi t / period + phi_i) over that aligned
-# frame. The alignment keeps the gait a cycle: one period brings the state
-# back to within 6.0e-5 of its start, where the same weights over the
-# unaligned N(x) leave it 0.0105 away.
+# The gait's chart coordinates along N0 = ``_gait_basis(x0)`` are the
+# integrals c(t) of the weights A_i sin(2 pi t / period + phi_i), which
+# return to zero after one period. Each sample is x0 + N0 c + G0^T lam, with
+# G0 the five rows at x0 and lam from Newton on their residuals; its
+# velocity is the curve's exact rate on the manifold.
 GAIT_AMPLITUDES = np.array([0.5655192174903454, 0.3241975707256865,
                             0.4958796693361258, 0.3415952331689739])
 GAIT_PHASES = np.array([0.05786238329953794, -0.9299630175767266,
                         1.5725865130949745, 0.026882383523351615])
-GAIT_MIN_ALIGNMENT = 0.2
-# foot residual (max norm) below which a projection stops; the recovery
-# shares the gait's, because it starts from a gait state
+# designed row 5 (x locked to theta0) pulled back to the state: constant
+X_THETA0 = np.array([1.0, 0.0, -1.0] + [0.0] * N_JOINTS)
+CHART_TOL = 1e-14   # gait residual (max norm) a chart point falls below
+# foot and jam residual (max norm) below which a recovery projection stops
 PROJECTION_TOL = 1e-11
 
 
@@ -339,21 +329,6 @@ def _gait_basis(params: CrawlerParams, state: Sequence[float]) -> list:
             pad + pad + normals[1]]
 
 
-def _gait_field(params: CrawlerParams, period: float,
-                basis0: np.ndarray) -> Callable:
-    def field(t, state):
-        Q = np.array(_gait_basis(params, state))
-        U, sv, Vt = np.linalg.svd(Q @ basis0)
-        if sv[-1] < GAIT_MIN_ALIGNMENT:     # the least cosine; sv descends
-            raise IntegrationError("null-space frame drifted too far from "
-                                   f"the start (cos {sv[-1]:.3f})")
-        weights = GAIT_AMPLITUDES * np.sin(2.0 * np.pi * t / period
-                                           + GAIT_PHASES)
-        return (((U @ Vt) @ weights) @ Q).tolist()
-
-    return field
-
-
 _GRID_TOL = 1e-9   # how far a time may sit from its recorded grid point
 _OFF_GRID = "time {} is not on the recorded gait grid"
 
@@ -364,9 +339,9 @@ class ReferenceGait:
 
     ``t``/``x``/``v`` are sampled at dt/2 so that Runge-Kutta stage times of
     any dt-grid integration over the same span land exactly on stored samples;
-    ``rates_at`` then never interpolates. ``v`` holds the exact field velocity
-    at each stored state (the integrator's RK4 first stage there); (r, alpha)
-    and their rates are evaluated from it.
+    ``rates_at`` then never interpolates. ``v`` holds the chart curve's exact
+    velocity at each stored state; (r, alpha) and their rates are evaluated
+    from it.
     """
 
     params: CrawlerParams
@@ -418,20 +393,38 @@ class ReferenceGait:
 
 def reference_gait(params: CrawlerParams, period: float = 1.0,
                    dt: float = 1e-3) -> ReferenceGait:
-    """Generate and record the nominal gait by projected integration from
-    ``initial_configuration``."""
+    """Sample the nominal gait's chart curve from ``initial_configuration``
+    on a dt/2 grid (see the comment above GAIT_AMPLITUDES); a chart point
+    whose Newton solve does not converge raises ``IntegrationError`` naming
+    its time."""
     x0 = initial_configuration(params)
-    basis0 = np.array(_gait_basis(params, x0.tolist())).T
-    field = _gait_field(params, period, basis0)
-    traj, v = integrate_projected(
-        field, (lambda s: _foot_residual_one(params, s),
-                lambda s: foot_matrix(params, s)), 0.0, x0, period, 0.5 * dt,
-        PROJECTION_TOL)
-    w, r, jac = _template(_kinematics(params, traj.x))
+    N0 = np.array(_gait_basis(params, x0.tolist())).T
+    G0t = np.vstack([foot_matrix(params, x0), X_THETA0]).T
+    t = np.arange(span_steps(0.0, period, 0.5 * dt) + 1) * (0.5 * dt)
+    phase = 2.0 * np.pi * t[:, None] / period + GAIT_PHASES
+    c = (GAIT_AMPLITUDES * period / (2.0 * np.pi)
+         * (np.cos(GAIT_PHASES) - np.cos(phase))) @ N0.T
+    cdot = (GAIT_AMPLITUDES * np.sin(phase)) @ N0.T
+    x, v, lam = np.empty_like(c), np.empty_like(c), np.zeros(G0t.shape[1])
+    for k in range(len(t)):
+        for _ in range(MAX_NEWTON_ITERS):
+            x[k] = x0 + c[k] + G0t @ lam
+            state = x[k].tolist()   # x0's pose is zero: x - theta0 = 0
+            res = _foot_residual_one(params, state) + [state[0] - state[2]]
+            G = np.vstack([foot_matrix(params, state), X_THETA0])
+            if all(abs(e) < CHART_TOL for e in res):   # written so NaN fails
+                break
+            lam -= np.linalg.solve(G @ G0t, res)
+        else:
+            raise IntegrationError(f"gait chart point at t={t[k]} did not "
+                                   f"converge in {MAX_NEWTON_ITERS} iterations")
+        # cdot moved along G0^T onto the manifold's tangent space
+        v[k] = cdot[k] - G0t @ np.linalg.solve(G @ G0t, G @ cdot[k])
+    w, r, jac = _template(_kinematics(params, x))
     rates = (jac @ v[:, G_DIM:, None])[..., 0]
-    return ReferenceGait(params=params, period=period, dt=dt, t=traj.t,
-                         x=traj.x, v=v, r=r, alpha=np.angle(w),
-                         rdot=rates[:, 0], alphadot=rates[:, 1])
+    return ReferenceGait(params=params, period=period, dt=dt, t=t, x=x, v=v,
+                         r=r, alpha=np.angle(w), rdot=rates[:, 0],
+                         alphadot=rates[:, 1])
 
 
 def _check_params(params: CrawlerParams, reference: ReferenceGait) -> None:

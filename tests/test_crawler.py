@@ -42,8 +42,8 @@ X_THETA0_ROW = np.array([1.0, 0.0, -1.0] + [0.0] * crawler.N_JOINTS)
 
 
 def start_frame(params, state):
-    """The gait's closed-form frame at a state as (9, 4) columns, the
-    ``basis0`` that ``reference_gait`` hands the gait field."""
+    """The gait's closed-form frame at a state as (9, 4) columns; at the
+    start state it is the frame of the gait's chart."""
     state = np.asarray(state, dtype=float).tolist()
     return np.array(crawler._gait_basis(params, state)).T
 
@@ -283,7 +283,8 @@ class TestReferenceGait:
         assert np.ptp(gait.x[:, 2]) > 1e-3
 
     def test_recorded_rates_match_trace_derivative(self, gait):
-        # rdot is recorded from the field; differencing r must agree.
+        # rdot is recorded from the chart velocity; differencing r must
+        # agree.
         dt = gait.t[1] - gait.t[0]
         fd = (gait.r[2:] - gait.r[:-2]) / (2.0 * dt)
         assert np.abs(fd - gait.rdot[1:-1]).max() < 1e-5
@@ -313,11 +314,33 @@ class TestReferenceGait:
         assert np.ptp(gait.alpha) > 0.01
 
     def test_closes_over_one_period(self, gait):
-        # the gait is a cycle: one period brings the state back to its
-        # start (measured 6.0e-5 in x, 9.8e-6 in v); the same weights over
-        # the unaligned frame N(x) miss by 0.0105 in x and 3.9e-3 in v
-        assert np.abs(gait.x[-1] - gait.x[0]).max() <= 1e-4
-        assert np.abs(gait.v[-1] - gait.v[0]).max() <= 1e-4
+        # the gait is a closed curve in one chart, so one period brings the
+        # state back to its start up to round-off (measured 4.4e-16 in x,
+        # 1.7e-16 in v); RK4 over the aligned frame missed by 6.0e-5 in x
+        # and 9.8e-6 in v
+        assert np.abs(gait.x[-1] - gait.x[0]).max() <= 1e-14
+        assert np.abs(gait.v[-1] - gait.v[0]).max() <= 1e-14
+
+    def test_chart_coordinates(self, cparams, gait):
+        # along the start frame N0 the gait's coordinates are the weights'
+        # integrals and its velocity is the weights themselves (measured
+        # 1.9e-16 and 1.7e-16); the chart correction lies in the row space
+        # at x0, which N0 annihilates
+        x0 = initial_configuration(cparams)
+        frame = start_frame(cparams, x0)
+        phase = 2.0 * np.pi * gait.t[:, None] + crawler.GAIT_PHASES
+        amps = crawler.GAIT_AMPLITUDES
+        coords = amps / (2.0 * np.pi) * (np.cos(crawler.GAIT_PHASES)
+                                         - np.cos(phase))
+        assert np.abs((gait.x - x0) @ frame - coords).max() <= 1e-14
+        assert np.abs(gait.v @ frame - amps * np.sin(phase)).max() <= 1e-14
+
+    def test_chart_failure_names_the_time(self, cparams):
+        # a 20 s period carries the curve so far from the start that the
+        # chart's Newton solve stops converging
+        with pytest.raises(IntegrationError,
+                           match=r"gait chart point at t=6\.925"):
+            crawler.reference_gait(cparams, period=20.0, dt=0.05)
 
     def test_grid_lookups_agree(self, gait):
         # rates_at's array lookup and the recovery field's scalar one give
@@ -337,32 +360,6 @@ class TestReferenceGait:
             assert outcomes[0] == outcomes[1], t
         assert gait._grid_index(float(gait.t[5]) + 0.5 * tol) == 5
 
-    @pytest.mark.parametrize("arm", [1, 2])
-    def test_field_rank_loss_detected(self, cparams, gait, arm):
-        # arm 1 straight down at theta0 = pi/2, or arm 2 straight up at
-        # theta0 = -pi/2: the arm's foot rows lose a joint rank and their
-        # pose-only combination is parallel to the x-theta0 row, so the
-        # five gait rows have rank 4
-        sign = 1.0 if arm == 1 else -1.0
-        x = gait.initial_state.copy()
-        x[2] = sign * np.pi / 2
-        x[3 * arm:3 * arm + 3] = -sign * np.pi / 2, 0.0, 0.0
-        field = crawler._gait_field(cparams, 1.0,
-                                    start_frame(cparams, gait.initial_state))
-        with pytest.raises(IntegrationError,
-                           match="gait constraint rows lost rank"):
-            field(0.0, x.tolist())
-
-    def test_field_drift_detected(self, cparams, gait):
-        # a start basis in the row space is orthogonal to every null space
-        # direction there: every alignment cosine is zero
-        x0 = gait.initial_state
-        rows = np.vstack([foot_matrix(cparams, x0), X_THETA0_ROW])
-        basis0 = np.linalg.svd(rows)[2][:4].T
-        field = crawler._gait_field(cparams, 1.0, basis0)
-        with pytest.raises(IntegrationError, match="drifted too far"):
-            field(0.0, x0.tolist())
-
 
 BASIS_TOL = 1e-14
 
@@ -378,12 +375,26 @@ class TestGaitBasis:
         assert np.abs(Q @ Q.T - np.eye(4)).max() <= BASIS_TOL
 
     def test_weights_in_start_frame(self, cparams, gait):
-        # at t = 0 the frame is its own start frame, so the gait velocity
-        # is the weights' sin(phase) components over the closed-form frame
-        # at x0, not over any other basis of the same null space
+        # at t = 0 the gait velocity is the weights' sin(phase) components
+        # over the closed-form frame at x0, not over any other basis of the
+        # same null space
         want = ((crawler.GAIT_AMPLITUDES * np.sin(crawler.GAIT_PHASES))
                 @ start_frame(cparams, gait.initial_state).T)
         assert np.abs(gait.v[0] - want).max() <= BASIS_TOL
+
+    @pytest.mark.parametrize("arm", [1, 2])
+    def test_rank_loss_detected(self, cparams, gait, arm):
+        # arm 1 straight down at theta0 = pi/2, or arm 2 straight up at
+        # theta0 = -pi/2: the arm's foot rows lose a joint rank and their
+        # pose-only combination is parallel to the x-theta0 row, so the
+        # five gait rows have rank 4
+        sign = 1.0 if arm == 1 else -1.0
+        x = gait.initial_state.copy()
+        x[2] = sign * np.pi / 2
+        x[3 * arm:3 * arm + 3] = -sign * np.pi / 2, 0.0, 0.0
+        with pytest.raises(IntegrationError,
+                           match="gait constraint rows lost rank"):
+            crawler._gait_basis(cparams, x.tolist())
 
     @pytest.mark.parametrize("arm", [slice(4, 6), slice(7, 9)])
     def test_straight_arm_rejected(self, cparams, gait, arm):
@@ -456,8 +467,8 @@ class TestRecovery:
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "known limitation: under jam 3 the 2x2 determinant of arm 1's two "
         "free tails passes through zero near t ~ 0.019 s (relative minimum "
-        "3.9e-5 on the run, sign changes between t = 0.018 and 0.024 s) and "
-        "the template r trace drifts to RMS 4.8e-4"))
+        "3.4e-4 on the run, sign changes between t = 0.018 and 0.020 s) and "
+        "the template r trace drifts to RMS 1.7e-4"))
     def test_jam3_template_traces_reproduced(self, gait, recoveries):
         rec = recoveries(3)
         assert np.sqrt(np.mean((rec.r - gait.r[::2]) ** 2)) < 1e-6
