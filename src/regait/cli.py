@@ -33,6 +33,7 @@ from .ctslip import (RECOVERY_SEARCH, SIM_DT, BuehlerClock, CTSlipParams,
                      make_ensemble, nominal_ic, recover_parameters,
                      simulate_hybrid)
 from .encoding import learn_constraints, learned_to_json
+from .integrate import span_steps
 from .manipulator import point_mass_toy, rescaled_constraint, run_force_matching
 from .signals import PhaseEstimator
 from .svgplot import Figure, save_svg
@@ -159,6 +160,7 @@ def cmd_crawler(args) -> dict:
         raise UsageError(f"--jam must be in 0..{N_JOINTS}, got {args.jam}")
     out = args.out
     params = _crawler_params(args.params)
+    span_steps(0.0, args.period, args.dt)   # recover's span, before any output
 
     seconds = {}
     with _timed(seconds, "reference"):

@@ -24,12 +24,12 @@ minimum-norm solution of the foot rows and the jam row, one arm at a time
 (the foot rows are block-diagonal): arm a, with endpoint p_a and tail sums
 s_aj, solves sum_j s_aj theta_aj' = u_a = i z' e^{-i theta0} - p_a theta0'.
 
-The reference gait is a closed curve in one fixed chart of the
-four-dimensional manifold {feet pinned, x = theta0}. The chart's frame N0
-is the orthonormal null basis of those five rows at the start, built in
-closed form from the same per-arm solve (``_gait_basis``): the two pose
-directions with minimum-norm joint rates, orthonormalised, and each arm's
-unit normal n_a (see the comment above GAIT_AMPLITUDES).
+The reference gait is a closed curve in one fixed chart of the manifold
+{feet pinned, x = theta0}, sampled by one block Newton solve, which names
+the earliest unconverged time if it fails. The chart's frame N0 is the
+orthonormal null basis of those five rows at the start, in closed form from
+the same per-arm solve (``_gait_basis``): the two pose directions with
+minimum-norm joint rates, orthonormalised, and each arm's unit normal n_a.
 
 The recovery loop runs on Python floats (states are lists; see
 ``integrate``): the field and the projection residuals read one state's
@@ -278,7 +278,7 @@ def initial_configuration(params: CrawlerParams) -> np.ndarray:
 # The gait's chart coordinates along N0 = ``_gait_basis(x0)`` are the
 # integrals c(t) of the weights A_i sin(2 pi t / period + phi_i), which
 # return to zero after one period. Each sample is x0 + N0 c + G0^T lam, with
-# G0 the five rows at x0 and lam from Newton on their residuals; its
+# G0 the five rows at x0 and lam from block Newton on their residuals; its
 # velocity is the curve's exact rate on the manifold.
 GAIT_AMPLITUDES = np.array([0.5655192174903454, 0.3241975707256865,
                             0.4958796693361258, 0.3415952331689739])
@@ -393,33 +393,31 @@ class ReferenceGait:
 
 def reference_gait(params: CrawlerParams, period: float = 1.0,
                    dt: float = 1e-3) -> ReferenceGait:
-    """Sample the nominal gait's chart curve from ``initial_configuration``
-    on a dt/2 grid (see the comment above GAIT_AMPLITUDES); a chart point
-    whose Newton solve does not converge raises ``IntegrationError`` naming
-    its time."""
+    """Sample the gait's chart curve from ``initial_configuration`` on a dt/2
+    grid in one block Newton solve (see GAIT_AMPLITUDES); a solve that fails
+    raises ``IntegrationError`` naming the earliest unconverged time."""
     x0 = initial_configuration(params)
     N0 = np.array(_gait_basis(params, x0.tolist())).T
     G0t = np.vstack([foot_matrix(params, x0), X_THETA0]).T
     t = np.arange(span_steps(0.0, period, 0.5 * dt) + 1) * (0.5 * dt)
     phase = 2.0 * np.pi * t[:, None] / period + GAIT_PHASES
-    c = (GAIT_AMPLITUDES * period / (2.0 * np.pi)
-         * (np.cos(GAIT_PHASES) - np.cos(phase))) @ N0.T
+    x = x0 + (GAIT_AMPLITUDES * period / (2.0 * np.pi)
+              * (np.cos(GAIT_PHASES) - np.cos(phase))) @ N0.T
     cdot = (GAIT_AMPLITUDES * np.sin(phase)) @ N0.T
-    x, v, lam = np.empty_like(c), np.empty_like(c), np.zeros(G0t.shape[1])
-    for k in range(len(t)):
-        for _ in range(MAX_NEWTON_ITERS):
-            x[k] = x0 + c[k] + G0t @ lam
-            state = x[k].tolist()   # x0's pose is zero: x - theta0 = 0
-            res = _foot_residual_one(params, state) + [state[0] - state[2]]
-            G = np.vstack([foot_matrix(params, state), X_THETA0])
-            if all(abs(e) < CHART_TOL for e in res):   # written so NaN fails
-                break
-            lam -= np.linalg.solve(G @ G0t, res)
-        else:
-            raise IntegrationError(f"gait chart point at t={t[k]} did not "
-                                   f"converge in {MAX_NEWTON_ITERS} iterations")
-        # cdot moved along G0^T onto the manifold's tangent space
-        v[k] = cdot[k] - G0t @ np.linalg.solve(G @ G0t, G @ cdot[k])
+    G = np.empty((len(t), 5, STATE_DIM))   # each sample's rows, as in G0
+    G[:, 4] = X_THETA0
+    for _ in range(MAX_NEWTON_ITERS):
+        feet, G[:, :4] = _feet(params, x)
+        res = np.column_stack([feet, x @ X_THETA0])
+        done = (abs(res) < CHART_TOL).all(axis=1)   # written so NaN fails
+        if done.all():
+            break
+        x -= np.linalg.solve(G @ G0t, res[..., None])[..., 0] @ G0t.T
+    else:
+        raise IntegrationError(f"gait chart point at t={t[done.argmin()]} "
+                               f"did not converge in {MAX_NEWTON_ITERS} steps")
+    # cdot moved along G0^T onto the manifold's tangent space
+    v = cdot - np.linalg.solve(G @ G0t, G @ cdot[..., None])[..., 0] @ G0t.T
     w, r, jac = _template(_kinematics(params, x))
     rates = (jac @ v[:, G_DIM:, None])[..., 0]
     return ReferenceGait(params=params, period=period, dt=dt, t=t, x=x, v=v,

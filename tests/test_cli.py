@@ -258,7 +258,11 @@ class TestCtslipCommand:
         # numeric failure here is a span off the step grid
         cases = ((("ctslip", "simulate", "--T", "0.0501"),
                   "integer number of steps"),
-                 (("crawler", "--dt", "0.3"), "integer number of steps"))
+                 (("crawler", "--dt", "0.3"), "integer number of steps"),
+                 # a whole number of the gait's dt/2 steps but not of dt
+                 # steps: checked before the gait and the learning write
+                 (("crawler", "--period", "1",
+                   "--dt", "0.019801980198019802"), "integer number of steps"))
         for argv, message in cases:
             out = tmp_path / "sim"
             assert main([*argv, "--out", str(out)]) == 3

@@ -313,13 +313,41 @@ class TestReferenceGait:
         assert np.ptp(gait.r) > 0.05
         assert np.ptp(gait.alpha) > 0.01
 
-    def test_closes_over_one_period(self, gait):
+    @pytest.mark.parametrize("period", [1.0, 2.0, 3.0, 5.0])
+    def test_closes_over_one_period(self, cparams, period):
         # the gait is a closed curve in one chart, so one period brings the
-        # state back to its start up to round-off (measured 4.4e-16 in x,
-        # 1.7e-16 in v); RK4 over the aligned frame missed by 6.0e-5 in x
-        # and 9.8e-6 in v
+        # state back to its start up to round-off (measured 6.4e-18, 1.3e-17,
+        # 1.9e-17 and 3.2e-17 in x, 1.7e-16 in v); RK4 over the aligned
+        # frame missed by 6.0e-5 in x and 9.8e-6 in v at period 1
+        gait = crawler.reference_gait(cparams, period=period)
         assert np.abs(gait.x[-1] - gait.x[0]).max() <= 1e-14
         assert np.abs(gait.v[-1] - gait.v[0]).max() <= 1e-14
+
+    def test_one_block_solve(self, cparams, monkeypatch):
+        # the chart's Newton steps evaluate every sample's kinematics in one
+        # call, so the count of kinematics calls does not grow with the
+        # number of samples (measured 31 at both periods, with the start
+        # configuration's; one call per step per sample made 6,006 and
+        # 12,006), and the one-state residual is not used
+        calls = []
+
+        def counting(name):
+            fn = getattr(crawler, name)
+
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        for name in ("_feet", "_foot_residual_one"):
+            monkeypatch.setattr(crawler, name, counting(name))
+        counts = []
+        for period in (1.0, 2.0):
+            calls.clear()
+            crawler.reference_gait(cparams, period=period)
+            assert "_foot_residual_one" not in calls
+            counts.append(calls.count("_feet"))
+        assert counts[0] == counts[1]
 
     def test_chart_coordinates(self, cparams, gait):
         # along the start frame N0 the gait's coordinates are the weights'
