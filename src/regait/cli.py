@@ -166,9 +166,9 @@ def cmd_crawler(args) -> dict:
     with _timed(seconds, "reference"):
         reference = reference_gait(params, period=args.period, dt=args.dt)
     full = reference.full_grid()
-    full.to_csv(os.path.join(out, "reference.csv"))
     with _timed(seconds, "learn"):
         fit_rms = _learn(args, params, full)
+    full.to_csv(os.path.join(out, "reference.csv"))   # only once learned
 
     with _timed(seconds, "recover"):
         rec = recover(params, reference, args.jam)

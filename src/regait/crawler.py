@@ -27,9 +27,10 @@ s_aj, solves sum_j s_aj theta_aj' = u_a = i z' e^{-i theta0} - p_a theta0'.
 The reference gait is a closed curve in one fixed chart of the manifold
 {feet pinned, x = theta0}, sampled by one block Newton solve, which names
 the earliest unconverged time if it fails. The chart's frame N0 is the
-orthonormal null basis of those five rows at the start, in closed form from
-the same per-arm solve (``_gait_basis``): the two pose directions with
-minimum-norm joint rates, orthonormalised, and each arm's unit normal n_a.
+orthonormal null basis of those five rows at the start, built from the
+start's foot rows (``_gait_basis``): the two pose directions with
+minimum-norm joint rates, orthonormalised, and each arm's unit normal n_a,
+the cross product of its two foot rows.
 
 The recovery loop runs on Python floats (states are lists; see
 ``integrate``): the field and the projection residuals read one state's
@@ -138,11 +139,6 @@ def _feet(params: CrawlerParams, state) -> tuple[np.ndarray, np.ndarray]:
     # complex (re, im) pairs -> rows Re f1, Im f1, Re f2, Im f2
     rows = J.view(float).reshape(lead + (2, STATE_DIM, 2)).swapaxes(-1, -2)
     return d.view(float), rows.reshape(lead + (4, STATE_DIM))
-
-
-def foot_matrix(params: CrawlerParams, state) -> np.ndarray:
-    """(4, 9) velocity rows of (Re f1, Im f1, Re f2, Im f2)."""
-    return _feet(params, np.asarray(state, dtype=float))[1]
 
 
 def _foot_residual_one(params: CrawlerParams, state: Sequence[float]) -> list:
@@ -275,11 +271,11 @@ def initial_configuration(params: CrawlerParams) -> np.ndarray:
     raise ValueError("inverse kinematics failed for every initial guess")
 
 
-# The gait's chart coordinates along N0 = ``_gait_basis(x0)`` are the
-# integrals c(t) of the weights A_i sin(2 pi t / period + phi_i), which
-# return to zero after one period. Each sample is x0 + N0 c + G0^T lam, with
-# G0 the five rows at x0 and lam from block Newton on their residuals; its
-# velocity is the curve's exact rate on the manifold.
+# The gait's chart coordinates along N0, ``_gait_basis`` of the foot rows at
+# x0, are the integrals c(t) of the weights A_i sin(2 pi t / period + phi_i),
+# which return to zero after one period. Each sample is x0 + N0 c + G0^T lam,
+# with G0 the same foot rows and the x-theta0 row, and lam from block Newton
+# on their residuals; its velocity is the curve's exact rate on the manifold.
 GAIT_AMPLITUDES = np.array([0.5655192174903454, 0.3241975707256865,
                             0.4958796693361258, 0.3415952331689739])
 GAIT_PHASES = np.array([0.05786238329953794, -0.9299630175767266,
@@ -291,42 +287,30 @@ CHART_TOL = 1e-14   # gait residual (max norm) a chart point falls below
 PROJECTION_TOL = 1e-11
 
 
-def _gait_basis(params: CrawlerParams, state: Sequence[float]) -> list:
-    """Orthonormal basis of the null space of the foot rows and the x-theta0
-    row at one state, in closed form on Python floats: four rows of nine.
+def _gait_basis(feet: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (4, 9) of the null space of one state's four foot
+    rows ``feet`` (4, 9, from ``_feet``) and the x-theta0 row.
 
     Rows 1-2 are Gram-Schmidt of the pose directions (theta0' = x' = 1,
-    y' = 0) and (y' = 1), each arm taking its minimum-norm joint rates (the
-    formula of ``recovery_field``); rows 3-4 are each arm's unit normal n on
-    its joint block. An arm whose relative Gram determinant |n| /
-    sum_j |s_j|^2 is <= 1e-10 (its tails parallel) raises
-    ``IntegrationError``.
+    y' = 0) and (y' = 1), each with the minimum-norm joint rates of the 4x6
+    joint block; rows 3-4 are each arm's unit normal n, the cross product
+    of its two foot rows on its joint block (``recovery_field``'s n). An arm
+    whose relative Gram determinant |n| / (sum of its rows' squares) is
+    <= 1e-10 (its tails parallel) raises ``IntegrationError``.
     """
-    rot, p1, s1, p2, s2 = _kinematics_one(params, state)
-    turn = 1j / rot                     # i z' e^{-i theta0} at z' = 1
-    c1, c2, normals = [1.0, 0.0, 1.0], [0.0, 1.0, 0.0], []
-    for p, (a, b, c) in ((p1, s1), (p2, s2)):
-        n0, n1, n2 = ((b.conjugate() * c).imag, (c.conjugate() * a).imag,
-                      (a.conjugate() * b).imag)
-        det = n0 * n0 + n1 * n1 + n2 * n2
-        if not det > (1e-10 * (abs(a) ** 2 + abs(b) ** 2
-                               + abs(c) ** 2)) ** 2:
-            raise IntegrationError("gait constraint rows lost rank")
-        for row, u in ((c1, (turn - p).conjugate()),
-                       (c2, (1j * turn).conjugate())):
-            va, vb, vc = (u * a).imag, (u * b).imag, (u * c).imag
-            row += [(vb * n2 - vc * n1) / det, (vc * n0 - va * n2) / det,
-                    (va * n1 - vb * n0) / det]
-        norm = math.sqrt(det)
-        normals.append([n0 / norm, n1 / norm, n2 / norm])
-    scale = 1.0 / math.sqrt(sum([v * v for v in c1]))
-    q1 = [v * scale for v in c1]
-    dot = sum([a * b for a, b in zip(q1, c2)])
-    c2 = [b - dot * a for a, b in zip(q1, c2)]
-    scale = 1.0 / math.sqrt(sum([v * v for v in c2]))
-    pad = [0.0] * 3
-    return [q1, [v * scale for v in c2], pad + normals[0] + pad,
-            pad + pad + normals[1]]
+    arms = np.stack([feet[:2, 3:6], feet[2:, 6:]])   # each arm's joint block
+    n = np.cross(arms[:, 0], arms[:, 1])
+    nn = (n * n).sum(axis=1)
+    if not (nn > (1e-10 * (arms * arms).sum(axis=(1, 2))) ** 2).all():
+        raise IntegrationError("gait constraint rows lost rank")
+    basis = np.zeros((4, STATE_DIM))
+    basis[2, 3:6], basis[3, 6:] = n / np.sqrt(nn)[:, None]
+    basis[:2, :G_DIM] = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    basis[:2, G_DIM:] = -basis[:2] @ feet.T @ np.linalg.pinv(feet[:, G_DIM:]).T
+    basis[0] /= np.linalg.norm(basis[0])
+    basis[1] -= (basis[1] @ basis[0]) * basis[0]
+    basis[1] /= np.linalg.norm(basis[1])
+    return basis
 
 
 _GRID_TOL = 1e-9   # how far a time may sit from its recorded grid point
@@ -397,8 +381,9 @@ def reference_gait(params: CrawlerParams, period: float = 1.0,
     grid in one block Newton solve (see GAIT_AMPLITUDES); a solve that fails
     raises ``IntegrationError`` naming the earliest unconverged time."""
     x0 = initial_configuration(params)
-    N0 = np.array(_gait_basis(params, x0.tolist())).T
-    G0t = np.vstack([foot_matrix(params, x0), X_THETA0]).T
+    feet0 = _feet(params, x0)[1]
+    N0 = _gait_basis(feet0).T
+    G0t = np.vstack([feet0, X_THETA0]).T
     t = np.arange(span_steps(0.0, period, 0.5 * dt) + 1) * (0.5 * dt)
     phase = 2.0 * np.pi * t[:, None] / period + GAIT_PHASES
     x = x0 + (GAIT_AMPLITUDES * period / (2.0 * np.pi)
@@ -577,7 +562,7 @@ def recover(params: CrawlerParams, reference: ReferenceGait,
         return _foot_residual_one(params, state) + [state[col] - locked]
 
     def dc(state):
-        return np.vstack([foot_matrix(params, state), jam_grad])
+        return np.vstack([_feet(params, np.asarray(state))[1], jam_grad])
 
     traj, v = integrate_projected(recovery_field(params, reference, jam),
                                   (c, dc), 0.0, x0, reference.period,

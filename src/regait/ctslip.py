@@ -695,7 +695,8 @@ def build_reference(params: CTSlipParams, ensemble: Sequence[HybridState],
     costs += [_member_cost(params, proto, simulate_hybrid(params, ic, T, dt))
               for ic in ensemble[1:]]
     if None in costs:
-        raise ValueError("nominal parameters crashed on an ensemble member")
+        raise ValueError(f"nominal run of ensemble member {costs.index(None)} "
+                         "crashed or is too short to score")
     worst = max(costs)
     return replace(proto, self_cost=float(np.mean(costs)),
                    crash_penalty=10.0 * worst)

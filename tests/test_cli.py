@@ -255,14 +255,28 @@ class TestCtslipCommand:
     def test_negative_span_fails(self, tmp_path, capsys):
         # a failed run removes the output directory it created, and only
         # that; a negative span is a usage error (see TestHarness), so the
-        # numeric failure here is a span off the step grid
+        # numeric failures here are a span off the step grid and runs too
+        # short to learn from or to score
         cases = ((("ctslip", "simulate", "--T", "0.0501"),
                   "integer number of steps"),
                  (("crawler", "--dt", "0.3"), "integer number of steps"),
                  # a whole number of the gait's dt/2 steps but not of dt
                  # steps: checked before the gait and the learning write
                  (("crawler", "--period", "1",
-                   "--dt", "0.019801980198019802"), "integer number of steps"))
+                   "--dt", "0.019801980198019802"), "integer number of steps"),
+                 # the gait is built, but learning fails before anything
+                 # is written
+                 (("crawler", "--period", "0.002", "--dt", "0.001"),
+                  "does not wind around its center"),
+                 (("crawler", "--period", "0.004", "--dt", "0.001"),
+                  "need at least 9 samples for order 4, got 5"),
+                 (("crawler", "--period", "0.008", "--dt", "0.001"),
+                  "degenerate phase sampling"),
+                 # every member hops one stride without crashing: too few
+                 # for the recovery cost to score
+                 (("ctslip", "recover", "--T", "1", "--iters", "1"),
+                  "nominal run of ensemble member 0 crashed or is too short "
+                  "to score"))
         for argv, message in cases:
             out = tmp_path / "sim"
             assert main([*argv, "--out", str(out)]) == 3

@@ -10,7 +10,7 @@ from regait.constraints import (ConstraintStack, Priority,
 from regait.encoding import learn_constraints, learned_block, record_eta
 from regait.crawler import (CrawlerParams, angle_difference, apply_jam,
                             crawler_stack, design_constraints, designed_block,
-                            foot_matrix, foot_residual_series,
+                            foot_residual_series,
                             gait_perturbation_provider, group_velocity,
                             initial_configuration, physical_block,
                             playback_baseline, recover, recovery_field,
@@ -42,10 +42,9 @@ X_THETA0_ROW = np.array([1.0, 0.0, -1.0] + [0.0] * crawler.N_JOINTS)
 
 
 def start_frame(params, state):
-    """The gait's closed-form frame at a state as (9, 4) columns; at the
+    """The gait's frame from a state's foot rows as (9, 4) columns; at the
     start state it is the frame of the gait's chart."""
-    state = np.asarray(state, dtype=float).tolist()
-    return np.array(crawler._gait_basis(params, state)).T
+    return crawler._gait_basis(crawler._feet(params, state)[1]).T
 
 
 def feet(params, state):
@@ -105,20 +104,20 @@ class TestPhysicalConstraints:
         omega, gamma = physical_block(cparams).rows(0.0, np.zeros(9))
         assert omega.shape == (4, 9)
         assert np.array_equal(gamma, np.zeros(4))
-        assert np.array_equal(omega, foot_matrix(cparams, np.zeros(9)))
+        assert np.array_equal(omega, crawler._feet(cparams, np.zeros(9))[1])
 
     def test_rows_match_finite_difference(self, cparams):
         rng = np.random.default_rng(1)
         state = np.concatenate([rng.standard_normal(3),
                                 rng.uniform(-1.0, 1.0, 6)])
-        jac = foot_matrix(cparams, state)
+        jac = crawler._feet(cparams, state)[1]
         num = fd_rows(lambda s: crawler._feet(cparams, s)[0], state)
         assert np.allclose(jac, num, atol=1e-7)
 
     def test_arm_blocks_decoupled(self, cparams):
         rng = np.random.default_rng(2)
         state = rng.standard_normal(9)
-        jac = foot_matrix(cparams, state)
+        jac = crawler._feet(cparams, state)[1]
         assert np.abs(jac[:2, 6:]).max() == 0.0  # arm 1 rows vs arm 2 joints
         assert np.abs(jac[2:, 3:6]).max() == 0.0
 
@@ -246,7 +245,7 @@ class TestDesignRows:
         # The template's first two rows differentiate the world-frame limb
         # midpoint, so they must equal the mean of the matching foot rows.
         for k in (0, len(gait.t) // 3, 2 * len(gait.t) // 3):
-            A = foot_matrix(cparams, gait.x[k])
+            A = crawler._feet(cparams, gait.x[k])[1]
             rows, _ = design_constraints(cparams, gait.x[k])
             assert np.allclose(rows[0], 0.5 * (A[0] + A[2]), atol=1e-12)
             assert np.allclose(rows[1], 0.5 * (A[1] + A[3]), atol=1e-12)
@@ -328,7 +327,9 @@ class TestReferenceGait:
         # call, so the count of kinematics calls does not grow with the
         # number of samples (measured 31 at both periods, with the start
         # configuration's; one call per step per sample made 6,006 and
-        # 12,006), and the one-state residual is not used
+        # 12,006); neither the one-state residual nor the one-state
+        # kinematics is used, since the frame comes from the start's foot
+        # rows
         calls = []
 
         def counting(name):
@@ -339,13 +340,14 @@ class TestReferenceGait:
                 return fn(*args)
             return wrapped
 
-        for name in ("_feet", "_foot_residual_one"):
+        for name in ("_feet", "_foot_residual_one", "_kinematics_one"):
             monkeypatch.setattr(crawler, name, counting(name))
         counts = []
         for period in (1.0, 2.0):
             calls.clear()
             crawler.reference_gait(cparams, period=period)
             assert "_foot_residual_one" not in calls
+            assert "_kinematics_one" not in calls
             counts.append(calls.count("_feet"))
         assert counts[0] == counts[1]
 
@@ -396,16 +398,17 @@ class TestGaitBasis:
     @pytest.mark.parametrize("k", range(0, 2001, 100))
     def test_orthonormal_null_basis(self, cparams, gait, k):
         x = gait.x[k]
-        Q = np.array(crawler._gait_basis(cparams, x.tolist()))
-        rows = np.vstack([foot_matrix(cparams, x), X_THETA0_ROW])
+        A = crawler._feet(cparams, x)[1]
+        Q = crawler._gait_basis(A)
+        rows = np.vstack([A, X_THETA0_ROW])
         assert Q.shape == (4, 9)
         assert np.abs(rows @ Q.T).max() <= BASIS_TOL
         assert np.abs(Q @ Q.T - np.eye(4)).max() <= BASIS_TOL
 
     def test_weights_in_start_frame(self, cparams, gait):
         # at t = 0 the gait velocity is the weights' sin(phase) components
-        # over the closed-form frame at x0, not over any other basis of the
-        # same null space
+        # over the frame from the foot rows at x0, not over any other basis
+        # of the same null space
         want = ((crawler.GAIT_AMPLITUDES * np.sin(crawler.GAIT_PHASES))
                 @ start_frame(cparams, gait.initial_state).T)
         assert np.abs(gait.v[0] - want).max() <= BASIS_TOL
@@ -422,17 +425,17 @@ class TestGaitBasis:
         x[3 * arm:3 * arm + 3] = -sign * np.pi / 2, 0.0, 0.0
         with pytest.raises(IntegrationError,
                            match="gait constraint rows lost rank"):
-            crawler._gait_basis(cparams, x.tolist())
+            crawler._gait_basis(crawler._feet(cparams, x)[1])
 
     @pytest.mark.parametrize("arm", [slice(4, 6), slice(7, 9)])
     def test_straight_arm_rejected(self, cparams, gait, arm):
-        # the five rows keep rank 5 here, but the closed form divides by
-        # the straight arm's zero Gram determinant
+        # the five rows keep rank 5 here, but the straight arm's two foot
+        # rows have a zero cross product, so the frame has no normal for it
         x = gait.initial_state.copy()
         x[arm] = 0.0
         with pytest.raises(IntegrationError,
                            match="gait constraint rows lost rank"):
-            crawler._gait_basis(cparams, x.tolist())
+            crawler._gait_basis(crawler._feet(cparams, x)[1])
 
 
 class TestJam:
@@ -538,7 +541,8 @@ class TestRecovery:
         v = recovery_field(cparams, gait, jam)(t, x)
         scale = max(1.0, np.abs(v).max())
         assert v[2 + jam] == 0.0
-        assert np.abs(foot_matrix(cparams, x) @ v).max() <= FIELD_ROW_TOL * scale
+        A = crawler._feet(cparams, x)[1]
+        assert np.abs(A @ v).max() <= FIELD_ROW_TOL * scale
         omega, gamma = design_constraints(cparams, x, gait.rates_at(t))
         assert np.abs(omega @ v - gamma).max() <= FIELD_ROW_TOL * scale
 
