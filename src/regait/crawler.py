@@ -8,12 +8,11 @@ l1/l2, giving four real Pfaffian rows (real and imaginary parts of the two
 complex foot velocities).
 
 The encoding template is the polar form (r, alpha) of the body-frame midpoint
-of the two feet, one record (``_template``) at one state or a block. Designed
-rows keep that midpoint stationary in the world (rows 1-2), drive (r, alpha)
-along recorded gait rates (rows 3-4), and lock x to theta0 (row 5). With
-beta = theta0 + alpha the world midpoint is z + r e^{i beta}, z = x + iy, so
-rows 1-2, d/dt [x + r cos beta] = 0 and d/dt [y + r sin beta] = 0, are the
-mean of the foot rows; all other signs follow.
+w of the two feet, one record (``_template``) at one state or a block. The
+Designed rows hold the world midpoint z + e^{i theta0} w = z + r e^{i beta},
+z = x + iy, beta = theta0 + alpha, in place (rows 1-2: the mean of the foot
+rows), drive (r, alpha) along recorded gait rates (rows 3-4: the template's
+Jacobian rows) and lock x to theta0 (row 5: ``X_THETA0``).
 
 Jamming a joint adds one physical row (its velocity is zero). Recovery solves
 Physical > Designed in closed form. Rows 1, 2 and 5 give the pose rate:
@@ -191,40 +190,34 @@ def shape_features(x) -> np.ndarray:
     return np.asarray(x, dtype=float)[..., 3:]
 
 
-# the state-independent entries of the template rows; rows 1-2, columns
-# theta0d, rd and alphad depend on the state
-_TEMPLATE_FIXED = np.array([
-    [1.0, 0.0, 0.0, 0.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 0.0, 1.0],
-    [0.0, 0.0, 0.0, 1.0, 0.0],
-    [1.0, 0.0, -1.0, 0.0, 0.0],
-])
+# designed row 5 (x locked to theta0) pulled back to the state: constant
+X_THETA0 = np.array([1.0, 0.0, -1.0] + [0.0] * N_JOINTS)
 
 
 def design_constraints(params: CrawlerParams, state,
                        rates: Sequence = (0.0, 0.0),
                        ) -> tuple[np.ndarray, np.ndarray]:
     """The five designed rows (..., 5, 9) and their values (..., 5) at one
-    state or an (N, 9) block of states: the rows in template coordinates
-    (xd, yd, theta0d, rd, alphad) pulled back to the nine-dimensional state.
-
+    state or an (N, 9) block, in priority order: (1-2) Re and Im of d/dt of
+    the world foot midpoint z + e^{i theta0} w = 0, the mean of the foot
+    rows; (3-4) the template's alpha and r rows = alphadot, rdot; (5)
+    ``X_THETA0`` = 0. The greedy scan keeps rows in this order, so it decides
+    which goal yields: rows 1-2 are dropped whenever the feet are Physical,
+    and row 5 yields first when jams leave too few joints for the template.
     ``rates`` is (rdot, alphadot), each a float or one value per state, as
     ``ReferenceGait.rates_at`` returns them for a time or an array of times.
     """
     state = np.asarray(state, dtype=float)
-    w, r, jac = _template(_kinematics(params, state))
-    beta = state[..., 2] + np.angle(w)
-    cb, sb = np.cos(beta), np.sin(beta)
-    tmpl = np.empty(beta.shape + (5, 5))
-    tmpl[...] = _TEMPLATE_FIXED
-    tmpl[..., 0, 2] = tmpl[..., 0, 4] = -r * sb
-    tmpl[..., 1, 2] = tmpl[..., 1, 4] = r * cb
-    tmpl[..., 0, 3] = cb
-    tmpl[..., 1, 3] = sb
-    omega = np.empty(tmpl.shape[:-1] + (STATE_DIM,))
-    omega[..., :G_DIM] = tmpl[..., :G_DIM]
-    omega[..., G_DIM:] = tmpl[..., G_DIM:] @ jac
+    rot, _, s1, _, s2 = kin = _kinematics(params, state)
+    w, _, jac = _template(kin)
+    # d (z + rot w) / d (theta0, joints): i rot w and i rot s_j / 2
+    turn = 1j * rot[..., None] * np.concatenate(
+        [w[..., None], 0.5 * np.concatenate([s1, s2], axis=-1)], axis=-1)
+    omega = np.zeros(state.shape[:-1] + (5, STATE_DIM))
+    omega[..., :2, :2] = np.eye(2)
+    omega[..., 0, 2:], omega[..., 1, 2:] = turn.real, turn.imag
+    omega[..., 2:4, G_DIM:] = jac[..., ::-1, :]    # alpha row, then r row
+    omega[..., 4, :] = X_THETA0
     gamma = np.zeros(state.shape[:-1] + (5,))
     gamma[..., 2], gamma[..., 3] = rates[1], rates[0]
     return omega, gamma
@@ -280,8 +273,6 @@ GAIT_AMPLITUDES = np.array([0.5655192174903454, 0.3241975707256865,
                             0.4958796693361258, 0.3415952331689739])
 GAIT_PHASES = np.array([0.05786238329953794, -0.9299630175767266,
                         1.5725865130949745, 0.026882383523351615])
-# designed row 5 (x locked to theta0) pulled back to the state: constant
-X_THETA0 = np.array([1.0, 0.0, -1.0] + [0.0] * N_JOINTS)
 CHART_TOL = 1e-14   # gait residual (max norm) a chart point falls below
 # foot and jam residual (max norm) below which a recovery projection stops
 PROJECTION_TOL = 1e-11

@@ -117,8 +117,13 @@ class Trajectory:
             linenos.append(lineno)
         if not rows:
             raise TrajectoryFormatError(f"{path}: line 2: no data rows")
-        # the spread of the steps so far; its last entry is dt's np.ptp
         steps = np.diff(t)
+        if np.count_nonzero(steps <= 0):
+            k = int(np.argmax(steps <= 0))
+            raise TrajectoryFormatError(
+                f"{path}: line {linenos[k + 1]}: time step {steps[k]:.17g} "
+                "is not positive")
+        # the spread of the steps so far; its last entry is dt's np.ptp
         spread = np.maximum.accumulate(steps) - np.minimum.accumulate(steps)
         if len(steps) and spread[-1] > _step_tol(steps):
             k = int(np.argmax(spread > _step_tol(steps)))

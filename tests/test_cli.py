@@ -179,6 +179,25 @@ class TestLearnCommand:
         assert f"{bad}: line 4:" in err and "uniform" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("retime", [lambda t: "0.0",
+                                        lambda t: repr(-float(t))],
+                             ids=["equal", "reversed"])
+    def test_non_increasing_times_report_line(self, crawler_run, tmp_path,
+                                              capsys, retime):
+        # the emitted gait with every time set equal, or negated: learning
+        # would divide by a zero step or flip the sign of every rate
+        lines = read(crawler_run / "reference.csv").splitlines()
+        bad = tmp_path / "traj.csv"
+        bad.write_text("\n".join(
+            [lines[0]] + [retime(t) + "," + rest for t, rest in
+                          (line.split(",", 1) for line in lines[1:])]) + "\n")
+        out = tmp_path / "x"
+        code = main(["learn", "--traj", str(bad), "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"{bad}: line 3:" in err and "not positive" in err
+        assert not (out / "learned.json").exists()
+
     def test_wrong_state_dimension(self, tmp_path, capsys):
         small = tmp_path / "traj.csv"
         small.write_text("t,q_0,q_1\n0.0,1.0,0.0\n0.1,1.0,0.1\n0.2,1.0,0.2\n")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from regait import crawler
 from regait.constraints import (ConstraintStack, Priority,
                                 evaluate_with_classes, rank_report, residual,
-                                solve_velocity)
+                                select_active_rows, solve_velocity)
 from regait.encoding import learn_constraints, learned_block, record_eta
 from regait.crawler import (CrawlerParams, angle_difference, apply_jam,
                             crawler_stack, design_constraints, designed_block,
@@ -45,6 +45,23 @@ def start_frame(params, state):
     """The gait's frame from a state's foot rows as (9, 4) columns; at the
     start state it is the frame of the gait's chart."""
     return crawler._gait_basis(crawler._feet(params, state)[1]).T
+
+
+def reach_margins(params, gait, jam):
+    """Outer and inner margins, per half-grid sample, of the reference's
+    body-frame foot inside the annulus the jammed arm reaches with its joint
+    locked at its start value: that of the two free unit links about
+    h + e^{i a0} for a locked first joint, else that of links of lengths
+    |1 + e^{i q0}| and 1 about the hip."""
+    arm, joint = divmod(jam - 1, 3)
+    hip = (params.h1, params.h2)[arm]
+    foot = crawler._arms(params, gait.x[:, 3:])[0][:, arm]
+    q0 = gait.x[0, 2 + jam]
+    centre, links = hip, (abs(1.0 + np.exp(1j * q0)), 1.0)
+    if joint == 0:
+        centre, links = hip + np.exp(1j * q0), (1.0, 1.0)
+    d = np.abs(foot - centre)
+    return sum(links) - d, d - abs(links[0] - links[1])
 
 
 def feet(params, state):
@@ -249,6 +266,34 @@ class TestDesignRows:
             rows, _ = design_constraints(cparams, gait.x[k])
             assert np.allclose(rows[0], 0.5 * (A[0] + A[2]), atol=1e-12)
             assert np.allclose(rows[1], 0.5 * (A[1] + A[3]), atol=1e-12)
+
+    def test_rows_from_their_definitions(self, cparams, gait):
+        # rows 3-4 are the template Jacobian's alpha and r rows, row 5 is
+        # the x-theta0 row, bit for bit
+        dphi = template_encoding_map(cparams)
+        for x in gait.x[::97]:
+            rows, _ = design_constraints(cparams, x)
+            assert np.array_equal(rows[2:4], dphi(x)[::-1])
+            assert np.array_equal(rows[4], crawler.X_THETA0)
+
+    def test_priority_order_decides_which_goal_yields(self, cparams, gait):
+        # feet (rows 0-3), two jams (4, 5), designed rows 1-5 (6-10): the
+        # midpoint rows are the mean of the foot rows and never kept; two
+        # jams on one arm leave it one free joint, so the last designed
+        # row, x = theta0, yields, while one jam per arm leaves room for it
+        for a in range(1, 7):
+            for b in range(a + 1, 7):
+                stack = ConstraintStack(ambient_dim=9, blocks=[
+                    physical_block(cparams, a),
+                    constant_block(Priority.PHYSICAL, apply_jam(b)[None]),
+                    designed_block(cparams, gait)])
+                want = [0, 1, 2, 3, 4, 5, 8, 9]
+                if (a - 1) // 3 != (b - 1) // 3:
+                    want.append(10)
+                for k in range(0, len(gait.t), 25):
+                    kept = select_active_rows(stack, float(gait.t[k]),
+                                              gait.x[k])
+                    assert kept == want, (a, b, k)
 
 
 class TestInitialConfiguration:
@@ -495,14 +540,38 @@ class TestRecovery:
         assert rms_r < 1e-6
         assert rms_a < 1e-6
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "known limitation: under jam 3 the 2x2 determinant of arm 1's two "
-        "free tails passes through zero near t ~ 0.019 s (relative minimum "
-        "3.4e-4 on the run, sign changes between t = 0.018 and 0.020 s) and "
-        "the template r trace drifts to RMS 1.7e-4"))
-    def test_jam3_template_traces_reproduced(self, gait, recoveries):
+    def test_jam3_template_out_of_reach(self, cparams, gait):
+        """No recovery under jam 3 can hold the template. With both feet
+        pinned their world midpoint M is fixed, so z = M - r e^{i beta},
+        beta = theta0 + alpha; with x = theta0 that fixes the pose from
+        (r, alpha) alone (theta0 = Re M - r cos(theta0 + alpha), unique
+        while 1 - r sin(beta) != 0). A recovery that holds the template and
+        x = theta0 thus has the reference's pose, and the jammed foot must
+        reach the reference's body-frame foot p1(t). With joint 3 locked at
+        c0 arm 1 reaches at most 1 + |1 + e^{i c0}|, which p1(t) exceeds on
+        one window of 58 half-grid samples, t = 0.0185 ... 0.047 s."""
+        outer, inner = reach_margins(cparams, gait, 3)
+        out = np.flatnonzero(outer < 0)
+        assert np.array_equal(out, np.arange(out[0], out[0] + 58))
+        assert gait.t[out[[0, -1]]] == pytest.approx([0.0185, 0.047])
+        assert gait.t[outer.argmin()] == pytest.approx(0.0325)
+        assert -outer.min() == pytest.approx(2.11e-4, rel=1e-2)
+        assert inner.min() > 1.0
+        # every other jam leaves the reference foot inside the annulus
+        for jam, margin in ((1, 0.498), (2, 0.388), (4, 0.164), (5, 0.366),
+                            (6, 0.263)):
+            outer, inner = reach_margins(cparams, gait, jam)
+            assert outer.min() == pytest.approx(margin, abs=1e-3)
+            assert inner.min() >= 1.39
+
+    def test_jam3_template_miss_bounded(self, gait, recoveries):
+        # the known cost of a rate-only field under jam 3: it never corrects
+        # the template offset the reach excess forces, so it misses by about
+        # 19 times the first-order floor of 9.0e-6 that any recovery holding
+        # the feet, the jam and x = theta0 must pay (measured rms r 1.707e-4)
         rec = recoveries(3)
-        assert np.sqrt(np.mean((rec.r - gait.r[::2]) ** 2)) < 1e-6
+        rms_r = np.sqrt(np.mean((rec.r - gait.r[::2]) ** 2))
+        assert 9.0e-6 < rms_r < 1.8e-4
 
     def test_feet_and_jam_enforced(self, cparams, recovered):
         X = recovered.trajectory.x

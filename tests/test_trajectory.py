@@ -86,6 +86,18 @@ class TestCsvRoundTrip:
         with pytest.raises(TrajectoryFormatError, match="line 1"):
             Trajectory.from_csv(path)
 
+    @pytest.mark.parametrize("times", [(0.0, 0.0, 0.0), (0.0, -0.1, -0.2)],
+                             ids=["equal", "reversed"])
+    def test_non_increasing_times_rejected(self, tmp_path, times):
+        # uniform steps, but of zero or negative size: velocities would
+        # divide by zero or flip sign
+        path = tmp_path / "bad.csv"
+        path.write_text("t,q_0\n" + "".join(f"{t},{k}\n"
+                                            for k, t in enumerate(times)))
+        with pytest.raises(TrajectoryFormatError,
+                           match="line 3: time step .* is not positive"):
+            Trajectory.from_csv(path)
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("t,q_0\n")
