@@ -14,7 +14,7 @@ Each function takes one state or a block of states in one call.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -117,35 +117,18 @@ def learned_block(dphi: Callable, lc: LearnedConstraints,
 
 
 def learned_to_json(lc: LearnedConstraints) -> str:
-    pm = lc.phase_model
-    return json.dumps({
-        "kind": "learned",
-        "forms": lc.forms.tolist(),
-        "eta_models": [{"order": m.order, "a0": m.a0, "a": m.a.tolist(),
-                        "b": m.b.tolist()} for m in lc.eta_models],
-        "phase_model": {
-            "pca_basis": pm.pca_basis.tolist(),
-            "center": pm.center.tolist(),
-            "direction_sign": pm.direction_sign,
-            "offset": pm.offset,
-            "min_radius": pm.min_radius,
-        },
-    }, indent=2)
+    """``learned.json``: every field of ``lc`` and of its series and phase
+    estimator, under the dataclasses' own names and order."""
+    return json.dumps({"kind": "learned", **asdict(lc)},
+                      default=lambda v: v.tolist(), indent=2)
 
 
 def learned_from_json(text: str) -> LearnedConstraints:
+    """The learned rows that ``learned_to_json`` wrote, field for field."""
     data = json.loads(text)
-    pm = data["phase_model"]
-    phase = PhaseEstimator(
-        pca_basis=np.asarray(pm["pca_basis"], dtype=float),
-        center=np.asarray(pm["center"], dtype=float),
-        direction_sign=float(pm["direction_sign"]),
-        offset=float(pm["offset"]),
-        min_radius=float(pm["min_radius"]))
-    models = tuple(
-        FourierSeries(order=int(m["order"]), a0=float(m["a0"]),
-                      a=np.asarray(m["a"], dtype=float),
-                      b=np.asarray(m["b"], dtype=float))
-        for m in data["eta_models"])
-    forms = np.asarray(data["forms"], dtype=float)
-    return LearnedConstraints(forms=forms, eta_models=models, phase_model=phase)
+    pm = {k: np.asarray(v, dtype=float) if isinstance(v, list) else v
+          for k, v in data["phase_model"].items()}
+    return LearnedConstraints(
+        forms=np.asarray(data["forms"], dtype=float),
+        eta_models=tuple(FourierSeries(**m) for m in data["eta_models"]),
+        phase_model=PhaseEstimator(**pm))

@@ -61,7 +61,10 @@ class Trajectory:
         steps = np.diff(self.t)
         if len(steps) == 0:
             raise ValueError("single-sample trajectory has no step size")
-        if np.ptp(steps) > _step_tol(steps):
+        lo, hi = steps.min(), steps.max()
+        if lo <= 0:
+            raise ValueError(f"time step {lo:.17g} is not positive")
+        if hi - lo > _step_tol(steps):
             raise ValueError("trajectory is not uniformly sampled")
         return float(steps[0])
 

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from regait.cli import main
+from regait.encoding import learned_from_json, learned_to_json
 
 
 def read(path):
@@ -83,6 +84,13 @@ class TestCrawlerCommand:
                   for stage in ("reference", "learn", "recover", "baseline")]
         assert all(t > 0.0 for t in stages)
         assert sum(stages) < m["runtime_seconds"]
+
+    def test_learned_rows_read_back(self, crawler_run):
+        text = read(crawler_run / "learned.json")
+        lc = learned_from_json(text)
+        assert learned_to_json(lc) == text
+        assert max(m.fit_residual_rms for m in lc.eta_models) == \
+            metrics_of(crawler_run)["learned_fit_residual_rms"]
 
     def test_run_is_deterministic(self, tmp_path):
         _, files = run_twice(tmp_path, ["crawler", "--jam", "1"])

@@ -37,10 +37,6 @@ def fd_rows(fn, state, h=1e-7):
     return jac
 
 
-# designed row 5 (x locked to theta0) pulled back to the state: constant
-X_THETA0_ROW = np.array([1.0, 0.0, -1.0] + [0.0] * crawler.N_JOINTS)
-
-
 def start_frame(params, state):
     """The gait's frame from a state's foot rows as (9, 4) columns; at the
     start state it is the frame of the gait's chart."""
@@ -445,7 +441,7 @@ class TestGaitBasis:
         x = gait.x[k]
         A = crawler._feet(cparams, x)[1]
         Q = crawler._gait_basis(A)
-        rows = np.vstack([A, X_THETA0_ROW])
+        rows = np.vstack([A, crawler.X_THETA0])
         assert Q.shape == (4, 9)
         assert np.abs(rows @ Q.T).max() <= BASIS_TOL
         assert np.abs(Q @ Q.T - np.eye(4)).max() <= BASIS_TOL

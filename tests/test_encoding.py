@@ -10,6 +10,8 @@ from regait.encoding import (learn_constraints, learned_block,
 from regait.signals import PhaseEstimator, estimate_phases, eval_fourier
 from regait.trajectory import Trajectory
 
+from helpers import assert_fields_equal
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -216,3 +218,15 @@ class TestLearnConstraints:
         assert np.allclose(learned_gamma(back, phases),
                            learned_gamma(lc, phases), atol=1e-12)
         assert np.allclose(back.forms[0], lc.forms[0], atol=1e-15)
+        # every field comes back exactly, each series' fit residual too
+        assert lc.eta_models[0].fit_residual_rms > 0.0
+        assert_fields_equal(back, lc)
+
+    @pytest.mark.parametrize("times", ["equal", "reversed"])
+    def test_non_increasing_times_rejected(self, times):
+        traj, _ = circle_trajectory()
+        t = np.zeros_like(traj.t) if times == "equal" else -traj.t
+        phase = PhaseEstimator.fit(traj.x)
+        with pytest.raises(ValueError, match="is not positive"):
+            learn_constraints(IDENTITY_2, [[1.0, 0.0]],
+                              Trajectory(t=t, x=traj.x), phase, order=3)

@@ -140,6 +140,15 @@ class TestConstraintViolationCost:
                                          failure_penalty=123.5)
         assert cost(np.zeros(1)) == 123.5
 
+    @pytest.mark.parametrize("t", [[0.0, 0.0, 0.0], [0.0, -0.1, -0.2]])
+    def test_non_increasing_times_rejected(self, t):
+        # a provider's trajectory is scored, not taken as a provider failure
+        cost = constraint_violation_cost(
+            constant_target_stack(),
+            lambda p: Trajectory(t=np.array(t), x=np.zeros((3, 1))))
+        with pytest.raises(ValueError, match="is not positive"):
+            cost(np.zeros(1))
+
     def test_physical_rows_excluded_by_default(self):
         phys = constant_block(Priority.PHYSICAL, [[1.0]], [5.0])
         stack = ConstraintStack(ambient_dim=1, blocks=[phys])
