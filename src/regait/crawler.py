@@ -32,11 +32,11 @@ minimum-norm joint rates, orthonormalised, and each arm's unit normal n_a,
 the cross product of its two foot rows.
 
 The recovery loop runs on Python floats (states are lists; see
-``integrate``): the field and the projection residuals read one state's
-kinematics from ``_kinematics_one`` (complex endpoints and tail sums), and
-the field reads the recorded rates by grid index, since numpy calls on a
-handful of numbers cost more than the arithmetic. The projection builds the
-foot (and jam) Jacobian only for a Newton step.
+``integrate``): its field and projection residuals read the kinematics that
+the numpy rows read (``_arms``), and the field reads the recorded rates by
+grid index, since numpy calls on a handful of numbers cost more than the
+arithmetic. The projection builds its Jacobian, the Physical rows, only for
+a Newton step.
 """
 
 from __future__ import annotations
@@ -78,42 +78,31 @@ class CrawlerParams:
             raise ValueError("foot anchors must be distinct")
 
 
-def _arms(params: CrawlerParams, joints: np.ndarray,
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """Body-frame endpoints (..., 2) of both three-link unit chains and their
-    tail sums s_j (..., 2, 3), from joint angles (..., 6).
-
-    d endpoint / d angle_j = i * s_j where s_j sums the links from j outward.
-    """
-    angles = joints.reshape(joints.shape[:-1] + (2, 3))
-    links = np.exp(1j * np.cumsum(angles, axis=-1))
-    tails = np.cumsum(links[..., ::-1], axis=-1)[..., ::-1]
-    return np.array([params.h1, params.h2]) + links.sum(axis=-1), tails
-
-
-def _kinematics(params: CrawlerParams, state: np.ndarray) -> tuple:
-    """(rot, p1, s1, p2, s2): body rotation e^{i theta0}, both arm endpoints
-    in the body frame and their tail sums, from one pass over the arms.
-    ``state`` is one state or an (N, 9) block of them; for one state the
-    endpoints are scalars (``[()]`` unwraps a 0-d array)."""
-    rot = np.exp(1j * state[..., 2])
-    ends, tails = _arms(params, state[..., 3:])
-    return (rot, ends[..., 0][()], tails[..., 0, :], ends[..., 1][()],
-            tails[..., 1, :])
-
-
-def _kinematics_one(params: CrawlerParams, state: Sequence[float]) -> tuple:
-    """``_kinematics`` of one state on Python scalars: (rot, p1, s1, p2, s2)
-    with complex endpoints and 3-tuples of complex tail sums, summed in the
-    order ``_arms`` sums them."""
-    _, _, theta0, *joints = state
-    out = [cmath.exp(1j * theta0)]
+def _arms(params: CrawlerParams, joints) -> tuple:
+    """(p1, s1, p2, s2): both arm endpoints in the body frame and, as
+    3-tuples, their tail sums s_j of the links from joint j outward (d
+    endpoint / d angle_j = i * s_j). ``joints`` is one state's six angles as
+    Python floats (``cmath.exp``) or a numpy (..., 6) block (``np.exp`` on
+    its columns); both sum the same links in the same order."""
+    exp = cmath.exp
+    if isinstance(joints, np.ndarray):
+        exp, joints = np.exp, np.moveaxis(joints, -1, 0)
+    out = []
     for h, (a, b, c) in ((params.h1, joints[:3]), (params.h2, joints[3:])):
-        l1, l2, l3 = (cmath.exp(1j * a), cmath.exp(1j * (a + b)),
-                      cmath.exp(1j * (a + b + c)))
+        ab = a + b
+        l1, l2, l3 = exp(1j * a), exp(1j * ab), exp(1j * (ab + c))
         s2 = l3 + l2
-        out += [h + (l1 + l2 + l3), (s2 + l1, s2, l3)]
+        out += [h + ((l1 + l2) + l3), (s2 + l1, s2, l3)]
     return tuple(out)
+
+
+def _kinematics(params: CrawlerParams, state) -> tuple:
+    """(rot, p1, s1, p2, s2): body rotation e^{i theta0}, then ``_arms``, at
+    one state given as a list of floats, one numpy state or an (N, 9)
+    block."""
+    if isinstance(state, np.ndarray):
+        return (np.exp(1j * state[..., 2]),) + _arms(params, state[..., 3:])
+    return (cmath.exp(1j * state[2]),) + _arms(params, state[3:])
 
 
 _UNIT = np.array([1.0, 1j])   # d f / d(x, y) of either foot
@@ -133,8 +122,8 @@ def _feet(params: CrawlerParams, state) -> tuple[np.ndarray, np.ndarray]:
     J[..., :2] = _UNIT
     J[..., 0, 2] = turn * p1
     J[..., 1, 2] = turn * p2
-    np.multiply(turn[..., None], s1, out=J[..., 0, 3:6])
-    np.multiply(turn[..., None], s2, out=J[..., 1, 6:9])
+    np.multiply(turn[..., None], np.stack(s1, axis=-1), out=J[..., 0, 3:6])
+    np.multiply(turn[..., None], np.stack(s2, axis=-1), out=J[..., 1, 6:9])
     # complex (re, im) pairs -> rows Re f1, Im f1, Re f2, Im f2
     rows = J.view(float).reshape(lead + (2, STATE_DIM, 2)).swapaxes(-1, -2)
     return d.view(float), rows.reshape(lead + (4, STATE_DIM))
@@ -142,7 +131,7 @@ def _feet(params: CrawlerParams, state) -> tuple[np.ndarray, np.ndarray]:
 
 def _foot_residual_one(params: CrawlerParams, state: Sequence[float]) -> list:
     """``_feet``'s residual of one state on Python scalars."""
-    rot, p1, _, p2, _ = _kinematics_one(params, state)
+    rot, p1, _, p2, _ = _kinematics(params, state)
     z = complex(state[0], state[1])
     f1 = z + rot * p1 - params.l1
     f2 = z + rot * p2 - params.l2
@@ -165,7 +154,7 @@ def _template(kin) -> tuple:
     r = np.hypot(w.real, w.imag)
     if np.count_nonzero(r < _MIN_RADIUS):   # cheaper than .any() on one state
         raise ValueError(_NO_TEMPLATE)
-    prod = np.conj(w)[..., None] * (0.5j * np.concatenate([s1, s2], axis=-1))
+    prod = np.conj(w)[..., None] * (0.5j * np.stack(s1 + s2, axis=-1))
     jac = np.empty(prod.shape[:-1] + (2, N_JOINTS))
     jac[..., 0, :] = prod.real / r[..., None]
     jac[..., 1, :] = prod.imag / (r * r)[..., None]
@@ -212,7 +201,7 @@ def design_constraints(params: CrawlerParams, state,
     w, _, jac = _template(kin)
     # d (z + rot w) / d (theta0, joints): i rot w and i rot s_j / 2
     turn = 1j * rot[..., None] * np.concatenate(
-        [w[..., None], 0.5 * np.concatenate([s1, s2], axis=-1)], axis=-1)
+        [w[..., None], 0.5 * np.stack(s1 + s2, axis=-1)], axis=-1)
     omega = np.zeros(state.shape[:-1] + (5, STATE_DIM))
     omega[..., :2, :2] = np.eye(2)
     omega[..., 0, 2:], omega[..., 1, 2:] = turn.real, turn.imag
@@ -480,7 +469,7 @@ def recovery_field(params: CrawlerParams, reference: ReferenceGait,
 
     def field(t, state):
         rdot, adot = rates[reference._grid_index(t)]
-        rot, p1, s1, p2, s2 = _kinematics_one(params, state)
+        rot, p1, s1, p2, s2 = _kinematics(params, state)
         w = 0.5 * (p1 + p2)
         r = math.hypot(w.real, w.imag)
         if r < _MIN_RADIUS:
@@ -545,15 +534,15 @@ def recover(params: CrawlerParams, reference: ReferenceGait,
     x0 = reference.initial_state
     col = G_DIM - 1 + jam
     locked = float(x0[col])
-    jam_grad = apply_jam(jam)[None]
+    rows = physical_block(params, jam).rows
 
     # the projection residual: both feet off their anchors, then the
-    # jammed joint's drift
+    # jammed joint's drift; its Jacobian, the Physical rows, ignores time
     def c(state):
         return _foot_residual_one(params, state) + [state[col] - locked]
 
     def dc(state):
-        return np.vstack([_feet(params, np.asarray(state))[1], jam_grad])
+        return rows(None, np.asarray(state))[0]
 
     traj, v = integrate_projected(recovery_field(params, reference, jam),
                                   (c, dc), 0.0, x0, reference.period,
@@ -574,8 +563,7 @@ def _pose_refit_rollout(params: CrawlerParams, thetas: np.ndarray,
     foot midpoints. theta0 is unwrapped to continue from the heading g0[2].
     """
     thetas = np.asarray(thetas, dtype=float)
-    ends = _arms(params, thetas)[0]
-    p1, p2 = ends[:, 0], ends[:, 1]
+    p1, _, p2, _ = _arms(params, thetas)
     heading = np.unwrap(np.concatenate(
         [[g0[2]], np.angle((params.l1 - params.l2) * np.conj(p1 - p2))]))[1:]
     z = 0.5 * (params.l1 + params.l2) - np.exp(1j * heading) * 0.5 * (p1 + p2)

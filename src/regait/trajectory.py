@@ -62,9 +62,9 @@ class Trajectory:
         if len(steps) == 0:
             raise ValueError("single-sample trajectory has no step size")
         lo, hi = steps.min(), steps.max()
-        if lo <= 0:
+        if not lo > 0:                        # written so that NaN fails
             raise ValueError(f"time step {lo:.17g} is not positive")
-        if hi - lo > _step_tol(steps):
+        if not hi - lo <= _step_tol(steps):   # written so that NaN fails
             raise ValueError("trajectory is not uniformly sampled")
         return float(steps[0])
 

@@ -15,7 +15,7 @@ from regait.crawler import (CrawlerParams, angle_difference, apply_jam,
                             initial_configuration, physical_block,
                             playback_baseline, recover, recovery_field,
                             template_encoding_map, template_traces)
-from regait.integrate import IntegrationError
+from regait.integrate import IntegrationError, integrate_projected, project
 from regait.optimize import _trapz, constraint_violation_cost
 from regait.signals import PhaseEstimator
 
@@ -51,7 +51,7 @@ def reach_margins(params, gait, jam):
     |1 + e^{i q0}| and 1 about the hip."""
     arm, joint = divmod(jam - 1, 3)
     hip = (params.h1, params.h2)[arm]
-    foot = crawler._arms(params, gait.x[:, 3:])[0][:, arm]
+    foot = crawler._arms(params, gait.x[:, 3:])[2 * arm]
     q0 = gait.x[0, 2 + jam]
     centre, links = hip, (abs(1.0 + np.exp(1j * q0)), 1.0)
     if joint == 0:
@@ -368,27 +368,28 @@ class TestReferenceGait:
         # call, so the count of kinematics calls does not grow with the
         # number of samples (measured 31 at both periods, with the start
         # configuration's; one call per step per sample made 6,006 and
-        # 12,006); neither the one-state residual nor the one-state
-        # kinematics is used, since the frame comes from the start's foot
+        # 12,006); neither the one-state residual nor the kinematics on
+        # Python floats is used, since the frame comes from the start's foot
         # rows
         calls = []
 
         def counting(name):
             fn = getattr(crawler, name)
 
-            def wrapped(*args):
-                calls.append(name)
-                return fn(*args)
+            def wrapped(params, state):
+                on_floats = not isinstance(state, np.ndarray)
+                calls.append(name + " on floats" * on_floats)
+                return fn(params, state)
             return wrapped
 
-        for name in ("_feet", "_foot_residual_one", "_kinematics_one"):
+        for name in ("_feet", "_foot_residual_one", "_kinematics"):
             monkeypatch.setattr(crawler, name, counting(name))
         counts = []
         for period in (1.0, 2.0):
             calls.clear()
             crawler.reference_gait(cparams, period=period)
-            assert "_foot_residual_one" not in calls
-            assert "_kinematics_one" not in calls
+            assert not any(c.startswith("_foot_residual_one") for c in calls)
+            assert "_kinematics on floats" not in calls
             counts.append(calls.count("_feet"))
         assert counts[0] == counts[1]
 
@@ -625,6 +626,28 @@ class TestRecovery:
         err = np.linalg.norm(achieved - desired, axis=1)
         assert np.sqrt(np.mean(err ** 2)) < 1e-4
 
+    def test_projection_jacobian_is_the_physical_rows(self, cparams, gait,
+                                                      monkeypatch):
+        # recover projects onto the pinned feet and the jam with the
+        # Physical rows as its Jacobian; one projection brings a perturbed
+        # state back below the tolerance
+        pairs = []
+
+        def capture(f, c, *args):
+            pairs.append(c)
+            return integrate_projected(f, c, *args)
+
+        monkeypatch.setattr(crawler, "integrate_projected", capture)
+        jam = 2
+        x = recover(cparams, gait, jam).trajectory.x[1000]
+        (c, dc), = pairs
+        rows = physical_block(cparams, jam).rows(1.0, x)[0]
+        assert np.array_equal(dc(x.tolist()), rows)
+        moved = (x + 1e-4 * np.random.default_rng(2).normal(size=9)).tolist()
+        assert max(map(abs, c(moved))) > 1e-6
+        back = project(c, dc, moved, crawler.PROJECTION_TOL)
+        assert max(map(abs, c(back))) < crawler.PROJECTION_TOL
+
     def test_jam_zero_returns_reference(self, cparams, gait):
         out = recover(cparams, gait, jam=0)
         full = gait.full_grid()
@@ -857,17 +880,25 @@ class TestBatchedBlocks:
         assert np.array_equal(gamma, np.stack([g for _, g in ones]))
 
     def test_scalar_record_matches_kinematics(self, cparams, gait):
-        # the recovery loop's Python-scalar record against the numpy record
-        # of the whole block and of each state: measured bit-equal at all
-        # 2,001 states; the bound leaves room for a libm whose sin and cos
-        # round differently from numpy's complex exp
-        block = crawler._kinematics(cparams, gait.x)
-        for k, x in enumerate(gait.x):
-            one = crawler._kinematics(cparams, x)
-            got = crawler._kinematics_one(cparams, x)
-            for i, part in enumerate(got):
-                for want in (one[i], block[i][k]):
-                    assert np.abs(np.asarray(part) - want).max() <= RECORD_TOL
+        # one definition of the kinematics: a state given as a list of
+        # Python floats (the recovery loop's record) against the same state
+        # as a numpy state and as a row of a block, at the 2,001 gait states
+        # (measured bit-equal) and at random states; the bound leaves room
+        # for a libm whose sin and cos round differently from numpy's
+        # complex exp
+        def flat(kin):   # rot, p1, the s1 tails, p2, the s2 tails
+            rot, p1, s1, p2, s2 = kin
+            return np.array([rot, p1, *s1, p2, *s2])
+
+        rng = np.random.default_rng(5)
+        for X in (gait.x, rng.uniform(-4.0, 4.0, (500, 9))):
+            block = flat(crawler._kinematics(cparams, X))
+            for k, x in enumerate(X):
+                got = crawler._kinematics(cparams, x.tolist())
+                assert all(type(p) is complex for p in flat(got).tolist())
+                for want in (flat(crawler._kinematics(cparams, x)),
+                             block[:, k]):
+                    assert np.abs(flat(got) - want).max() <= RECORD_TOL
 
 
 class TestStackDiagnostics:

@@ -222,10 +222,11 @@ class TestLearnConstraints:
         assert lc.eta_models[0].fit_residual_rms > 0.0
         assert_fields_equal(back, lc)
 
-    @pytest.mark.parametrize("times", ["equal", "reversed"])
+    @pytest.mark.parametrize("times", ["equal", "reversed", "nan"])
     def test_non_increasing_times_rejected(self, times):
         traj, _ = circle_trajectory()
-        t = np.zeros_like(traj.t) if times == "equal" else -traj.t
+        t = {"equal": np.zeros_like(traj.t), "reversed": -traj.t,
+             "nan": np.r_[traj.t[0], np.nan, traj.t[2:]]}[times]
         phase = PhaseEstimator.fit(traj.x)
         with pytest.raises(ValueError, match="is not positive"):
             learn_constraints(IDENTITY_2, [[1.0, 0.0]],

@@ -140,7 +140,8 @@ class TestConstraintViolationCost:
                                          failure_penalty=123.5)
         assert cost(np.zeros(1)) == 123.5
 
-    @pytest.mark.parametrize("t", [[0.0, 0.0, 0.0], [0.0, -0.1, -0.2]])
+    @pytest.mark.parametrize("t", [[0.0, 0.0, 0.0], [0.0, -0.1, -0.2],
+                                   [0.0, np.nan, 2.0]])
     def test_non_increasing_times_rejected(self, t):
         # a provider's trajectory is scored, not taken as a provider failure
         cost = constraint_violation_cost(

@@ -46,10 +46,12 @@ class TestVelocities:
         with pytest.raises(ValueError):
             traj.velocities()
 
-    @pytest.mark.parametrize("t", [[0.0, 0.0, 0.0], [0.0, -0.1, -0.2]])
+    @pytest.mark.parametrize("t", [[0.0, 0.0, 0.0], [0.0, -0.1, -0.2],
+                                   [0.0, np.nan, 2.0]])
     def test_non_increasing_times_rejected(self, t):
         # built in code, so from_csv's check never sees them: a zero step
-        # would give inf velocities and a negative one reversed ones
+        # would give inf velocities, a negative one reversed ones and a NaN
+        # one all-NaN ones
         traj = Trajectory(t=np.array(t), x=np.array([0.0, 1.0, 2.0]))
         with pytest.raises(ValueError, match="is not positive"):
             traj.velocities()
